@@ -88,9 +88,11 @@ def cmd_bisim(args) -> int:
         if f is None:
             payload["distinguisher"] = None
         else:
-            # never print an unchecked separator
-            here = kripke.check(m1, args.state1, f).value
-            there = kripke.check(m2, args.state2, f).value
+            # never print an unchecked separator; check it in the union,
+            # which declares the vocabularies of both models
+            u = kripke.disjoint_union([m1, m2])
+            here = kripke.check(u, f"0:{args.state1}", f).value
+            there = kripke.check(u, f"1:{args.state2}", f).value
             if not here or there:
                 raise LogicError("distinguishing formula failed re-verification")
             payload["distinguisher"] = print_formula(f)

@@ -6,25 +6,36 @@ bisimulation relaxes the equation to a full back-and-forth matching of
 successor sets through the relation.  Both notions preserve truth of the
 E/S fragment.
 
-Bisimilarity is strictly finer than E/S modal equivalence even on finite
+Bisimilarity and E/S modal equivalence come from one partition refinement
+engine, _refine, run on the disjoint union of the two models: from the atom
+profiles it splits blocks by a one-step signature over the current classes
+until nothing splits.  Both signatures are built per name from the family
+of class sets that the named agents reach.  Bisimilarity keeps the whole
+family, since through an equivalence two successor sets match back and
+forth exactly when they reach the same classes; greatest_bisimulation is
+the cross-side part of the stable partition.  Modal equivalence keeps the
+family's minimal sets and its union, all that E and S observe;
+distinguishing_formula walks the recorded rounds to build a separating
+formula for every pair of blocks, so it returns one exactly when one exists.
+
+Bisimilarity is strictly finer than modal equivalence even on finite
 models: one side may carry an extra named agent whose successor set is a
-union of others', observable by no formula.  distinguishing_formula
-therefore decides modal equivalence outright, by partition refinement: it
-returns a separating formula exactly when one exists, so bisimilar points
-always map to None, while rare non-bisimilar but equivalent pairs do too.
+union of others', observable by no formula.  So bisimilar points always
+get None, while rare non-bisimilar but equivalent pairs do too.
+check_bisimulation, the independent certifier, reads the matching clauses
+themselves, not the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import UndeclaredSymbolError
 from .formula import And, E, FALSE, Formula, Not, Or, Prop, S, TRUE
 from .kripke import KripkeModel, check, disjoint_union
 
 Pair = tuple[str, str]
-_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -198,22 +209,14 @@ def check_bisimulation(
 
 
 def greatest_bisimulation(m1: KripkeModel, m2: KripkeModel) -> BisimRelation:
-    """Largest relation passing check_bisimulation: start from all
-    atom-agreeing pairs, delete violators until nothing changes."""
-    props = sorted(set(m1.valuation) | set(m2.valuation))
-    pairs = frozenset(
-        (w, w2)
-        for w in m1.states
-        for w2 in m2.states
-        if _atom_profile(m1, w, props) == _atom_profile(m2, w2, props)
-    )
-    while True:
-        kept = frozenset(
-            (w, w2) for w, w2 in pairs if _pair_ok(m1, m2, pairs, w, w2) is None
-        )
-        if kept == pairs:
-            return BisimRelation(pairs)
-        pairs = kept
+    """Largest relation passing check_bisimulation: the pairs across the two
+    sides of a block of the coarsest stable partition of their union."""
+    pairs: set[Pair] = set()
+    for block in _refine(disjoint_union([m1, m2]), _bisim_signature)[-1]:
+        left = [x[2:] for x in block.members if x.startswith("0:")]
+        right = [x[2:] for x in block.members if x.startswith("1:")]
+        pairs.update((w, w2) for w in left for w2 in right)
+    return BisimRelation(frozenset(pairs))
 
 
 def bisimilar(m1: KripkeModel, w1: str, m2: KripkeModel, w2: str) -> bool:
@@ -223,7 +226,64 @@ def bisimilar(m1: KripkeModel, w1: str, m2: KripkeModel, w2: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Distinguishing formulas via partition refinement
+# Partition refinement (Kanellakis & Smolka 1990)
+
+class _Block(NamedTuple):
+    members: list[str]  # sorted
+    parent: Optional[int]  # its block in the previous round; None in the first
+    signature: Any  # shared by all members; the atom profile in the first round
+
+
+def _refine(u: KripkeModel, signature) -> list[list[_Block]]:
+    """Start from the atom-profile partition of u's states and split every
+    block by signature(u, w, classes) over the previous round's classes until
+    a round splits nothing.  Returns the rounds up to the stable partition,
+    each block numbered by parent block, then by first member."""
+    props = sorted(u.valuation)
+    profiles: dict[frozenset[str], list[str]] = {}
+    for w in sorted(u.states):
+        profiles.setdefault(_atom_profile(u, w, props), []).append(w)
+    first = sorted(profiles.items(), key=lambda kv: kv[1])
+    rounds = [[_Block(ws, None, atoms) for atoms, ws in first]]
+    while True:
+        blocks = rounds[-1]
+        classes = {w: cid for cid, block in enumerate(blocks) for w in block.members}
+        split: list[_Block] = []
+        for cid, block in enumerate(blocks):
+            groups: dict[Any, list[str]] = {}
+            for w in block.members:
+                groups.setdefault(signature(u, w, classes), []).append(w)
+            split.extend(
+                _Block(ws, cid, sig) for sig, ws in sorted(groups.items(), key=lambda kv: kv[1])
+            )
+        if len(split) == len(blocks):
+            return rounds
+        rounds.append(split)
+
+
+def _family(u: KripkeModel, w: str, n: str, classes: Mapping[str, int]):
+    """The sets of classes reached by the agents named n at w."""
+    return frozenset(frozenset(classes[v] for v in u.successors(a, w)) for a in u.named(w, n))
+
+
+def _minima(family: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
+    return frozenset(
+        P for P in family if not any(Q < P for Q in family)
+    )
+
+
+def _bisim_signature(u: KripkeModel, w: str, classes: Mapping[str, int]):
+    return tuple(_family(u, w, n, classes) for n in sorted(u.names))
+
+
+def _modal_signature(u: KripkeModel, w: str, classes: Mapping[str, int]):
+    # E and S observe only the minimal sets of a family and its union
+    fams = (_family(u, w, n, classes) for n in sorted(u.names))
+    return tuple((_minima(fam), frozenset().union(*fam)) for fam in fams)
+
+
+# ---------------------------------------------------------------------------
+# Distinguishing formulas
 
 def _conj(parts: list[Formula]) -> Formula:
     if not parts:
@@ -243,29 +303,10 @@ def _disj(parts: list[Formula]) -> Formula:
     return out
 
 
-def _minima(family: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
-    return frozenset(
-        P for P in family if not any(Q < P for Q in family)
-    )
-
-
-def _separator(
-    u: KripkeModel,
-    x: str,
-    y: str,
-    classes: Mapping[str, int],
-    chi,
-) -> Formula:
-    """Formula true at x and false at y, given that their one-step behavior
-    over the current classes differs at some name."""
-    for n in sorted(u.names):
-        fam_x = frozenset(
-            frozenset(classes[v] for v in u.successors(a, x)) for a in u.named(x, n)
-        )
-        fam_y = frozenset(
-            frozenset(classes[v] for v in u.successors(a, y)) for a in u.named(y, n)
-        )
-        min_x, min_y = _minima(fam_x), _minima(fam_y)
+def _separator(names: list[str], sig_x, sig_y, chi) -> Formula:
+    """Formula true in the block with modal signature sig_x and false in the
+    one with sig_y; chi(c) characterizes class c of the previous round."""
+    for n, (min_x, union_x), (min_y, union_y) in zip(names, sig_x, sig_y):
         if min_x != min_y:
             for P in sorted(min_x, key=sorted):
                 if not any(Q <= P for Q in min_y):
@@ -273,8 +314,6 @@ def _separator(
             for P in sorted(min_y, key=sorted):
                 if not any(Q <= P for Q in min_x):
                     return Not(S(n, _disj([chi(c) for c in sorted(P)])))
-        union_x = frozenset().union(*fam_x) if fam_x else _EMPTY
-        union_y = frozenset().union(*fam_y) if fam_y else _EMPTY
         if union_x != union_y:
             extra = union_x - union_y
             if extra:
@@ -286,80 +325,39 @@ def _separator(
 def _refine_with_formulas(u: KripkeModel):
     """Coarsest partition of u's states invariant under the one-step E/S
     signature, with a separating formula for every pair of distinct blocks."""
-    props = sorted(u.valuation)
-    profiles: dict[frozenset[str], list[str]] = {}
-    for w in sorted(u.states):
-        profiles.setdefault(_atom_profile(u, w, props), []).append(w)
-    classes: dict[str, int] = {}
-    members: dict[int, list[str]] = {}
-    atom_of: dict[int, frozenset[str]] = {}
-    for cid, (profile, ws) in enumerate(sorted(profiles.items(), key=lambda kv: kv[1])):
-        atom_of[cid] = profile
-        members[cid] = ws
-        for w in ws:
-            classes[w] = cid
+    rounds = _refine(u, _modal_signature)
     delta: dict[tuple[int, int], Formula] = {}
-    for ci in members:
-        for cj in members:
-            if ci == cj:
-                continue
-            p = min(atom_of[ci] ^ atom_of[cj])
-            delta[(ci, cj)] = Prop(p) if p in atom_of[ci] else Not(Prop(p))
-
-    while True:
+    for ci, x in enumerate(rounds[0]):
+        for cj, y in enumerate(rounds[0]):
+            if ci != cj:
+                p = min(x.signature ^ y.signature)
+                delta[(ci, cj)] = Prop(p) if p in x.signature else Not(Prop(p))
+    names = sorted(u.names)
+    for previous, blocks in zip(rounds, rounds[1:]):
         chi_memo: dict[int, Formula] = {}
 
         def chi(c: int) -> Formula:
             f = chi_memo.get(c)
             if f is None:
                 f = chi_memo[c] = _conj(
-                    [delta[(c, d)] for d in sorted(members) if d != c]
+                    [delta[(c, d)] for d in range(len(previous)) if d != c]
                 )
             return f
 
-        def signature(w: str):
-            sig = []
-            for n in sorted(u.names):
-                fam = frozenset(
-                    frozenset(classes[v] for v in u.successors(a, w))
-                    for a in u.named(w, n)
-                )
-                union = frozenset().union(*fam) if fam else _EMPTY
-                sig.append((_minima(fam), union))
-            return tuple(sig)
-
-        new_members: dict[int, list[str]] = {}
         new_delta: dict[tuple[int, int], Formula] = {}
-        parent: dict[int, int] = {}
-        next_id = 0
-        split = False
-        for cid in sorted(members):
-            groups: dict[Any, list[str]] = {}
-            for w in members[cid]:
-                groups.setdefault(signature(w), []).append(w)
-            if len(groups) > 1:
-                split = True
-            for _, ws in sorted(groups.items(), key=lambda kv: kv[1]):
-                new_members[next_id] = ws
-                parent[next_id] = cid
-                next_id += 1
-        if not split:
-            return classes, members, delta
-        for ci in new_members:
-            for cj in new_members:
+        for ci, x in enumerate(blocks):
+            for cj, y in enumerate(blocks):
                 if ci == cj:
                     continue
-                if parent[ci] != parent[cj]:
-                    new_delta[(ci, cj)] = delta[(parent[ci], parent[cj])]
+                if x.parent != y.parent:
+                    new_delta[(ci, cj)] = delta[(x.parent, y.parent)]
                 elif (cj, ci) in new_delta:
                     new_delta[(ci, cj)] = Not(new_delta[(cj, ci)])
                 else:
-                    new_delta[(ci, cj)] = _separator(
-                        u, new_members[ci][0], new_members[cj][0], classes, chi
-                    )
-        members = new_members
+                    new_delta[(ci, cj)] = _separator(names, x.signature, y.signature, chi)
         delta = new_delta
-        classes = {w: cid for cid, ws in members.items() for w in ws}
+    classes = {w: cid for cid, block in enumerate(rounds[-1]) for w in block.members}
+    return classes, delta
 
 
 def distinguishing_formula(
@@ -370,7 +368,7 @@ def distinguishing_formula(
     if w1 not in m1.states or w2 not in m2.states:
         raise UndeclaredSymbolError(f"undeclared state in ({w1!r}, {w2!r})")
     u = disjoint_union([m1, m2])
-    classes, _, delta = _refine_with_formulas(u)
+    classes, delta = _refine_with_formulas(u)
     x, y = f"0:{w1}", f"1:{w2}"
     if classes[x] == classes[y]:
         return None

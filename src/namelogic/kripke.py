@@ -153,7 +153,8 @@ def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
             for name, group in per_name.items():
                 naming[(state, name)] = group
         valuation = d.get("valuation", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a list or string where a mapping is due
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     return KripkeModel.make(states, agents, names, relations, naming, valuation)
 

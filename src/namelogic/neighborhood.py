@@ -94,11 +94,12 @@ def nbhd_from_dict(d: Mapping[str, Any]) -> NeighborhoodModel:
         states = frozenset(d["states"])
         names = frozenset(d.get("names", []))
         nu: dict[Pair, Family] = {}
-        for state, per_name in d.get("nu", {}).items():
+        for state, per_name in d["nu"].items():
             for name, fam in per_name.items():
                 nu[(state, name)] = frozenset(frozenset(x) for x in fam)
         valuation = d.get("valuation", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a list or string where a mapping is due
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     m = NeighborhoodModel.make(states, names, nu, valuation)
     for (state, name), fam in m.nu.items():

@@ -99,3 +99,42 @@ def capped_corpus(seed: int, count: int, depth: int, cap: int = 64, modal_ops="E
         if sum(1 for _ in islice(walk(f), 257)) <= 256 and len(closure(f)) <= cap:
             out.append(f)
     return out
+
+
+def reference_greatest_bisimulation(m1, m2) -> frozenset:
+    """Greatest bisimulation by pairwise deletion, the library's definition
+    read literally: start from every pair of states agreeing on all
+    propositions, then drop each pair at which some named agent's successor
+    set has no back-and-forth match through the current relation on the
+    other side, until nothing is dropped.  It reads the models only through
+    holds, named and successors, so it shares no code with the library's
+    partition refinement."""
+    props = set(m1.valuation) | set(m2.valuation)
+    names = m1.names | m2.names
+
+    def atoms(m, w):
+        return {p for p in props if m.holds(p, w)}
+
+    def matched(rel, left, right):
+        return all(any((v, v2) in rel for v2 in right) for v in left) and all(
+            any((v, v2) in rel for v in left) for v2 in right
+        )
+
+    def ok(rel, w, w2):
+        for n in names:
+            left = [m1.successors(a, w) for a in m1.named(w, n)]
+            right = [m2.successors(a, w2) for a in m2.named(w2, n)]
+            if not all(any(matched(rel, s, s2) for s2 in right) for s in left):
+                return False
+            if not all(any(matched(rel, s, s2) for s in left) for s2 in right):
+                return False
+        return True
+
+    rel = frozenset(
+        (w, w2) for w in m1.states for w2 in m2.states if atoms(m1, w) == atoms(m2, w2)
+    )
+    while True:
+        kept = frozenset(pair for pair in rel if ok(rel, *pair))
+        if kept == rel:
+            return rel
+        rel = kept

@@ -15,7 +15,7 @@ import pytest
 import namelogic
 from namelogic import Not, parse_formula
 from namelogic.cli import main
-from namelogic.kripke import check, model_from_dict, model_to_dict, random_model
+from namelogic.kripke import check, disjoint_union, model_from_dict, model_to_dict, random_model
 
 FIGURE = str(Path(__file__).resolve().parent.parent / "figure1.json")
 
@@ -57,6 +57,25 @@ def test_check_missing_state_is_an_input_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "--state", "w", "--formula", "p"], ["validate"]]
+)
+def test_wrongly_typed_naming_map_is_an_input_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "states": ["w"],
+        "agents": ["a"],
+        "names": ["n"],
+        "relations": {},
+        "naming": {"w": ["a"]},
+        "valuation": {"p": []},
+    }))
+    code, captured = run(capsys, command[0], "--model", str(bad), *command[1:])
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_check_unreadable_model_is_an_input_error(capsys, tmp_path):
@@ -185,6 +204,41 @@ def test_bisim_atom_difference_distinguisher(capsys):
     assert payload["distinguisher"] == "p"
 
 
+def _one_state(path, props, names):
+    # one agent bearing every name at the only state
+    path.write_text(json.dumps({
+        "states": ["x"],
+        "agents": ["a"],
+        "names": names,
+        "relations": {"a": [["x", "x"]]},
+        "naming": {"x": {n: ["a"] for n in names}},
+        "valuation": {p: ["x"] for p in props},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [{"props": ["p", "r"]}, {"names": ["n", "k"]}])
+@pytest.mark.parametrize("richer", [1, 2])
+def test_bisim_distinguisher_across_vocabularies(capsys, tmp_path, extra, richer):
+    # one model declares a proposition or a name the other lacks; the
+    # distinguisher uses it, so it is re-verified where both are declared
+    base = {"props": ["p"], "names": ["n"]}
+    rich = _one_state(tmp_path / "rich.json", **{**base, **extra})
+    poor = _one_state(tmp_path / "poor.json", **base)
+    left, right = (rich, poor) if richer == 1 else (poor, rich)
+    code, payload = run_json(
+        capsys, "bisim",
+        "--model1", left, "--state1", "x", "--model2", right, "--state2", "x",
+        "--distinguish",
+    )
+    assert code == 1
+    assert payload["bisimilar"] is False
+    f = parse_formula(payload["distinguisher"])
+    union = disjoint_union([model_from_dict(json.loads(Path(p).read_text())) for p in (left, right)])
+    assert check(union, "0:x", f).value is True
+    assert check(union, "1:x", f).value is False
+
+
 def test_bisim_unknown_state_is_an_input_error(capsys):
     code, captured = run(
         capsys, "bisim",
@@ -267,6 +321,23 @@ def test_algebra_on_translated_figure(capsys, tmp_path):
     code, report = run_json(capsys, "algebra", "--model", str(nbhd_path))
     assert code == 0
     assert report == {"ok": True, "diagnostics": []}
+
+
+@pytest.mark.parametrize("doc", [
+    None,  # figure1.json, a relational model
+    {"states": ["x"], "names": ["n"], "valuation": {}},
+    {"states": ["x"], "names": ["n"], "nu": {"x": ["a"]}, "valuation": {}},
+])
+def test_algebra_rejects_documents_without_neighborhood_families(capsys, tmp_path, doc):
+    # read as empty neighborhood models, the first two would pass every law
+    model = FIGURE
+    if doc is not None:
+        model = str(tmp_path / "doc.json")
+        Path(model).write_text(json.dumps(doc))
+    code, captured = run(capsys, "algebra", "--model", model)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_algebra_flags_empty_neighborhoods(capsys, tmp_path):

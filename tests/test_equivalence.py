@@ -1,5 +1,6 @@
 """Morphism, bisimulation, and distinguishing-formula tests."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import formula_corpus
+from helpers import formula_corpus, reference_greatest_bisimulation
 from namelogic import (
     Not,
     Prop,
@@ -17,6 +18,7 @@ from namelogic import (
     UndeclaredSymbolError,
     modal_depth,
     parse_formula,
+    print_formula,
 )
 from namelogic.equivalence import (
     BisimRelation,
@@ -357,6 +359,35 @@ def test_greatest_bisimulation_certifies(seed):
     assert check_bisimulation(m1, m2, big).ok
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=_seeds, kind=st.sampled_from(["union", "submodel", "independent"]))
+def test_greatest_bisimulation_is_the_pairwise_deletion_fixpoint(seed, kind):
+    # maximality: an empty or too small relation would still certify above
+    rng = random.Random(seed)
+
+    def model():
+        return random_model(
+            states=rng.randint(1, 7),
+            names=rng.randint(1, 2),
+            props=rng.randint(1, 3),
+            mode=rng.choice(["general", "epistemic"]),
+            seed=rng.randrange(10**6),
+        )
+
+    m1 = model()
+    if kind == "union":
+        m2 = disjoint_union([m1, model()])
+    elif kind == "submodel":
+        m2 = generated_submodel(m1, rng.choice(sorted(m1.states)))
+    else:
+        m2 = model()
+    big = greatest_bisimulation(m1, m2)
+    assert big.pairs == reference_greatest_bisimulation(m1, m2)
+    for w1 in m1.states:
+        for w2 in m2.states:
+            assert bisimilar(m1, w1, m2, w2) == ((w1, w2) in big.pairs)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=_seeds)
 def test_distinguisher_contract(seed):
@@ -383,3 +414,33 @@ def test_bisimilar_points_agree(seed):
     for s in m.states:
         assert (s, f"1:{s}") in big
         assert modal_equiv_corpus(m, s, union, f"1:{s}", corpus)
+
+
+def _digest_pairs():
+    for seed in range(24):
+        m1 = random_model(
+            states=4 + seed % 3,
+            names=1 + seed % 2,
+            props=1,
+            naming_density=0.6,
+            mode=("general", "epistemic")[seed % 2],
+            seed=seed,
+        )
+        other = random_model(states=3 + seed % 4, props=1, seed=1000 + seed)
+        yield m1, (disjoint_union([m1, other]), generated_submodel(m1, "w1"), other)[seed % 3]
+
+
+def test_distinguisher_texts_are_pinned():
+    # 683 points, 286 of them separated by a modal formula; the digest was
+    # taken when modal equivalence had its own refinement loop, and changes
+    # with any change to how distinguishers are built or printed, which is
+    # what `namelogic bisim --distinguish` prints
+    texts = []
+    for m1, m2 in _digest_pairs():
+        for w1 in sorted(m1.states):
+            for w2 in sorted(m2.states):
+                f = distinguishing_formula(m1, w1, m2, w2)
+                texts.append("-" if f is None else print_formula(f))
+    assert len(texts) == 683
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "b8e99c71a574a90a8f838f131869233d73649744d648de93311acff4c5b7c120"
