@@ -13,11 +13,25 @@ Concrete syntax, loosest to tightest: ``<->``, ``->``, ``|``, ``&``, then the
 unary operators ``!`` and the modalities, which bind their immediate
 argument.  ``->`` and ``<->`` associate to the right.  Atoms are lowercase
 identifiers; ``true`` and ``false`` are reserved.
+
+Nodes are immutable ``__slots__`` objects compared by structure.  Each node
+computes its hash once, in ``__init__``, from its field tuple and its
+children's cached hashes, so the value is the one a frozen dataclass with the
+same fields would give, but a memo lookup no longer re-hashes the subtree.
+``==`` walks both trees with an explicit stack, so neither hashing nor
+comparison recurses.  The name, proposition and agent sets read by
+``names_in``/``props_in``/``agents_in`` are filled lazily, children first,
+the first time they are asked for: most nodes built by the distinguisher
+construction are discarded unread.  They share one frozenset per symbol and
+reuse a child's set wherever a union adds nothing.  There is no intern
+table: a strong one would keep every parsed formula alive, and a weak one
+costs a weakref per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator
 
 from .errors import ParseError, UnsupportedFragmentError
@@ -26,85 +40,241 @@ from .errors import ParseError, UnsupportedFragmentError
 class Formula:
     """Base class for all formula nodes. Instances are immutable."""
 
-    __slots__ = ()
+    # _names/_props/_agents stay unset until _symbols fills them
+    __slots__ = ("_hash", "_names", "_props", "_agents")
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            for field in a.__match_args__:
+                x, y = getattr(a, field), getattr(b, field)
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __str__(self) -> str:
         return print_formula(self)
 
+    def _kids(self) -> tuple[Formula, ...]:
+        return ()
 
-@dataclass(frozen=True)
+    def _fill(self) -> None:
+        _set_names(self, _NO_SYMBOLS)
+        _set_props(self, _NO_SYMBOLS)
+        _set_agents(self, _NO_SYMBOLS)
+
+
+# Slot setters: __setattr__ refuses every assignment, so constructors write
+# through the slot descriptors directly.
+_set_hash = Formula._hash.__set__
+_set_names = Formula._names.__set__
+_set_props = Formula._props.__set__
+_set_agents = Formula._agents.__set__
+
+_NO_SYMBOLS: frozenset[str] = frozenset()
+_SINGLETONS: dict[str, frozenset[str]] = {}
+
+
+def _one(symbol: str) -> frozenset[str]:
+    out = _SINGLETONS.get(symbol)
+    if out is None:
+        out = _SINGLETONS[symbol] = frozenset((symbol,))
+    return out
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if a is b or b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
 class Prop(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_prop_name(self, name)
+        _set_hash(self, hash((name,)))
+
+    def _fill(self) -> None:
+        _set_names(self, _NO_SYMBOLS)
+        _set_props(self, _one(self.name))
+        _set_agents(self, _NO_SYMBOLS)
 
 
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
+_set_prop_name = Prop.name.__set__
 
 
-@dataclass(frozen=True)
-class Bot(Formula):
-    pass
+class _Constant(Formula):
+    __slots__ = ()
+
+    def __init__(self):
+        _set_hash(self, _NO_FIELDS_HASH)
 
 
-@dataclass(frozen=True)
+_NO_FIELDS_HASH = hash(())
+
+
+class Top(_Constant):
+    __slots__ = ()
+
+
+class Bot(_Constant):
+    __slots__ = ()
+
+
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
+    __match_args__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        _set_not_arg(self, arg)
+        _set_hash(self, hash((arg,)))
+
+    def _kids(self) -> tuple[Formula, ...]:
+        return (self.arg,)
+
+    def _fill(self) -> None:
+        arg = self.arg
+        _set_names(self, arg._names)
+        _set_props(self, arg._props)
+        _set_agents(self, arg._agents)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+_set_not_arg = Not.arg.__set__
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((left, right)))
+
+    def _kids(self) -> tuple[Formula, ...]:
+        return (self.left, self.right)
+
+    def _fill(self) -> None:
+        left, right = self.left, self.right
+        _set_names(self, _union(left._names, right._names))
+        _set_props(self, _union(left._props, right._props))
+        _set_agents(self, _union(left._agents, right._agents))
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class E(Formula):
-    name: str
-    arg: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class S(Formula):
-    name: str
-    arg: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class C(Formula):
-    name: str
-    arg: Formula
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class D(Formula):
-    name: str
-    arg: Formula
+class _Modal(Formula):
+    __slots__ = ("name", "arg")
+    __match_args__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: Formula):
+        _set_modal_name(self, name)
+        _set_modal_arg(self, arg)
+        _set_hash(self, hash((name, arg)))
+
+    def _kids(self) -> tuple[Formula, ...]:
+        return (self.arg,)
+
+    def _fill(self) -> None:
+        arg = self.arg
+        _set_names(self, _union(arg._names, _one(self.name)))
+        _set_props(self, arg._props)
+        _set_agents(self, arg._agents)
 
 
-@dataclass(frozen=True)
+_set_modal_name = _Modal.name.__set__
+_set_modal_arg = _Modal.arg.__set__
+
+
+class E(_Modal):
+    __slots__ = ()
+
+
+class S(_Modal):
+    __slots__ = ()
+
+
+class C(_Modal):
+    __slots__ = ()
+
+
+class D(_Modal):
+    __slots__ = ()
+
+
 class B(Formula):
-    agent: str
-    name: str
-    arg: Formula
+    __slots__ = ("agent", "name", "arg")
+    __match_args__ = ("agent", "name", "arg")
+
+    def __init__(self, agent: str, name: str, arg: Formula):
+        _set_b_agent(self, agent)
+        _set_b_name(self, name)
+        _set_b_arg(self, arg)
+        _set_hash(self, hash((agent, name, arg)))
+
+    def _kids(self) -> tuple[Formula, ...]:
+        return (self.arg,)
+
+    def _fill(self) -> None:
+        arg = self.arg
+        _set_names(self, _union(arg._names, _one(self.name)))
+        _set_props(self, arg._props)
+        _set_agents(self, _union(arg._agents, _one(self.agent)))
+
+
+_set_b_agent = B.agent.__set__
+_set_b_name = B.name.__set__
+_set_b_arg = B.arg.__set__
 
 
 TRUE = Top()
@@ -116,14 +286,11 @@ _MODAL_HEADS = {"E": E, "S": S, "C": C, "D": D}
 # ---------------------------------------------------------------------------
 # Parsing
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
+# A token is (kind, text, line, column).  Each match is a run of whitespace
+# other than a line break (str.isspace), then one of: a line break,
+# punctuation, a run of word characters (str.isalnum or "_"), or any other
+# non-space character.  Only whitespace at the very end goes unmatched.
+_TOKEN = re.compile(r"([^\S\n]*)(?:(\n)|(<->|->|[&|!()\[\];])|(\w+)|(\S))")
 
 _PUNCT = {
     "<->": "IFF",
@@ -139,145 +306,125 @@ _PUNCT = {
 }
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    line, line_start, pos = 1, 0, 0
+    for space, newline, punct, word, other in _TOKEN.findall(text):
+        pos += len(space)
+        if newline:
+            pos += 1
             line += 1
-            col = 1
-            i += 1
+            line_start = pos
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            yield _Token("IFF", "<->", line, col)
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            yield _Token("IMPLIES", "->", line, col)
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            yield _Token(_PUNCT[ch], ch, line, col)
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        column = pos - line_start + 1
+        if punct:
+            tokens.append((_PUNCT[punct], punct, line, column))
+            pos += len(punct)
+        elif word and (word[0].isalpha() or word[0] == "_"):
             kind = "CONST" if word in ("true", "false") else "IDENT"
-            yield _Token(kind, word, line, col)
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unknown token {ch!r}", line, col)
-    yield _Token("EOF", "", line, col)
+            tokens.append((kind, word, line, column))
+            pos += len(word)
+        else:  # any other character, or a word starting with a digit
+            raise ParseError(f"unknown token {(word or other)[0]!r}", line, column)
+    tokens.append(("EOF", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek_kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", tok.line, tok.column)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        got_kind, text, line, column = self.advance()
+        if got_kind != kind:
+            got = text or "end of input"
+            raise ParseError(f"expected {what}, got {got!r}", line, column)
+        return text
 
     def parse(self) -> Formula:
         f = self.iff()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+        kind, text, line, column = self.tokens[self.pos]
+        if kind != "EOF":
+            raise ParseError(f"unexpected {text!r}", line, column)
         return f
 
     def iff(self) -> Formula:
         left = self.implies()
-        if self.peek().kind == "IFF":
-            self.advance()
+        if self.peek_kind() == "IFF":
+            self.pos += 1
             return Iff(left, self.iff())
         return left
 
     def implies(self) -> Formula:
         left = self.disj()
-        if self.peek().kind == "IMPLIES":
-            self.advance()
+        if self.peek_kind() == "IMPLIES":
+            self.pos += 1
             return Implies(left, self.implies())
         return left
 
     def disj(self) -> Formula:
         f = self.conj()
-        while self.peek().kind == "OR":
-            self.advance()
+        while self.peek_kind() == "OR":
+            self.pos += 1
             f = Or(f, self.conj())
         return f
 
     def conj(self) -> Formula:
         f = self.unary()
-        while self.peek().kind == "AND":
-            self.advance()
+        while self.peek_kind() == "AND":
+            self.pos += 1
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
+        kind, text, _, _ = self.tokens[self.pos]
+        if kind == "NOT":
+            self.pos += 1
             return Not(self.unary())
-        if tok.kind == "IDENT" and tok.text in ("E", "S", "C", "D", "B"):
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "LBRACK":
+        if kind == "IDENT" and text in ("E", "S", "C", "D", "B"):
+            if self.tokens[self.pos + 1][0] == "LBRACK":
                 return self.modality()
         return self.primary()
 
     def modality(self) -> Formula:
-        head = self.advance()
+        head = self.advance()[1]
         self.expect("LBRACK", "'['")
-        first = self.expect("IDENT", "identifier").text
-        if head.text == "B":
+        first = self.expect("IDENT", "identifier")
+        if head == "B":
             self.expect("SEMI", "';'")
-            name = self.expect("IDENT", "identifier").text
+            name = self.expect("IDENT", "identifier")
             self.expect("RBRACK", "']'")
             return B(first, name, self.unary())
         self.expect("RBRACK", "']'")
-        return _MODAL_HEADS[head.text](first, self.unary())
+        return _MODAL_HEADS[head](first, self.unary())
 
     def primary(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "CONST":
-            return TRUE if tok.text == "true" else FALSE
-        if tok.kind == "IDENT":
-            if not tok.text[0].islower():
+        kind, text, line, column = self.advance()
+        if kind == "CONST":
+            return TRUE if text == "true" else FALSE
+        if kind == "IDENT":
+            if not text[0].islower():
                 raise ParseError(
-                    f"propositions are lowercase identifiers, got {tok.text!r}",
-                    tok.line,
-                    tok.column,
+                    f"propositions are lowercase identifiers, got {text!r}",
+                    line,
+                    column,
                 )
-            return Prop(tok.text)
-        if tok.kind == "LPAREN":
+            return Prop(text)
+        if kind == "LPAREN":
             f = self.iff()
             self.expect("RPAREN", "')'")
             return f
-        got = tok.text or "end of input"
-        raise ParseError(f"expected a formula, got {got!r}", tok.line, tok.column)
+        got = text or "end of input"
+        raise ParseError(f"expected a formula, got {got!r}", line, column)
 
 
 def parse_formula(text: str) -> Formula:
@@ -339,13 +486,7 @@ def print_formula(f: Formula) -> str:
 # Structure
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Not(arg) | E(_, arg) | S(_, arg) | C(_, arg) | D(_, arg) | B(_, _, arg):
-            return (arg,)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return (l, r)
-        case _:
-            return ()
+    return f._kids() if isinstance(f, Formula) else ()
 
 
 def walk(f: Formula) -> Iterator[Formula]:
@@ -354,19 +495,38 @@ def walk(f: Formula) -> Iterator[Formula]:
     while stack:
         g = stack.pop()
         yield g
-        stack.extend(children(g))
+        stack.extend(g._kids())
+
+
+def _symbols(f: Formula) -> Formula:
+    """Fill the symbol sets of f and of every subterm still lacking them,
+    children first.  Returns f."""
+    if hasattr(f, "_agents"):
+        return f
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        ready = True
+        for k in g._kids():
+            if not hasattr(k, "_agents"):
+                stack.append(k)
+                ready = False
+        if ready:
+            stack.pop()
+            g._fill()
+    return f
 
 
 def names_in(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in walk(f) if isinstance(g, (E, S, C, D, B)))
+    return _symbols(f)._names
 
 
 def props_in(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in walk(f) if isinstance(g, Prop))
+    return _symbols(f)._props
 
 
 def agents_in(f: Formula) -> frozenset[str]:
-    return frozenset(g.agent for g in walk(f) if isinstance(g, B))
+    return _symbols(f)._agents
 
 
 def modal_depth(f: Formula) -> int:

@@ -133,6 +133,14 @@ def _close_relation(pairs: set[Pair], ops: Iterable[str], states: frozenset[str]
     return pairs
 
 
+def _listed(value: Any, what: str) -> Any:
+    """value, unless it is a string where the document owes a list: iterating
+    "wv" would silently read the states w and v."""
+    if isinstance(value, str):
+        raise ModelFormatError(f"{what} must be a list, got the string {value!r}")
+    return value
+
+
 def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
     """Build a model from its JSON dictionary form.
 
@@ -140,23 +148,28 @@ def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
     order, to every agent relation before anything else looks at the model.
     """
     try:
-        states = frozenset(d["states"])
-        agents = frozenset(d.get("agents", []))
-        names = frozenset(d.get("names", []))
-        ops = list(d.get("closure", []))
+        states = frozenset(_listed(d["states"], "states"))
+        agents = frozenset(_listed(d.get("agents", []), "agents"))
+        names = frozenset(_listed(d.get("names", []), "names"))
+        ops = list(_listed(d.get("closure", []), "closure"))
         relations = {}
         for a, pairs in d.get("relations", {}).items():
-            rel = {(x, y) for x, y in pairs}
+            rel = set()
+            for pair in _listed(pairs, f"relation of {a!r}"):
+                x, y = _listed(pair, f"an edge of {a!r}")
+                rel.add((x, y))
             relations[a] = _close_relation(rel, ops, states)
         naming = {}
         for state, per_name in d.get("naming", {}).items():
             for name, group in per_name.items():
-                naming[(state, name)] = group
-        valuation = d.get("valuation", {})
+                naming[(state, name)] = _listed(group, f"naming of {name!r} at {state!r}")
+        valuation = {
+            p: _listed(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
+        }
+        return KripkeModel.make(states, agents, names, relations, naming, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due
         raise ModelFormatError(f"malformed model document: {exc}") from exc
-    return KripkeModel.make(states, agents, names, relations, naming, valuation)
 
 
 def model_to_dict(m: KripkeModel) -> dict:
@@ -318,6 +331,27 @@ def _reachable(succ: Mapping[str, frozenset[str]], start: str) -> frozenset[str]
     return frozenset(seen)
 
 
+# Memo set sharing: a truth set equal to one already held is stored as that
+# object, so the memo of a long chain does not keep one copy per level.
+
+def _share(out: frozenset[str], a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """out is a & b or a | b: the same size as an operand means the same set."""
+    if len(out) == len(a):
+        return a
+    if len(out) == len(b):
+        return b
+    return out
+
+
+def _shared(out: frozenset[str], states: frozenset[str]) -> frozenset[str]:
+    """An empty truth set as _EMPTY, one holding every state as states."""
+    if not out:
+        return _EMPTY
+    if len(out) == len(states) and out <= states:
+        return states
+    return out
+
+
 def _ext(m: KripkeModel, f: Formula) -> frozenset[str]:
     memo = m._cache.setdefault("ext", {})
     hit = memo.get(f)
@@ -333,9 +367,11 @@ def _ext(m: KripkeModel, f: Formula) -> frozenset[str]:
         case Not(arg):
             out = m.states - _ext(m, arg)
         case And(l, r):
-            out = _ext(m, l) & _ext(m, r)
+            le, re_ = _ext(m, l), _ext(m, r)
+            out = _share(le & re_, le, re_)
         case Or(l, r):
-            out = _ext(m, l) | _ext(m, r)
+            le, re_ = _ext(m, l), _ext(m, r)
+            out = _share(le | re_, le, re_)
         case Implies(l, r):
             out = (m.states - _ext(m, l)) | _ext(m, r)
         case Iff(l, r):
@@ -385,7 +421,7 @@ def _ext(m: KripkeModel, f: Formula) -> frozenset[str]:
             )
         case _:
             raise TypeError(f"not a formula: {f!r}")
-    memo[f] = out
+    out = memo[f] = _shared(out, m.states)
     return out
 
 

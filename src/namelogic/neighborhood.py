@@ -39,7 +39,7 @@ from .formula import (
     props_in,
     walk,
 )
-from .kripke import Diagnostic, KripkeModel, Pair
+from .kripke import Diagnostic, KripkeModel, Pair, _listed, _share, _shared
 
 _EMPTY: frozenset = frozenset()
 Family = frozenset[frozenset[str]]
@@ -91,17 +91,22 @@ class NeighborhoodModel:
 
 def nbhd_from_dict(d: Mapping[str, Any]) -> NeighborhoodModel:
     try:
-        states = frozenset(d["states"])
-        names = frozenset(d.get("names", []))
+        states = frozenset(_listed(d["states"], "states"))
+        names = frozenset(_listed(d.get("names", []), "names"))
         nu: dict[Pair, Family] = {}
         for state, per_name in d["nu"].items():
             for name, fam in per_name.items():
-                nu[(state, name)] = frozenset(frozenset(x) for x in fam)
-        valuation = d.get("valuation", {})
+                what = f"neighborhoods of {name!r} at {state!r}"
+                nu[(state, name)] = frozenset(
+                    frozenset(_listed(x, what)) for x in _listed(fam, what)
+                )
+        valuation = {
+            p: _listed(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
+        }
+        m = NeighborhoodModel.make(states, names, nu, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due
         raise ModelFormatError(f"malformed model document: {exc}") from exc
-    m = NeighborhoodModel.make(states, names, nu, valuation)
     for (state, name), fam in m.nu.items():
         if state not in m.states:
             raise ModelFormatError(f"neighborhood family at undeclared state {state!r}")
@@ -156,9 +161,11 @@ def _ext(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
         case Not(arg):
             out = m.states - _ext(m, arg)
         case And(l, r):
-            out = _ext(m, l) & _ext(m, r)
+            le, re_ = _ext(m, l), _ext(m, r)
+            out = _share(le & re_, le, re_)
         case Or(l, r):
-            out = _ext(m, l) | _ext(m, r)
+            le, re_ = _ext(m, l), _ext(m, r)
+            out = _share(le | re_, le, re_)
         case Implies(l, r):
             out = (m.states - _ext(m, l)) | _ext(m, r)
         case Iff(l, r):
@@ -176,7 +183,7 @@ def _ext(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
             )
         case _:
             raise TypeError(f"not a formula: {f!r}")
-    memo[f] = out
+    out = memo[f] = _shared(out, m.states)
     return out
 
 

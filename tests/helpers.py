@@ -138,3 +138,14 @@ def reference_greatest_bisimulation(m1, m2) -> frozenset:
         if kept == rel:
             return rel
         rel = kept
+
+
+def reference_symbols(f) -> tuple[frozenset, frozenset, frozenset]:
+    """(names, props, agents) of f, collected by walking every subterm: the
+    definition that the library's cached per-node symbol sets must match."""
+    nodes = list(walk(f))
+    return (
+        frozenset(g.name for g in nodes if isinstance(g, (E, S, C, D, B))),
+        frozenset(g.name for g in nodes if isinstance(g, Prop)),
+        frozenset(g.agent for g in nodes if isinstance(g, B)),
+    )

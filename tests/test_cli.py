@@ -78,6 +78,93 @@ def test_wrongly_typed_naming_map_is_an_input_error(capsys, tmp_path, command):
     assert "Traceback" not in captured.err
 
 
+_KRIPKE_DOC = {
+    "states": ["w", "v"],
+    "agents": ["a"],
+    "names": ["n"],
+    "relations": {"a": [["w", "w"], ["w", "v"]]},
+    "naming": {"w": {"n": ["a"]}},
+    "valuation": {"p": ["w"]},
+}
+_NBHD_DOC = {
+    "states": ["w", "v"],
+    "names": ["n"],
+    "nu": {"w": {"n": [["w", "v"]]}},
+    "valuation": {"p": ["w"]},
+}
+_CHECK = ("check", _KRIPKE_DOC, ["--state", "w", "--formula", "true"])
+_ALGEBRA = ("algebra", _NBHD_DOC, [])
+
+
+def _variant_id(case) -> str:
+    (command, _, _), path, value = case
+    return f"{command}-{'.'.join(path)}={json.dumps(value)}"
+
+
+def _run_on_variant(capsys, tmp_path, command, base, extra, path, value):
+    doc = json.loads(json.dumps(base))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    model = tmp_path / "doc.json"
+    model.write_text(json.dumps(doc))
+    return run(capsys, command, "--model", str(model), *extra)
+
+
+_WRONG_LEAVES = [
+    (_CHECK, ("naming", "w", "n"), 5),
+    (_CHECK, ("valuation", "p"), 5),
+    (_ALGEBRA, ("valuation", "p"), 5),
+    (_ALGEBRA, ("nu", "w", "n"), 5),
+    (_ALGEBRA, ("nu", "w", "n"), [5]),
+]
+
+
+@pytest.mark.parametrize("command, path, value", _WRONG_LEAVES,
+                         ids=[_variant_id(c) for c in _WRONG_LEAVES])
+def test_wrongly_typed_leaf_is_an_input_error(capsys, tmp_path, command, path, value):
+    code, captured = _run_on_variant(capsys, tmp_path, *command, path, value)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+_STRINGS_FOR_LISTS = [
+    (_CHECK, ("states",), "wv"),
+    (_CHECK, ("agents",), "a"),
+    (_CHECK, ("names",), "n"),
+    (_CHECK, ("relations", "a"), "wv"),
+    (_CHECK, ("relations", "a"), ["ww", "wv"]),
+    (_CHECK, ("naming", "w", "n"), "a"),
+    (_CHECK, ("valuation", "p"), "w"),
+    (_ALGEBRA, ("states",), "wv"),
+    (_ALGEBRA, ("names",), "n"),
+    (_ALGEBRA, ("valuation", "p"), "w"),
+    (_ALGEBRA, ("nu", "w", "n"), "wv"),
+    (_ALGEBRA, ("nu", "w", "n"), ["wv"]),
+]
+
+
+@pytest.mark.parametrize("command, path, value", _STRINGS_FOR_LISTS,
+                         ids=[_variant_id(c) for c in _STRINGS_FOR_LISTS])
+def test_string_where_a_list_is_due_is_an_input_error(capsys, tmp_path, command, path, value):
+    # iterated, each of these strings would read as a list of one-letter items
+    code, captured = _run_on_variant(capsys, tmp_path, *command, path, value)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "must be a list" in captured.err
+
+
+@pytest.mark.parametrize("command", [_CHECK, _ALGEBRA], ids=["check", "algebra"])
+def test_well_typed_variant_documents_load(capsys, tmp_path, command):
+    code, captured = _run_on_variant(capsys, tmp_path, *command, ("valuation", "q"), ["v"])
+    assert code == 0, captured.err
+
+
 def test_check_unreadable_model_is_an_input_error(capsys, tmp_path):
     bogus = tmp_path / "nope.json"
     code, captured = run(capsys, "check", "--model", str(bogus), "--state", "w", "--formula", "p")

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_symbols
+
 from namelogic.errors import ParseError, UnsupportedFragmentError
 from namelogic.formula import (
     And,
@@ -10,6 +12,7 @@ from namelogic.formula import (
     D,
     E,
     FALSE,
+    Formula,
     Iff,
     Implies,
     Not,
@@ -18,6 +21,7 @@ from namelogic.formula import (
     S,
     TRUE,
     Top,
+    agents_in,
     closure,
     desugar,
     modal_depth,
@@ -26,6 +30,7 @@ from namelogic.formula import (
     print_formula,
     props_in,
     subformulas,
+    walk,
 )
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -104,6 +109,59 @@ def test_modal_without_bracket_is_not_an_atom():
         parse_formula("E p")
 
 
+# (text, (message, line, column)) for rejected texts, (text, printed) for
+# accepted ones; recorded from the character-at-a-time tokenizer that the
+# regular-expression one replaced.
+PINNED_PARSES = [
+    ("p @ q", ("unknown token '@'", 1, 3)),
+    ("p &\n\tq @ r", ("unknown token '@'", 2, 4)),
+    ("p\n\t& (q\n\t\t| ", ("expected a formula, got 'end of input'", 3, 5)),
+    ("(p & q", ("expected ')', got 'end of input'", 1, 7)),
+    ("p & q)", ("unexpected ')'", 1, 6)),
+    ("E[n p", ("expected ']', got 'p'", 1, 5)),
+    ("B[a n] p", ("expected ';', got 'n'", 1, 5)),
+    ("B[a;n p", ("expected ']', got 'p'", 1, 7)),
+    ("S[] p", ("expected identifier, got ']'", 1, 3)),
+    ("P", ("propositions are lowercase identifiers, got 'P'", 1, 1)),
+    ("p &", ("expected a formula, got 'end of input'", 1, 4)),
+    ("", ("expected a formula, got 'end of input'", 1, 1)),
+    (" \t\n  ", ("expected a formula, got 'end of input'", 2, 3)),
+    ("!(", ("expected a formula, got 'end of input'", 1, 3)),
+    ("p q", ("unexpected 'q'", 1, 3)),
+    ("p <- q", ("unknown token '<'", 1, 3)),
+    ("E p", ("propositions are lowercase identifiers, got 'E'", 1, 1)),
+    ("1p", ("unknown token '1'", 1, 1)),
+    ("\u00b2p", ("unknown token '\u00b2'", 1, 1)),
+    ("p\r\n& $", ("unknown token '$'", 2, 3)),
+    ("\u00c9lan", ("propositions are lowercase identifiers, got '\u00c9lan'", 1, 1)),
+    ("p & \uff08q\uff09", ("unknown token '\uff08'", 1, 5)),
+    ("C[n]", ("expected a formula, got 'end of input'", 1, 5)),
+    ("p -> ", ("expected a formula, got 'end of input'", 1, 6)),
+    ("p\u2028& @", ("unknown token '@'", 1, 5)),
+    ("p\x0b\x0c& q\r\n\t@", ("unknown token '@'", 2, 2)),
+    ("p \t", "p"),
+    ("p\n  ", "p"),
+    ("\u3000p\xa0&\u2028q", "p & q"),
+    ("\u00f1 & q_1", "\u00f1 & q_1"),
+    ("E[n] \u00f6 <-> B[a;n] \u043f\u0440", "E[n] \u00f6 <-> B[a;n] \u043f\u0440"),
+]
+
+
+@pytest.mark.parametrize("text, expected", PINNED_PARSES)
+def test_parse_outcomes_are_pinned(text, expected):
+    if isinstance(expected, str):
+        assert print_formula(parse_formula(text)) == expected
+        return
+    message, line, column = expected
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        f"{line}:{column}: {message}",
+        line,
+        column,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -157,6 +215,86 @@ def test_desugar_is_idempotent(f):
 @given(_formulas())
 def test_desugar_removes_sugar(f):
     assert not any(isinstance(g, (Or, Implies, Iff)) for g in subformulas(f))
+
+
+# ---------------------------------------------------------------------------
+# Nodes: cached hashes, lazy symbol sets, immutability
+
+
+def _rebuild(f):
+    """A fresh copy of f, built node by node through the public constructors."""
+    args = [_rebuild(x) if isinstance(x, Formula) else x for x in
+            (getattr(f, field) for field in type(f).__match_args__)]
+    return type(f)(*args)
+
+
+@given(_formulas(names=("n", "m", "k"), props=("p", "q", "r"), agents=("a", "b", "c")))
+def test_symbol_sets_match_the_walk(f):
+    names, props, agents = reference_symbols(f)
+    assert names_in(f) == names
+    assert props_in(f) == props
+    assert agents_in(f) == agents
+    for g in walk(f):  # every subterm was filled on the way, and correctly
+        assert (names_in(g), props_in(g), agents_in(g)) == reference_symbols(g)
+
+
+@given(_formulas())
+def test_rebuilt_formula_is_equal_with_equal_hash(f):
+    g = _rebuild(f)
+    assert g is not f
+    assert g == f and not g != f
+    assert hash(g) == hash(f)
+    assert {f: 1}[g] == 1
+    assert print_formula(g) == print_formula(f)
+
+
+@given(_formulas())
+def test_nodes_are_immutable(f):
+    for g in walk(f):
+        for field in type(g).__match_args__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(g, field, TRUE)
+        for field in type(g).__match_args__:
+            with pytest.raises(AttributeError):
+                delattr(g, field)
+    assert parse_formula(print_formula(f)) == f
+
+
+def test_equality_distinguishes_kind_and_fields():
+    assert E("n", p) != S("n", p)
+    assert hash(E("n", p)) == hash(S("n", p))  # the dataclass hash ignores the class
+    assert E("n", p) != E("m", p)
+    assert B("a", "n", p) != B("b", "n", p)
+    assert And(p, q) != And(q, p)
+    assert Prop("p") != "p" and TRUE != FALSE and TRUE == Top()
+
+
+def _chain(kind: str, depth: int, leaf: Formula) -> Formula:
+    f = leaf
+    for i in range(depth):
+        if kind == "not":
+            f = Not(f)
+        elif kind == "and":
+            f = And(f, Prop(f"p{i % 3}"))
+        else:
+            f = E(f"n{i % 2}", f)
+    return f
+
+
+@pytest.mark.parametrize("kind", ["not", "and", "E"])
+def test_deep_chains_hash_compare_and_report_symbols(kind):
+    f = _chain(kind, 3000, Prop("q"))
+    g = _chain(kind, 3000, Prop("q"))
+    h = _chain(kind, 3000, Prop("r"))
+    assert f is not g
+    assert hash(f) == hash(g)
+    assert f == g and not f != g
+    assert f != h  # unequal at the innermost leaf only
+    assert {f: 0}[g] == 0
+    expected_props = {"q"} | ({"p0", "p1", "p2"} if kind == "and" else set())
+    assert props_in(f) == frozenset(expected_props)
+    assert names_in(f) == (frozenset({"n0", "n1"}) if kind == "E" else frozenset())
+    assert agents_in(f) == frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,22 @@ def test_extensions_frozen(fig):
     assert extension(fig, parse_formula("C[n] (p | q)")) == fig.states
 
 
+def test_memo_shares_equal_truth_sets():
+    m = KripkeModel.make(
+        states=["w", "v"], agents=[], names=[], relations={}, naming={},
+        # x lies outside the state set, as validate_model would report
+        valuation={"p": ["w", "x"], "q": ["w"], "r": ["w", "v"]},
+    )
+    q, r = Prop("q"), Prop("r")
+    assert extension(m, And(q, r)) is extension(m, q)
+    assert extension(m, parse_formula("q | r")) is extension(m, r)
+    assert extension(m, parse_formula("!r")) == frozenset()
+    assert extension(m, parse_formula("!(q & !q)")) is m.states
+    # as large as the state set but not inside it: stored as computed
+    assert extension(m, Prop("p")) == frozenset({"w", "x"})
+    assert extension(m, parse_formula("p & p")) == frozenset({"w", "x"})
+
+
 def test_witness_someone(fig):
     res = check(fig, "w", parse_formula("S[n] p"))
     assert res.value and res.witness == "a"
