@@ -221,6 +221,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LogicError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser and the printer recurse on nesting depth
+        print("error: formula nests too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,30 +16,30 @@ relation from states where the agent bears the name, and each minted agent
 bears its name at its minting state only.
 
 Distributed knowledge has no effective route here.  Those queries go through
-the bounded brute-force oracle, which is also used to cross-validate unsat
-verdicts.
+the bounded oracle, which evaluates its candidates through kripke's truth
+core and is also used to cross-validate unsat verdicts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence
+from operator import or_
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import kripke
-from .errors import BudgetExceededError, LogicError, UnsupportedFragmentError
+from .errors import BudgetExceededError, LogicError
 from .formula import (
     FALSE,
     TRUE,
     And,
-    B,
     Bot,
     C,
     D,
     E,
     Formula,
-    Iff,
     Implies,
     Not,
     Or,
@@ -465,111 +465,25 @@ def valid(chi: Formula, *, max_closure: int = 64, max_atoms: int = 200_000) -> b
 # ---------------------------------------------------------------------------
 # Bounded brute-force oracle
 
-class _MaskModel:
-    """Compact candidate model over at most a handful of states.
+class _MaskModel(NamedTuple):
+    """A candidate model over at most a handful of states, as arrays:
+    rows[agent][state bit] -> successor mask, mu[(state bit, name)] -> tuple
+    of agent indices, val[prop] -> state mask.  The search evaluates
+    candidates through kripke's truth core (see _candidate_index); a hit
+    becomes a KripkeModel and is checked again through kripke.check."""
 
-    States are bit positions; every component is an int mask.  This is a
-    deliberately separate evaluation route from kripke._ext so the two can
-    cross-check each other.
-    """
-
-    __slots__ = ("size", "full", "states", "agents", "names", "rows", "mu", "val")
-
-    def __init__(self, states, agents, names, rows, mu, val):
-        self.states = states
-        self.agents = agents
-        self.names = names
-        self.size = len(states)
-        self.full = (1 << self.size) - 1
-        self.rows = rows  # rows[agent][state bit] -> successor mask
-        self.mu = mu      # mu[(state bit, name)] -> tuple of agent indices
-        self.val = val    # prop -> state mask
-
-    def ext(self, f: Formula, memo: dict) -> int:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        match f:
-            case Prop(p):
-                out = self.val.get(p, 0)
-            case Top():
-                out = self.full
-            case Bot():
-                out = 0
-            case Not(g):
-                out = self.full & ~self.ext(g, memo)
-            case And(l, r):
-                out = self.ext(l, memo) & self.ext(r, memo)
-            case Or(l, r):
-                out = self.ext(l, memo) | self.ext(r, memo)
-            case Implies(l, r):
-                out = (self.full & ~self.ext(l, memo)) | self.ext(r, memo)
-            case Iff(l, r):
-                out = self.full & ~(self.ext(l, memo) ^ self.ext(r, memo))
-            case E(n, g):
-                good = self.ext(g, memo)
-                out = 0
-                for w in range(self.size):
-                    if all(self.rows[a][w] & ~good == 0 for a in self.mu.get((w, n), ())):
-                        out |= 1 << w
-            case S(n, g):
-                good = self.ext(g, memo)
-                out = 0
-                for w in range(self.size):
-                    if any(self.rows[a][w] & ~good == 0 for a in self.mu.get((w, n), ())):
-                        out |= 1 << w
-            case C(n, g):
-                good = self.ext(g, memo)
-                step = [0] * self.size
-                for w in range(self.size):
-                    for a in self.mu.get((w, n), ()):
-                        step[w] |= self.rows[a][w]
-                out = 0
-                for w in range(self.size):
-                    seen = 0
-                    frontier = step[w]
-                    while frontier & ~seen:
-                        seen |= frontier
-                        nxt = 0
-                        for v in _bit_indices(frontier):
-                            nxt |= step[v]
-                        frontier = nxt
-                    if seen & ~good == 0:
-                        out |= 1 << w
-            case D(n, g):
-                good = self.ext(g, memo)
-                out = 0
-                for w in range(self.size):
-                    group = self.mu.get((w, n), ())
-                    if not group:
-                        continue
-                    pooled = self.full
-                    for a in group:
-                        pooled &= self.rows[a][w]
-                    if pooled & ~good == 0:
-                        out |= 1 << w
-            case B(i, n, g):
-                good = self.ext(g, memo)
-                a = self.agents.index(i)
-                out = 0
-                for w in range(self.size):
-                    ok = True
-                    for v in _bit_indices(self.rows[a][w]):
-                        if a in self.mu.get((v, n), ()) and not (good >> v) & 1:
-                            ok = False
-                            break
-                    if ok:
-                        out |= 1 << w
-            case _:
-                raise UnsupportedFragmentError(f"cannot evaluate {print_formula(f)}")
-        memo[f] = out
-        return out
+    states: list[str]
+    agents: list[str]
+    names: list[str]
+    rows: list[list[int]]
+    mu: dict[tuple[int, str], tuple[int, ...]]
+    val: dict[str, int]
 
     def to_kripke(self) -> KripkeModel:
         pairs = lambda a: frozenset(
             (self.states[w], self.states[v])
-            for w in range(self.size)
-            for v in _bit_indices(self.rows[a][w])
+            for w, row in enumerate(self.rows[a])
+            for v in _bit_indices(row)
         )
         return KripkeModel.make(
             states=self.states,
@@ -620,10 +534,11 @@ def brute_force_sat(
     props, names, fixed_agents = _oracle_signature(chi)
     if len(fixed_agents) > max_agents:
         return None
+    prog = kripke._compile(chi)
     for size in range(1, max_states + 1):
         for n_agents in range(len(fixed_agents), max_agents + 1):
             hit = _search_tier(
-                chi, size, n_agents, props, names, fixed_agents,
+                chi, prog, size, n_agents, props, names, fixed_agents,
                 exhaustive_budget, samples, seed,
             )
             if hit is not None:
@@ -631,9 +546,10 @@ def brute_force_sat(
     return None
 
 
-def _verify_hit(mm: _MaskModel, w: int, chi: Formula) -> tuple[KripkeModel, str]:
+def _verify_hit(chi: Formula, found: int, mm: _MaskModel) -> tuple[KripkeModel, str]:
+    """The candidate mm as a KripkeModel, pointed at the first state of found."""
     model = mm.to_kripke()
-    state = mm.states[w]
+    state = mm.states[next(_bit_indices(found))]
     if not kripke.check(model, state, chi):
         raise LogicError("oracle hit failed re-verification; evaluator bug")
     if kripke.has_errors(kripke.validate_model(model, "lenient")):
@@ -641,7 +557,7 @@ def _verify_hit(mm: _MaskModel, w: int, chi: Formula) -> tuple[KripkeModel, str]
     return model, state
 
 
-def _search_tier(chi, size, n_agents, props, names, fixed_agents,
+def _search_tier(chi, prog, size, n_agents, props, names, fixed_agents,
                  exhaustive_budget, samples, seed):
     states = [f"x{i}" for i in range(size)]
     agents = _agent_pool(fixed_agents, n_agents)
@@ -652,8 +568,8 @@ def _search_tier(chi, size, n_agents, props, names, fixed_agents,
         * (2 ** size) ** len(props)
     )
     if raw <= exhaustive_budget:
-        return _tier_exhaustive(chi, states, agents, names, props)
-    return _tier_sampled(chi, states, agents, names, props, samples, seed)
+        return _tier_exhaustive(chi, prog, states, agents, names, props)
+    return _tier_sampled(chi, prog, states, agents, names, props, samples, seed)
 
 
 def _bearer_masks(mu, size, agents):
@@ -664,14 +580,32 @@ def _bearer_masks(mu, size, agents):
     return bearers
 
 
-def _tier_exhaustive(chi, states, agents, names, props):
+def _candidate_index(size, agents, rows, mu) -> kripke._Index:
+    """A candidate's truth sets for kripke's truth core, read straight from
+    its arrays; the valuation is passed to each run."""
+    fam: dict[str, list] = {}
+    bearers: dict[tuple[str, str], int] = {}
+    for (w, n), group in mu.items():
+        if group:
+            bit = 1 << w
+            members = tuple(rows[a][w] for a in group)
+            fam.setdefault(n, []).append((bit, reduce(or_, members), members))
+            for a in group:
+                key = (agents[a], n)
+                bearers[key] = bearers.get(key, 0) | bit
+    by_agent = {
+        agents[a]: {1 << w: succ for w, succ in enumerate(per) if succ}
+        for a, per in enumerate(rows)
+    }
+    return kripke._Index((1 << size) - 1, {}, fam, by_agent, bearers)
+
+
+def _tier_exhaustive(chi, prog, states, agents, names, props):
     size = len(states)
     n_agents = len(agents)
     cells = [(w, n) for w in range(size) for n in names]
     for groups in product(range(2 ** n_agents), repeat=len(cells)):
-        mu = {}
-        for cell, g in zip(cells, groups):
-            mu[cell] = tuple(_bit_indices(g))
+        mu = {cell: tuple(_bit_indices(g)) for cell, g in zip(cells, groups)}
         bearers = _bearer_masks(mu, size, agents)
         row_domains = []
         for a in range(n_agents):
@@ -680,15 +614,16 @@ def _tier_exhaustive(chi, states, agents, names, props):
                 row_domains.append([m | forced for m in range(2 ** size) if m & forced == forced])
         for rows_flat in product(*row_domains):
             rows = [list(rows_flat[a * size:(a + 1) * size]) for a in range(n_agents)]
+            ix = _candidate_index(size, agents, rows, mu)
             for vals in product(range(2 ** size), repeat=len(props)):
-                mm = _MaskModel(states, agents, names, rows, mu, dict(zip(props, vals)))
-                found = mm.ext(chi, {})
+                val = dict(zip(props, vals))
+                found = kripke._run(prog, ix, val)[-1]
                 if found:
-                    return _verify_hit(mm, next(_bit_indices(found)), chi)
+                    return _verify_hit(chi, found, _MaskModel(states, agents, names, rows, mu, val))
     return None
 
 
-def _tier_sampled(chi, states, agents, names, props, samples, seed):
+def _tier_sampled(chi, prog, states, agents, names, props, samples, seed):
     size = len(states)
     n_agents = len(agents)
     rng = random.Random(f"{seed}/{size}/{n_agents}/{print_formula(chi)}")
@@ -696,29 +631,22 @@ def _tier_sampled(chi, states, agents, names, props, samples, seed):
     for _ in range(samples):
         nd = rng.choice(densities)
         ed = rng.choice(densities)
-        mu = {}
-        for w in range(size):
-            for n in names:
-                group = tuple(a for a in range(n_agents) if rng.random() < nd)
-                mu[(w, n)] = group
+        mu = {
+            (w, n): tuple(a for a in range(n_agents) if rng.random() < nd)
+            for w in range(size)
+            for n in names
+        }
         bearers = _bearer_masks(mu, size, agents)
-        rows = []
-        for a in range(n_agents):
-            per = []
-            for w in range(size):
-                mask = 0
-                for v in range(size):
-                    if rng.random() < ed:
-                        mask |= 1 << v
-                if (bearers[a] >> w) & 1:
-                    mask |= 1 << w
-                per.append(mask)
-            rows.append(per)
+        # an agent bearing a name at w keeps its loop there
+        rows = [
+            [sum(1 << v for v in range(size) if rng.random() < ed) | (bearers[a] & 1 << w)
+             for w in range(size)]
+            for a in range(n_agents)
+        ]
         val = {p: rng.randrange(2 ** size) for p in props}
-        mm = _MaskModel(states, agents, names, rows, mu, val)
-        found = mm.ext(chi, {})
+        found = kripke._run(prog, _candidate_index(size, agents, rows, mu), val)[-1]
         if found:
-            return _verify_hit(mm, next(_bit_indices(found)), chi)
+            return _verify_hit(chi, found, _MaskModel(states, agents, names, rows, mu, val))
     return None
 
 

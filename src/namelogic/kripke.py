@@ -4,13 +4,21 @@ A model carries finite state/agent/name sets, one accessibility relation per
 agent, a naming map mu(state, name) -> set of agents, and a valuation.  The
 modalities quantify over the agents a name currently picks out, so who counts
 as "everyone named n" changes from state to state.
+
+Truth has one core, used by relational and neighborhood truth, frame
+validity and the bounded oracle: _compile turns a formula into a postorder
+program, an _Index holds a model's truth sets as int masks (per name and
+state, the successor masks of the agents the name picks out), and _run
+executes the program on an index with each truth clause written once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product
+from operator import and_, or_
 from typing import Any, Iterable, Mapping
 
 from .errors import BudgetExceededError, ModelFormatError, UndeclaredSymbolError
@@ -32,12 +40,10 @@ from .formula import (
     agents_in,
     names_in,
     props_in,
-    walk,
 )
 
 _EMPTY: frozenset = frozenset()
 
-States = frozenset[str]
 Pair = tuple[str, str]
 
 
@@ -107,9 +113,6 @@ class KripkeModel:
 
 # ---------------------------------------------------------------------------
 # JSON wire format
-
-_CLOSURE_OPS = ("reflexive", "symmetric", "transitive")
-
 
 def _close_relation(pairs: set[Pair], ops: Iterable[str], states: frozenset[str]) -> set[Pair]:
     for op in ops:
@@ -295,167 +298,235 @@ class TruthResult:
         return hash(self.value)
 
 
-def _validate_formula_symbols(m: KripkeModel, f: Formula) -> None:
-    missing_names = names_in(f) - m.names
-    if missing_names:
-        raise UndeclaredSymbolError(f"undeclared names: {sorted(missing_names)}")
-    missing_props = props_in(f) - set(m.valuation)
-    if missing_props:
-        raise UndeclaredSymbolError(f"undeclared propositions: {sorted(missing_props)}")
-    missing_agents = agents_in(f) - m.agents
-    if missing_agents:
-        raise UndeclaredSymbolError(f"undeclared agents: {sorted(missing_agents)}")
+def _require_symbols(f: Formula, names=None, props=None, agents=None) -> None:
+    """Raise on a symbol of f outside the given declared sets (None: unchecked)."""
+    for kind, declared, used in (
+        ("names", names, names_in), ("propositions", props, props_in), ("agents", agents, agents_in)
+    ):
+        missing = used(f) - declared if declared is not None else None
+        if missing:
+            raise UndeclaredSymbolError(f"undeclared {kind}: {sorted(missing)}")
 
 
-def _name_successors(m: KripkeModel, name: str) -> dict[str, frozenset[str]]:
-    key = ("name-succ", name)
-    out = m._cache.get(key)
-    if out is None:
-        out = {
-            w: frozenset().union(*(m.successors(a, w) for a in m.named(w, name)))
-            if m.named(w, name)
-            else _EMPTY
-            for w in m.states
-        }
-        m._cache[key] = out
+_PROP, _TOP, _BOT, _NOT, _AND, _OR, _IMPLIES, _IFF, _E, _S, _C, _D, _B = range(13)
+_OPCODES = {
+    Prop: _PROP, Top: _TOP, Bot: _BOT, Not: _NOT, And: _AND, Or: _OR, Implies: _IMPLIES,
+    Iff: _IFF, E: _E, S: _S, C: _C, D: _D, B: _B,
+}
+
+
+def _compile(f: Formula) -> list[tuple]:
+    """f as a postorder program: one instruction per distinct subformula,
+    operands first, so instruction k computes slot k and the last computes
+    f.  An instruction is the opcode followed by the node's fields, with
+    each subformula replaced by its slot: (_E, name, operand slot)."""
+    slot: dict[Formula, int] = {}
+    prog: list[tuple] = []
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in slot:
+            stack.pop()
+            continue
+        pending = [k for k in reversed(g._kids()) if k not in slot]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        fields = (getattr(g, a) for a in g.__match_args__)
+        slot[g] = len(prog)
+        prog.append((_OPCODES[type(g)], *(slot[x] if isinstance(x, Formula) else x for x in fields)))
+    return prog
+
+
+class _Index:
+    """A model's truth sets as int masks, one bit per state.
+
+    full holds the declared states.  A model may mention states it does not
+    declare (on an edge, in the valuation, at a naming entry): they get bits
+    above full, so a proposition can hold there, and p & p with it, while
+    negation and the modalities range over full only.
+    val: proposition -> mask.
+    fam: name -> [(state bit, union, successor masks of the agents the name
+    picks out there)], for the declared states where it picks out someone.
+    rows: agent -> {declared state bit: successor mask}, for B.
+    bearers: (agent, name) -> the states where the agent bears the name.
+    order: state names by bit (empty for the oracle's candidates).
+    """
+
+    __slots__ = ("full", "val", "fam", "rows", "bearers", "order", "bit", "_pred")
+
+    def __init__(self, full, val, fam, rows, bearers, order=()):
+        self.full, self.val, self.fam, self.rows, self.bearers = full, val, fam, rows, bearers
+        self.order = order
+        self.bit = {s: 1 << i for i, s in enumerate(order)}
+        self._pred: dict = {}
+
+    def states_of(self, mask: int) -> frozenset[str]:
+        return frozenset(self.order[i] for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
+
+    def escapes(self, name: str, good: int) -> int:
+        """The declared states with a path of one or more name steps out of
+        good: one backward closure from the states that are not good."""
+        if name not in self._pred:
+            pred: dict[int, int] = {}  # state bit -> its predecessors
+            for w, union, _ in self.fam.get(name, ()):
+                while union:
+                    low = union & -union
+                    union ^= low
+                    pred[low] = pred.get(low, 0) | w
+            self._pred[name] = pred, reduce(or_, pred, 0)
+        pred, targets = self._pred[name]
+        reach, frontier = 0, targets & ~good
+        while frontier:
+            new = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new |= pred.get(low, 0)
+            frontier = new & ~reach
+            reach |= new
+        return reach
+
+
+def _run(prog: list[tuple], ix: _Index, val: Mapping[str, int]) -> list[int]:
+    """The mask of every slot of prog on ix, under the valuation val."""
+    full = ix.full
+    out: list[int] = []
+    push = out.append
+    for ins in prog:
+        op = ins[0]
+        if op == _PROP:
+            push(val.get(ins[1], 0))
+        elif op == _AND:
+            push(out[ins[1]] & out[ins[2]])
+        elif op == _NOT:
+            push(full & ~out[ins[1]])
+        elif op == _OR:
+            push(out[ins[1]] | out[ins[2]])
+        elif op == _IMPLIES:
+            push((full & ~out[ins[1]]) | out[ins[2]])
+        elif op == _IFF:
+            a, b = out[ins[1]], out[ins[2]]
+            push((a & b) | (full & ~(a | b)))
+        elif op == _TOP:
+            push(full)
+        elif op == _BOT:
+            push(0)
+        elif op == _E:  # every member of the family is good: so is their union
+            bad, v = ~out[ins[2]], full
+            for w, union, _ in ix.fam.get(ins[1], ()):
+                if union & bad:
+                    v ^= w
+            push(v)
+        elif op == _S:  # some member of the family is good
+            bad, v = ~out[ins[2]], 0
+            for w, _, members in ix.fam.get(ins[1], ()):
+                for succ in members:
+                    if not succ & bad:
+                        v |= w
+                        break
+            push(v)
+        elif op == _D:  # the declared states in every member are good
+            bad, v = ~out[ins[2]], 0
+            for w, _, members in ix.fam.get(ins[1], ()):
+                if not reduce(and_, members, full) & bad:
+                    v |= w
+            push(v)
+        elif op == _C:
+            push(full & ~ix.escapes(ins[1], out[ins[2]]))
+        else:  # B: the agent's successors where it bears the name are good
+            bad, v = ~out[ins[3]] & ix.bearers.get((ins[1], ins[2]), 0), full
+            for w, succ in ix.rows.get(ins[1], {}).items():
+                if succ & bad:
+                    v ^= w
+            push(v)
     return out
 
 
-def _reachable(succ: Mapping[str, frozenset[str]], start: str) -> frozenset[str]:
-    """States reachable in one or more steps (start excluded unless on a cycle)."""
-    seen: set[str] = set()
-    frontier = set(succ.get(start, _EMPTY))
-    while frontier:
-        seen |= frontier
-        frontier = {y for x in frontier for y in succ.get(x, _EMPTY)} - seen
-    return frozenset(seen)
+def _kripke_index(m: KripkeModel) -> _Index:
+    ix = m._cache.get("index")
+    if ix is not None:
+        return ix
+    # declared states take the low bits in sorted order; any other state the
+    # model mentions takes the next free bit when it is first met
+    order = sorted(m.states)
+    bit = {s: 1 << i for i, s in enumerate(order)}
+
+    def bit_of(s: str) -> int:
+        if s not in bit:
+            bit[s] = 1 << len(order)
+            order.append(s)
+        return bit[s]
+
+    rows: dict[str, dict[int, int]] = {}
+    for a, pairs in m.relations.items():
+        row: dict[str, int] = {}
+        for x, y in pairs:
+            row[x] = row.get(x, 0) | (bit[y] if y in bit else bit_of(y))
+        rows[a] = {bit[x]: succ for x, succ in row.items() if x in m.states}
+    fam: dict[str, list] = {}
+    bearers: dict[Pair, int] = {}
+    for (w, n), group in m.naming.items():
+        bw = bit_of(w)
+        for a in group:
+            bearers[(a, n)] = bearers.get((a, n), 0) | bw
+        if group and w in m.states:
+            members = tuple(rows.get(a, {}).get(bw, 0) for a in group)
+            fam.setdefault(n, []).append((bw, reduce(or_, members), members))
+    val = {p: reduce(or_, map(bit_of, ws), 0) for p, ws in m.valuation.items()}
+    ix = m._cache["index"] = _Index((1 << len(m.states)) - 1, val, fam, rows, bearers, order)
+    return ix
 
 
-# Memo set sharing: a truth set equal to one already held is stored as that
-# object, so the memo of a long chain does not keep one copy per level.
+def _truth(m, f: Formula, index) -> int:
+    """The mask of f in m, a Kripke or neighborhood model, through index(m).
 
-def _share(out: frozenset[str], a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    """out is a & b or a | b: the same size as an operand means the same set."""
-    if len(out) == len(a):
-        return a
-    if len(out) == len(b):
-        return b
-    return out
-
-
-def _shared(out: frozenset[str], states: frozenset[str]) -> frozenset[str]:
-    """An empty truth set as _EMPTY, one holding every state as states."""
-    if not out:
-        return _EMPTY
-    if len(out) == len(states) and out <= states:
-        return states
-    return out
-
-
-def _ext(m: KripkeModel, f: Formula) -> frozenset[str]:
-    memo = m._cache.setdefault("ext", {})
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
-    match f:
-        case Prop(name):
-            out = m.valuation.get(name, _EMPTY)
-        case Top():
-            out = m.states
-        case Bot():
-            out = _EMPTY
-        case Not(arg):
-            out = m.states - _ext(m, arg)
-        case And(l, r):
-            le, re_ = _ext(m, l), _ext(m, r)
-            out = _share(le & re_, le, re_)
-        case Or(l, r):
-            le, re_ = _ext(m, l), _ext(m, r)
-            out = _share(le | re_, le, re_)
-        case Implies(l, r):
-            out = (m.states - _ext(m, l)) | _ext(m, r)
-        case Iff(l, r):
-            le, re_ = _ext(m, l), _ext(m, r)
-            out = (le & re_) | ((m.states - le) & (m.states - re_))
-        case E(name, arg):
-            good = _ext(m, arg)
-            out = frozenset(
-                w
-                for w in m.states
-                if all(m.successors(a, w) <= good for a in m.named(w, name))
-            )
-        case S(name, arg):
-            good = _ext(m, arg)
-            out = frozenset(
-                w
-                for w in m.states
-                if any(m.successors(a, w) <= good for a in m.named(w, name))
-            )
-        case C(name, arg):
-            good = _ext(m, arg)
-            succ = _name_successors(m, name)
-            out = frozenset(w for w in m.states if _reachable(succ, w) <= good)
-        case D(name, arg):
-            good = _ext(m, arg)
-            out = set()
-            for w in m.states:
-                group = m.named(w, name)
-                if not group:
-                    continue
-                pool = frozenset(m.states)
-                for a in group:
-                    pool &= m.successors(a, w)
-                if pool <= good:
-                    out.add(w)
-            out = frozenset(out)
-        case B(agent, name, arg):
-            good = _ext(m, arg)
-            out = frozenset(
-                w
-                for w in m.states
-                if all(
-                    v in good
-                    for v in m.successors(agent, w)
-                    if agent in m.named(v, name)
-                )
-            )
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    out = memo[f] = _shared(out, m.states)
-    return out
+    Each model keeps the masks of the root formulas it was asked about, and
+    of a modal root's operand for the witness; no others."""
+    memo = m._cache.setdefault("truth", {})
+    if f not in memo:
+        prog = _compile(f)
+        ix = index(m)
+        out = _run(prog, ix, ix.val)
+        memo[f] = out[-1]
+        if prog[-1][0] >= _E:
+            memo[f.arg] = out[prog[-1][-1]]
+    return memo[f]
 
 
 def extension(m: KripkeModel, f: Formula) -> frozenset[str]:
     """All states of m at which f holds."""
-    _validate_formula_symbols(m, f)
-    return _ext(m, f)
+    _require_symbols(f, m.names, m.valuation.keys(), m.agents)
+    return _kripke_index(m).states_of(_truth(m, f, _kripke_index))
 
 
-def _witness(m: KripkeModel, w: str, f: Formula, value: bool) -> Any:
+def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool) -> Any:
+    succ = lambda a, x: ix.rows.get(a, {}).get(ix.bit[x], 0)
     match f:
         case S(name, arg) if value:
-            good = _ext(m, arg)
+            good = _truth(m, arg, _kripke_index)
             for a in sorted(m.named(w, name)):
-                if m.successors(a, w) <= good:
+                if not succ(a, w) & ~good:
                     return a
         case D(name, _) if value:
             return tuple(sorted(m.named(w, name)))
         case E(name, arg) if not value:
-            good = _ext(m, arg)
+            good = _truth(m, arg, _kripke_index)
             for a in sorted(m.named(w, name)):
-                bad = m.successors(a, w) - good
+                bad = succ(a, w) & ~good
                 if bad:
-                    return (a, min(bad))
+                    return (a, min(ix.states_of(bad)))
         case C(name, arg) if not value:
-            good = _ext(m, arg)
-            succ = _name_successors(m, name)
+            good = _truth(m, arg, _kripke_index)
+            step = {x: union for x, union, _ in ix.fam.get(name, ())}
             parent: dict[str, str] = {}
             order = [w]
             seen = {w}
             while order:
                 x = order.pop(0)
-                for y in sorted(succ.get(x, _EMPTY)):
-                    if y not in good:
+                for y in sorted(ix.states_of(step.get(ix.bit[x], 0))):
+                    if not good & ix.bit[y]:
                         path = [x]
                         while path[-1] != w:
                             path.append(parent[path[-1]])
@@ -471,9 +542,10 @@ def check(m: KripkeModel, w: str, f: Formula) -> TruthResult:
     """Evaluate f at state w. The witness, when present, re-verifies."""
     if w not in m.states:
         raise UndeclaredSymbolError(f"undeclared state {w!r}")
-    _validate_formula_symbols(m, f)
-    value = w in _ext(m, f)
-    return TruthResult(value, _witness(m, w, f, value))
+    _require_symbols(f, m.names, m.valuation.keys(), m.agents)
+    ix = _kripke_index(m)
+    value = bool(_truth(m, f, _kripke_index) & ix.bit[w])
+    return TruthResult(value, _witness(m, ix, w, f, value))
 
 
 def distributed_by_subsets(m: KripkeModel, w: str, name: str, f: Formula):
@@ -484,15 +556,11 @@ def distributed_by_subsets(m: KripkeModel, w: str, name: str, f: Formula):
     """
     if w not in m.states:
         raise UndeclaredSymbolError(f"undeclared state {w!r}")
-    _validate_formula_symbols(m, f)
-    good = _ext(m, f)
+    good = extension(m, f)
     group = sorted(m.named(w, name))
     for size in range(1, len(group) + 1):
         for subset in combinations(group, size):
-            pool = frozenset(m.states)
-            for a in subset:
-                pool &= m.successors(a, w)
-            if pool <= good:
+            if m.states.intersection(*(m.successors(a, w) for a in subset)) <= good:
                 return True, subset
     return False, None
 
@@ -507,25 +575,18 @@ def frame_valid(m: KripkeModel, f: Formula, max_bits: int = 16) -> bool:
     2^(propositions * states) candidates; beyond max_bits bits it refuses.
     """
     props = sorted(props_in(f))
-    states = sorted(m.states)
-    bits = len(props) * len(states)
+    bits = len(props) * len(m.states)
     if bits > max_bits:
         raise BudgetExceededError(
-            f"{len(props)} propositions over {len(states)} states needs "
+            f"{len(props)} propositions over {len(m.states)} states needs "
             f"2^{bits} valuations (cap 2^{max_bits})"
         )
-    missing_names = names_in(f) - m.names
-    if missing_names:
-        raise UndeclaredSymbolError(f"undeclared names: {sorted(missing_names)}")
-    missing_agents = agents_in(f) - m.agents
-    if missing_agents:
-        raise UndeclaredSymbolError(f"undeclared agents: {sorted(missing_agents)}")
-    subsets = [
-        frozenset(c) for r in range(len(states) + 1) for c in combinations(states, r)
-    ]
-    for choice in product(subsets, repeat=len(props)):
-        variant = replace(m, valuation=dict(zip(props, choice)))
-        if _ext(variant, f) != m.states:
+    _require_symbols(f, names=m.names, agents=m.agents)
+    prog = _compile(f)
+    ix = _kripke_index(m)
+    # the declared states hold the low bits, so their subsets are 0..full
+    for choice in product(range(ix.full + 1), repeat=len(props)):
+        if _run(prog, ix, dict(zip(props, choice)))[-1] != ix.full:
             return False
     return True
 

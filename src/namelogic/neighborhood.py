@@ -6,12 +6,19 @@ inside the truth set of f; "everyone named n knows f" asks this of every
 member.  Relational models translate into neighborhood models and, when
 every neighborhood contains its own state, back again, preserving E/S truth
 both ways.
+
+Truth is kripke's truth core: a neighborhood model's index holds, per name
+and state, the family's members as masks, and E/S read it exactly as they
+read the successor sets of the agents a name picks out in a relational
+model.  The complex-algebra laws run the same E/S clauses on every subset.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Any, Iterable, Mapping
 
 from .errors import (
@@ -20,26 +27,18 @@ from .errors import (
     UndeclaredSymbolError,
     UnsupportedFragmentError,
 )
-from .formula import (
-    And,
-    B,
-    Bot,
-    C,
-    D,
-    E,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Prop,
-    S,
-    Top,
-    names_in,
-    props_in,
-    walk,
+from .formula import B, C, D, E, Formula, Prop, S, walk
+from .kripke import (
+    Diagnostic,
+    KripkeModel,
+    Pair,
+    _Index,
+    _compile,
+    _listed,
+    _require_symbols,
+    _run,
+    _truth,
 )
-from .kripke import Diagnostic, KripkeModel, Pair, _listed, _share, _shared
 
 _EMPTY: frozenset = frozenset()
 Family = frozenset[frozenset[str]]
@@ -146,56 +145,29 @@ def _assert_supported(f: Formula) -> None:
             )
 
 
-def _ext(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
-    memo = m._cache.setdefault("ext", {})
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
-    match f:
-        case Prop(name):
-            out = m.valuation.get(name, _EMPTY)
-        case Top():
-            out = m.states
-        case Bot():
-            out = _EMPTY
-        case Not(arg):
-            out = m.states - _ext(m, arg)
-        case And(l, r):
-            le, re_ = _ext(m, l), _ext(m, r)
-            out = _share(le & re_, le, re_)
-        case Or(l, r):
-            le, re_ = _ext(m, l), _ext(m, r)
-            out = _share(le | re_, le, re_)
-        case Implies(l, r):
-            out = (m.states - _ext(m, l)) | _ext(m, r)
-        case Iff(l, r):
-            le, re_ = _ext(m, l), _ext(m, r)
-            out = (le & re_) | ((m.states - le) & (m.states - re_))
-        case E(name, arg):
-            good = _ext(m, arg)
-            out = frozenset(
-                w for w in m.states if all(X <= good for X in m.family(w, name))
-            )
-        case S(name, arg):
-            good = _ext(m, arg)
-            out = frozenset(
-                w for w in m.states if any(X <= good for X in m.family(w, name))
-            )
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    out = memo[f] = _shared(out, m.states)
-    return out
+def _nbhd_index(m: NeighborhoodModel) -> _Index:
+    """The model's truth sets as masks for kripke's truth core: the family
+    at (w, n) in place of the successor sets of the agents n picks out."""
+    ix = m._cache.get("index")
+    if ix is None:
+        mentioned = set().union(*(X for fam in m.nu.values() for X in fam), *m.valuation.values())
+        order = sorted(m.states) + sorted(mentioned - m.states)
+        bit = {s: 1 << i for i, s in enumerate(order)}
+        mask = lambda X: reduce(or_, map(bit.__getitem__, X), 0)
+        fam: dict[str, list] = {}
+        for (w, n), family in m.nu.items():
+            if family and w in m.states:
+                members = tuple(map(mask, family))
+                fam.setdefault(n, []).append((bit[w], reduce(or_, members), members))
+        val = {p: mask(ws) for p, ws in m.valuation.items()}
+        ix = m._cache["index"] = _Index((1 << len(m.states)) - 1, val, fam, {}, {}, order)
+    return ix
 
 
 def extension_nbhd(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
     _assert_supported(f)
-    missing_names = names_in(f) - m.names
-    if missing_names:
-        raise UndeclaredSymbolError(f"undeclared names: {sorted(missing_names)}")
-    missing_props = props_in(f) - set(m.valuation)
-    if missing_props:
-        raise UndeclaredSymbolError(f"undeclared propositions: {sorted(missing_props)}")
-    return _ext(m, f)
+    _require_symbols(f, names=m.names, props=m.valuation.keys())
+    return _nbhd_index(m).states_of(_truth(m, f, _nbhd_index))
 
 
 def check_nbhd(m: NeighborhoodModel, w: str, f: Formula) -> bool:
@@ -279,43 +251,6 @@ def check_core_morphism(
 # ---------------------------------------------------------------------------
 # Complex algebras
 
-@dataclass(frozen=True)
-class ComplexAlgebra:
-    """Powerset algebra of a finite neighborhood model with one box/diamond
-    pair per name; elements are frozensets of states."""
-
-    model: NeighborhoodModel
-
-    @property
-    def top(self) -> frozenset[str]:
-        return self.model.states
-
-    @property
-    def bot(self) -> frozenset[str]:
-        return _EMPTY
-
-    def complement(self, X: frozenset[str]) -> frozenset[str]:
-        return self.model.states - X
-
-    def everyone(self, name: str, X: frozenset[str]) -> frozenset[str]:
-        return frozenset(
-            w
-            for w in self.model.states
-            if all(Y <= X for Y in self.model.family(w, name))
-        )
-
-    def someone(self, name: str, X: frozenset[str]) -> frozenset[str]:
-        return frozenset(
-            w
-            for w in self.model.states
-            if any(Y <= X for Y in self.model.family(w, name))
-        )
-
-
-def complex_algebra(m: NeighborhoodModel) -> ComplexAlgebra:
-    return ComplexAlgebra(m)
-
-
 def verify_algebra_equations(
     m: NeighborhoodModel,
     exhaustive_cap: int = 12,
@@ -336,42 +271,28 @@ def verify_algebra_equations(
     beyond that.
     """
     out: list[Diagnostic] = []
-    states = sorted(m.states)
-    k = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    full = (1 << k) - 1
+    k = len(m.states)
+    ix = _nbhd_index(m)
+    full = ix.full
+    to_set = ix.states_of
+    exhaustive = k <= exhaustive_cap
 
-    def to_mask(X: Iterable[str]) -> int:
-        mask = 0
-        for x in X:
-            mask |= 1 << index[x]
-        return mask
-
-    def to_set(mask: int) -> frozenset[str]:
-        return frozenset(s for s in states if mask >> index[s] & 1)
+    def as_operator(prog: list[tuple]):
+        """The operator prog computes from its operand's mask; tabulated
+        when laws 2 and 3 visit every subset."""
+        apply = lambda mask: _run(prog, ix, {"x": mask})[-1]
+        if exhaustive:
+            return [apply(mask) for mask in range(1 << k)].__getitem__
+        return apply
 
     for n in sorted(m.names):
-        fams = [[to_mask(X) for X in m.family(w, n)] for w in states]
-
-        def e_op(x: int) -> int:
-            mask = 0
-            for i in range(k):
-                if all(y & ~x == 0 for y in fams[i]):
-                    mask |= 1 << i
-            return mask
-
-        def s_op(x: int) -> int:
-            mask = 0
-            for i in range(k):
-                if any(y & ~x == 0 for y in fams[i]):
-                    mask |= 1 << i
-            return mask
-
-        if e_op(full) != full:
+        e_at = as_operator(_compile(E(n, Prop("x"))))
+        s_at = as_operator(_compile(S(n, Prop("x"))))
+        if e_at(full) != full:
             out.append(
                 Diagnostic("error", "eq-top", f"E[{n}] of the full set is not the full set")
             )
-        duality_gap = (full & ~e_op(0)) ^ s_op(full)
+        duality_gap = (full & ~e_at(0)) ^ s_at(full)
         for w in sorted(to_set(duality_gap)):
             if m.family(w, n) == frozenset({_EMPTY}):
                 out.append(
@@ -391,28 +312,13 @@ def verify_algebra_equations(
                     )
                 )
 
-        if k <= exhaustive_cap:
+        if exhaustive:
             pairs = ((a, b) for a in range(1 << k) for b in range(1 << k))
         else:
             rng = random.Random(seed)
             pairs = (
                 (rng.getrandbits(k), rng.getrandbits(k)) for _ in range(samples)
             )
-        e_memo: dict[int, int] = {}
-        s_memo: dict[int, int] = {}
-
-        def e_at(x: int) -> int:
-            v = e_memo.get(x)
-            if v is None:
-                v = e_memo[x] = e_op(x)
-            return v
-
-        def s_at(x: int) -> int:
-            v = s_memo.get(x)
-            if v is None:
-                v = s_memo[x] = s_op(x)
-            return v
-
         for a, b in pairs:
             meet = a & b
             if e_at(meet) != e_at(a) & e_at(b):

@@ -7,7 +7,7 @@ frozen against a seed.
 import random
 from itertools import islice
 
-from namelogic import And, B, C, D, E, FALSE, Iff, Implies, Not, Or, Prop, S, TRUE, closure, walk
+from namelogic import And, B, Bot, C, D, E, FALSE, Iff, Implies, Not, Or, Prop, S, TRUE, Top, closure, walk
 
 _BOOLEAN = ("not", "and", "or", "implies", "iff")
 
@@ -149,3 +149,136 @@ def reference_symbols(f) -> tuple[frozenset, frozenset, frozenset]:
         frozenset(g.name for g in nodes if isinstance(g, Prop)),
         frozenset(g.agent for g in nodes if isinstance(g, B)),
     )
+
+
+def _mentioned_states(m) -> frozenset:
+    """Every state name the Kripke model mentions: declared, on an edge, in
+    the valuation or at a naming entry."""
+    out = set(m.states)
+    for pairs in m.relations.values():
+        for x, y in pairs:
+            out |= {x, y}
+    out |= {w for w, _ in m.naming}
+    for ws in m.valuation.values():
+        out |= ws
+    return frozenset(out)
+
+
+def reference_extension(m, f) -> frozenset:
+    """Truth set of f in the Kripke model m, the definitions read literally
+    as frozenset clauses over holds, named and successors.
+
+    A model may mention states it does not declare (validate_model reports
+    them; the checker evaluates anyway).  A proposition is true at every
+    mentioned state the valuation lists, so p & p can hold outside the state
+    set; negation, the constants and every modality range over the declared
+    states only, and a common-knowledge path does not continue from an
+    undeclared state."""
+    states = m.states
+    universe = _mentioned_states(m)
+
+    def name_step(w, n):
+        if w not in states:
+            return frozenset()
+        return frozenset().union(*(m.successors(a, w) for a in m.named(w, n)))
+
+    def ext(g):
+        match g:
+            case Prop(p):
+                return frozenset(u for u in universe if m.holds(p, u))
+            case Top():
+                return states
+            case Bot():
+                return frozenset()
+            case Not(a):
+                return states - ext(a)
+            case And(l, r):
+                return ext(l) & ext(r)
+            case Or(l, r):
+                return ext(l) | ext(r)
+            case Implies(l, r):
+                return (states - ext(l)) | ext(r)
+            case Iff(l, r):
+                le, re_ = ext(l), ext(r)
+                return (le & re_) | ((states - le) & (states - re_))
+            case E(n, a):
+                good = ext(a)
+                return frozenset(
+                    w for w in states if all(m.successors(b, w) <= good for b in m.named(w, n))
+                )
+            case S(n, a):
+                good = ext(a)
+                return frozenset(
+                    w for w in states if any(m.successors(b, w) <= good for b in m.named(w, n))
+                )
+            case C(n, a):
+                good = ext(a)
+                out = set()
+                for w in states:
+                    seen, frontier = set(), set(name_step(w, n))
+                    while frontier:
+                        seen |= frontier
+                        frontier = {y for x in frontier for y in name_step(x, n)} - seen
+                    if seen <= good:
+                        out.add(w)
+                return frozenset(out)
+            case D(n, a):
+                good = ext(a)
+                out = set()
+                for w in states:
+                    group = m.named(w, n)
+                    if group and states.intersection(*(m.successors(b, w) for b in group)) <= good:
+                        out.add(w)
+                return frozenset(out)
+            case B(agent, n, a):
+                good = ext(a)
+                return frozenset(
+                    w
+                    for w in states
+                    if all(v in good for v in m.successors(agent, w) if agent in m.named(v, n))
+                )
+        raise TypeError(f"not a formula: {g!r}")
+
+    return ext(f)
+
+
+def reference_extension_nbhd(m, f) -> frozenset:
+    """Truth set of an E/S formula in the neighborhood model m, read
+    literally over holds and family: E[n] asks every member of the family at
+    a state to lie inside the truth set, S[n] some member."""
+    states = m.states
+    universe = set(states)
+    for fam in m.nu.values():
+        for X in fam:
+            universe |= X
+    for ws in m.valuation.values():
+        universe |= ws
+
+    def ext(g):
+        match g:
+            case Prop(p):
+                return frozenset(u for u in universe if m.holds(p, u))
+            case Top():
+                return states
+            case Bot():
+                return frozenset()
+            case Not(a):
+                return states - ext(a)
+            case And(l, r):
+                return ext(l) & ext(r)
+            case Or(l, r):
+                return ext(l) | ext(r)
+            case Implies(l, r):
+                return (states - ext(l)) | ext(r)
+            case Iff(l, r):
+                le, re_ = ext(l), ext(r)
+                return (le & re_) | ((states - le) & (states - re_))
+            case E(n, a):
+                good = ext(a)
+                return frozenset(w for w in states if all(X <= good for X in m.family(w, n)))
+            case S(n, a):
+                good = ext(a)
+                return frozenset(w for w in states if any(X <= good for X in m.family(w, n)))
+        raise TypeError(f"no neighborhood reading for {g!r}")
+
+    return ext(f)

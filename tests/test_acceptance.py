@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import capped_corpus, sized_corpus
+from helpers import capped_corpus, reference_extension, sized_corpus
 from namelogic import (
     And,
     B,
@@ -243,6 +243,8 @@ def test_criterion_5_translation_equivalence(capfd):
         w0 = sorted(m.states)[0]
         for f in corpus:
             here = extension(m, f)
+            if here != reference_extension(m, f):
+                mismatches.append((i, "reference " + print_formula(f)))
             if here != extension_nbhd(nb, f):
                 mismatches.append((i, print_formula(f)))
             if here != extension(back, f):
@@ -374,8 +376,12 @@ def test_criterion_7_decision_cross_validation(capfd):
             inconsistencies.append(("unsat yet oracle model", print_formula(chi)))
         if res.verdict == "sat" and not check(res.model, res.state, chi).value:
             inconsistencies.append(("sat model fails re-check", print_formula(chi)))
+        if res.verdict == "sat" and res.state not in reference_extension(res.model, chi):
+            inconsistencies.append(("sat model fails the reference", print_formula(chi)))
         if hit is not None and not check(hit[0], hit[1], chi).value:
             inconsistencies.append(("oracle model fails re-check", print_formula(chi)))
+        if hit is not None and hit[1] not in reference_extension(hit[0], chi):
+            inconsistencies.append(("oracle model fails the reference", print_formula(chi)))
     dt = time.perf_counter() - t0
     ok = not inconsistencies and dt < 300.0
     report(capfd, 7, ok, f"{len(inconsistencies)} inconsistencies over 60 formulas, {dt:.1f}s (budget 300s)")

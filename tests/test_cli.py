@@ -458,6 +458,37 @@ def test_unknown_command_is_a_usage_error():
     assert exc.value.code == 2
 
 
+def _child(*args, stdin=None):
+    """Run the CLI in a fresh interpreter on the package this process imported."""
+    package_root = str(Path(namelogic.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "namelogic.cli", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["!" * 3000 + "p", "(" * 300 + "p" + ")" * 300], ids=["not-chain", "parentheses"]
+)
+def test_too_deep_formula_is_an_input_error(text):
+    child = _child("check", "--model", FIGURE, "--state", "w", "--formula", "-", stdin=text)
+    assert child.returncode == 2, child.stderr
+    assert child.stdout == ""
+    assert child.stderr == "error: formula nests too deeply\n"
+
+
+def test_long_conjunction_gets_a_verdict():
+    text = " & ".join(["p"] * 3000)
+    child = _child("check", "--model", FIGURE, "--state", "w", "--formula", "-", stdin=text)
+    assert child.returncode in (0, 1), child.stderr
+    assert "Traceback" not in child.stderr
+    assert child.stdout.count("\n") == 1
+    assert json.loads(child.stdout)["value"] is (child.returncode == 0)
+
+
 def test_output_is_stable_across_interpreter_runs():
     # The child gets a minimal environment, plus the directory holding the
     # namelogic package this process imported, so it runs the same code

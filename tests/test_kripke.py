@@ -5,13 +5,16 @@ validation tests; its expected verdicts were worked out by hand from the
 definitions and are frozen here.
 """
 
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_extension, reference_extension_nbhd, sized_corpus
 from namelogic import (
     And,
     B,
@@ -20,13 +23,18 @@ from namelogic import (
     D,
     E,
     FALSE,
+    Iff,
+    Implies,
     ModelFormatError,
     Not,
+    Or,
     Prop,
     S,
     TRUE,
     UndeclaredSymbolError,
     parse_formula,
+    print_formula,
+    walk,
 )
 from namelogic.kripke import (
     KripkeModel,
@@ -42,6 +50,7 @@ from namelogic.kripke import (
     random_model,
     validate_model,
 )
+from namelogic.neighborhood import extension_nbhd, kripke_to_nbhd
 
 FIGURE = Path(__file__).resolve().parent.parent / "figure1.json"
 
@@ -160,11 +169,12 @@ def test_memo_shares_equal_truth_sets():
         valuation={"p": ["w", "x"], "q": ["w"], "r": ["w", "v"]},
     )
     q, r = Prop("q"), Prop("r")
-    assert extension(m, And(q, r)) is extension(m, q)
-    assert extension(m, parse_formula("q | r")) is extension(m, r)
+    # values only: equal truth sets need not be one object
+    assert extension(m, And(q, r)) == extension(m, q)
+    assert extension(m, parse_formula("q | r")) == extension(m, r)
     assert extension(m, parse_formula("!r")) == frozenset()
-    assert extension(m, parse_formula("!(q & !q)")) is m.states
-    # as large as the state set but not inside it: stored as computed
+    assert extension(m, parse_formula("!(q & !q)")) == m.states
+    # as large as the state set but not inside it
     assert extension(m, Prop("p")) == frozenset({"w", "x"})
     assert extension(m, parse_formula("p & p")) == frozenset({"w", "x"})
 
@@ -318,6 +328,9 @@ def _formulas(max_leaves=5):
                 lambda t: B(t[0], t[1][0], t[1][1])
             ),
             st.tuples(kids, kids).map(lambda t: And(*t)),
+            st.tuples(kids, kids).map(lambda t: Or(*t)),
+            st.tuples(kids, kids).map(lambda t: Implies(*t)),
+            st.tuples(kids, kids).map(lambda t: Iff(*t)),
         )
 
     return st.recursive(atoms, extend, max_leaves=max_leaves)
@@ -399,3 +412,91 @@ def test_common_false_witness_reverifies(m, f):
             for x, y in zip(path, path[1:]):
                 assert any(y in m.successors(a, x) for a in m.named(x, "n"))
             assert path[-1] not in good
+
+
+# ---------------------------------------------------------------------------
+# Against the literal definitions, malformed-but-loadable models included
+
+_DECLARED = ("w", "v", "u")
+_MENTIONED = _DECLARED + ("x", "z")  # x and z are never declared
+
+
+@st.composite
+def _loose_models(draw):
+    """Models that may list undeclared states on edges, in the valuation and
+    at naming entries, and undeclared agents in naming groups."""
+    states = draw(st.lists(st.sampled_from(_DECLARED), min_size=1, unique=True))
+    edge_ends = st.sampled_from(_MENTIONED if draw(st.booleans()) else tuple(states))
+    relations = {
+        a: draw(st.lists(st.tuples(edge_ends, edge_ends), max_size=8))
+        for a in ("a", "b", "c")
+    }
+    naming = {
+        (w, n): draw(st.lists(st.sampled_from(("a", "b", "c")), unique=True))
+        for w in draw(st.lists(edge_ends, max_size=5, unique=True))
+        for n in ("n", "m")
+    }
+    valuation = {p: draw(st.lists(edge_ends, unique=True)) for p in ("p", "q")}
+    return KripkeModel.make(
+        states=states, agents=["a", "b"], names=["n", "m"],
+        relations=relations, naming=naming, valuation=valuation,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_loose_models(), f=_formulas(max_leaves=8))
+def test_truth_matches_the_literal_definitions(m, f):
+    expected = reference_extension(m, f)
+    assert extension(m, f) == expected
+    for w in sorted(m.states):
+        assert check(m, w, f).value is (w in expected)
+    if not any(isinstance(g, (C, D, B)) for g in walk(f)):
+        nb = kripke_to_nbhd(m)
+        assert reference_extension_nbhd(nb, f) == expected
+        assert extension_nbhd(nb, f) == expected
+
+
+def test_dangling_states_keep_their_truth():
+    # an edge, a valuation entry and a naming entry at the undeclared z
+    m = KripkeModel.make(
+        states=["w"], agents=["a"], names=["n"],
+        relations={"a": [["w", "w"], ["w", "z"], ["z", "w"]]},
+        naming={("w", "n"): ["a"], ("z", "n"): ["a"]},
+        valuation={"p": ["w"], "q": ["w", "z"]},
+    )
+    assert extension(m, parse_formula("E[n] p")) == frozenset()
+    assert extension(m, parse_formula("E[n] q")) == frozenset({"w"})
+    assert extension(m, parse_formula("q <-> q")) == frozenset({"w", "z"})
+    assert extension(m, parse_formula("p <-> p")) == frozenset({"w"})
+    assert extension(m, parse_formula("B[a;n] p")) == frozenset()
+    assert extension(m, parse_formula("D[n] p")) == frozenset({"w"})
+    assert check(m, "w", parse_formula("E[n] p")).witness == ("a", "z")
+    assert check(m, "w", parse_formula("C[n] p")).witness == ("w", "z")
+    for text in ("E[n] p", "C[n] q", "D[n] !q", "B[a;n] q", "q <-> q", "!p | q"):
+        f = parse_formula(text)
+        assert extension(m, f) == reference_extension(m, f)
+
+
+def test_truth_texts_are_pinned():
+    # 12 models x 180 formulas; the digest was taken when each of the
+    # Kripke, neighborhood and oracle routes had its own evaluator, and
+    # changes with any change to a truth set or a witness check returns
+    rng = random.Random(2024)
+    corpus = sized_corpus(seed=91, count=30, depth=3, modal_ops="ESCDB")
+    wrapped = []
+    for f in corpus:
+        n, a = rng.choice("nm"), rng.choice("ab")
+        wrapped += [f, E(n, f), S(n, f), C(n, f), D(n, f), B(a, n, f)]
+    rows = []
+    for i in range(12):
+        mode = "general" if i % 2 == 0 else "epistemic"
+        m = random_model(states=3 + i % 4, mode=mode, seed=700 + i)
+        for f in wrapped:
+            states = sorted(m.states)
+            rows.append(
+                f"{print_formula(f)}|{sorted(extension(m, f))}|"
+                f"{[check(m, w, f).witness for w in states]}"
+            )
+    assert len(rows) == 2160
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "a45023b3cdd6c6d05185a147f2b08736bb15641f6a9580c2f210470becf39ea5"

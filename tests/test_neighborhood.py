@@ -1,6 +1,7 @@
 """Neighborhood semantics, translations, and complex algebra tests."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,6 @@ from namelogic.neighborhood import (
     NeighborhoodModel,
     check_core_morphism,
     check_nbhd,
-    complex_algebra,
     extension_nbhd,
     kripke_to_nbhd,
     nbhd_from_dict,
@@ -197,18 +197,12 @@ def test_core_morphism_requires_total_map(fig_nbhd):
         check_core_morphism(fig_nbhd, fig_nbhd, {"w": "w"})
 
 
-def test_complex_algebra_basics(fig_nbhd):
-    alg = complex_algebra(fig_nbhd)
-    assert alg.everyone("n", alg.top) == alg.top
-    assert alg.someone("n", alg.bot) == frozenset()
-    assert alg.someone("n", frozenset({"w", "v"})) == frozenset({"w", "v"})
-
-
-def test_complex_algebra_matches_satisfaction(fig_nbhd):
-    alg = complex_algebra(fig_nbhd)
-    p = extension_nbhd(fig_nbhd, Prop("p"))
-    assert alg.someone("n", p) == extension_nbhd(fig_nbhd, S("n", Prop("p")))
-    assert alg.everyone("m", p) == extension_nbhd(fig_nbhd, E("m", Prop("p")))
+def test_algebra_operators_at_top_and_bottom(fig_nbhd):
+    # the complex algebra's operators are the E/S truth clauses on subsets
+    wv = replace(fig_nbhd, valuation={"x": frozenset({"w", "v"})})
+    assert extension_nbhd(fig_nbhd, E("n", TRUE)) == fig_nbhd.states
+    assert extension_nbhd(fig_nbhd, S("n", FALSE)) == frozenset()
+    assert extension_nbhd(wv, S("n", Prop("x"))) == frozenset({"w", "v"})
 
 
 def test_algebra_equations_hold_on_figure(fig_nbhd):
