@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import or_
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import kripke
 from .errors import BudgetExceededError, LogicError
@@ -54,7 +54,7 @@ from .formula import (
     props_in,
     subformulas,
 )
-from .kripke import KripkeModel
+from .kripke import KripkeModel, _bit_indices
 
 __all__ = [
     "AxiomCheck",
@@ -258,13 +258,6 @@ def _enumerate_atoms(lay: _Layout, max_atoms: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Elimination to fixpoint
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 class _Solver:
     def __init__(self, lay: _Layout, atoms: Sequence[int]):

@@ -7,16 +7,16 @@ successor sets through the relation.  Both notions preserve truth of the
 E/S fragment.
 
 Bisimilarity and E/S modal equivalence come from one partition refinement
-engine, _refine, run on the disjoint union of the two models: from the atom
-profiles it splits blocks by a one-step signature over the current classes
-until nothing splits.  Both signatures are built per name from the family
-of class sets that the named agents reach.  Bisimilarity keeps the whole
-family, since through an equivalence two successor sets match back and
-forth exactly when they reach the same classes; greatest_bisimulation is
-the cross-side part of the stable partition.  Modal equivalence keeps the
-family's minimal sets and its union, all that E and S observe;
-distinguishing_formula walks the recorded rounds to build a separating
-formula for every pair of blocks, so it returns one exactly when one exists.
+engine, _refine, on the int masks of the two models' truth-core indexes
+side by side (kripke._joint_index), without building their disjoint union.
+From the atom profiles it splits blocks by a one-step signature, per name
+the class sets (ints) of the named agents' successor masks: bisimilarity
+keeps them all, since through an equivalence two successor sets match back
+and forth exactly when they reach the same classes, and modal equivalence
+the minimal ones and their union, all that E and S observe.
+distinguishing_formula builds only the separating formula asked for
+(Cleaveland, "On automatically explaining bisimulation inequivalence",
+CAV 1990), so it returns one exactly when one exists.
 
 Bisimilarity is strictly finer than modal equivalence even on finite
 models: one side may carry an extra named agent whose successor set is a
@@ -29,11 +29,13 @@ themselves, not the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import or_
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import UndeclaredSymbolError
 from .formula import And, E, FALSE, Formula, Not, Or, Prop, S, TRUE
-from .kripke import KripkeModel, check, disjoint_union
+from .kripke import KripkeModel, _Index, _bit_indices, _joint_index, check
 
 Pair = tuple[str, str]
 
@@ -210,12 +212,12 @@ def check_bisimulation(
 
 def greatest_bisimulation(m1: KripkeModel, m2: KripkeModel) -> BisimRelation:
     """Largest relation passing check_bisimulation: the pairs across the two
-    sides of a block of the coarsest stable partition of their union."""
-    pairs: set[Pair] = set()
-    for block in _refine(disjoint_union([m1, m2]), _bisim_signature)[-1]:
-        left = [x[2:] for x in block.members if x.startswith("0:")]
-        right = [x[2:] for x in block.members if x.startswith("1:")]
-        pairs.update((w, w2) for w in left for w2 in right)
+    sides of a block of the coarsest stable partition of their states."""
+    ix = _joint_index(m1, m2)
+    pairs: list[Pair] = []
+    for block in _refine(ix, modal=False)[-1]:
+        points = ix.states_of(block.members)
+        pairs += [(w, w2) for k, w in points if k == 0 for k2, w2 in points if k2 == 1]
     return BisimRelation(frozenset(pairs))
 
 
@@ -229,135 +231,115 @@ def bisimilar(m1: KripkeModel, w1: str, m2: KripkeModel, w2: str) -> bool:
 # Partition refinement (Kanellakis & Smolka 1990)
 
 class _Block(NamedTuple):
-    members: list[str]  # sorted
+    members: int  # one bit per state
     parent: Optional[int]  # its block in the previous round; None in the first
-    signature: Any  # shared by all members; the atom profile in the first round
+    signature: Any  # the atom profile in round 0; later set only if the parent split
 
 
-def _refine(u: KripkeModel, signature) -> list[list[_Block]]:
-    """Start from the atom-profile partition of u's states and split every
-    block by signature(u, w, classes) over the previous round's classes until
-    a round splits nothing.  Returns the rounds up to the stable partition,
-    each block numbered by parent block, then by first member."""
-    props = sorted(u.valuation)
-    profiles: dict[frozenset[str], list[str]] = {}
-    for w in sorted(u.states):
-        profiles.setdefault(_atom_profile(u, w, props), []).append(w)
-    first = sorted(profiles.items(), key=lambda kv: kv[1])
-    rounds = [[_Block(ws, None, atoms) for atoms, ws in first]]
+def _refine(ix: _Index, modal: bool) -> list[list[_Block]]:
+    """The rounds of partition refinement on the states of a joint index,
+    up to the stable partition: from the atom profiles, each round splits
+    blocks by their members' signatures over the previous round's classes,
+    and numbers blocks by parent block, then by first member.  A class set
+    is the OR of the class bits of a successor mask's states; a block of
+    one state is carried over without computing its signature."""
+    size, names = len(ix.order), sorted(ix.fam)
+    fams = [[()] * len(names) for _ in range(size)]  # per state and name
+    for k, n in enumerate(names):
+        for w, _, members in ix.fam[n]:
+            fams[w.bit_length() - 1][k] = members
+    first: dict[frozenset[str], int] = {}  # profile -> members, by first member
+    for i in range(size):
+        atoms = frozenset(p for p, val in ix.val.items() if val >> i & 1)
+        first[atoms] = first.get(atoms, 0) | 1 << i
+    rounds = [[_Block(b, None, atoms) for atoms, b in first.items()]]
     while True:
-        blocks = rounds[-1]
-        classes = {w: cid for cid, block in enumerate(blocks) for w in block.members}
+        classes = [(block.members, 1 << c) for c, block in enumerate(rounds[-1])]
+        class_set = cache(lambda succ: reduce(or_, [c for b, c in classes if succ & b], 0))
         split: list[_Block] = []
-        for cid, block in enumerate(blocks):
-            groups: dict[Any, list[str]] = {}
-            for w in block.members:
-                groups.setdefault(signature(u, w, classes), []).append(w)
-            split.extend(
-                _Block(ws, cid, sig) for sig, ws in sorted(groups.items(), key=lambda kv: kv[1])
-            )
-        if len(split) == len(blocks):
+        for c, (b, _, _) in enumerate(rounds[-1]):
+            groups: dict[Any, int] = {}
+            for i in _bit_indices(b) if b & (b - 1) else ():
+                sig = tuple(frozenset(map(class_set, members)) for members in fams[i])
+                if modal:  # E and S observe only the minimal sets and the union
+                    sig = tuple((frozenset(P for P in f if not any(Q & P == Q != P for Q in f)),
+                                 reduce(or_, f, 0)) for f in sig)
+                groups[sig] = groups.get(sig, 0) | 1 << i
+            if len(groups) > 1:
+                parts = sorted(groups.items(), key=lambda kv: kv[1] & -kv[1])
+                split += [_Block(ws, c, sig) for sig, ws in parts]
+            else:
+                split.append(_Block(b, c, None))
+        if len(split) == len(rounds[-1]):
             return rounds
         rounds.append(split)
 
 
-def _family(u: KripkeModel, w: str, n: str, classes: Mapping[str, int]):
-    """The sets of classes reached by the agents named n at w."""
-    return frozenset(frozenset(classes[v] for v in u.successors(a, w)) for a in u.named(w, n))
-
-
-def _minima(family: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
-    return frozenset(
-        P for P in family if not any(Q < P for Q in family)
-    )
-
-
-def _bisim_signature(u: KripkeModel, w: str, classes: Mapping[str, int]):
-    return tuple(_family(u, w, n, classes) for n in sorted(u.names))
-
-
-def _modal_signature(u: KripkeModel, w: str, classes: Mapping[str, int]):
-    # E and S observe only the minimal sets of a family and its union
-    fams = (_family(u, w, n, classes) for n in sorted(u.names))
-    return tuple((_minima(fam), frozenset().union(*fam)) for fam in fams)
-
-
 # ---------------------------------------------------------------------------
-# Distinguishing formulas
+# Distinguishing formulas (Cleaveland 1990)
 
-def _conj(parts: list[Formula]) -> Formula:
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for g in parts[1:]:
-        out = And(out, g)
-    return out
-
-
-def _disj(parts: list[Formula]) -> Formula:
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for g in parts[1:]:
-        out = Or(out, g)
-    return out
-
-
-def _separator(names: list[str], sig_x, sig_y, chi) -> Formula:
-    """Formula true in the block with modal signature sig_x and false in the
-    one with sig_y; chi(c) characterizes class c of the previous round."""
+def _separator(names: list[str], sig_x, sig_y) -> tuple[bool, type, str, list[int]]:
+    """How the block with modal signature sig_x differs from the one with
+    sig_y, as (positive, op, name, classes): op(name, the disjunction of the
+    classes' characteristic formulas, negated under E) holds in the first
+    block, not the second, when positive; the other way round when not."""
     for n, (min_x, union_x), (min_y, union_y) in zip(names, sig_x, sig_y):
         if min_x != min_y:
-            for P in sorted(min_x, key=sorted):
-                if not any(Q <= P for Q in min_y):
-                    return S(n, _disj([chi(c) for c in sorted(P)]))
-            for P in sorted(min_y, key=sorted):
-                if not any(Q <= P for Q in min_x):
-                    return Not(S(n, _disj([chi(c) for c in sorted(P)])))
-        if union_x != union_y:
-            extra = union_x - union_y
-            if extra:
-                return Not(E(n, Not(chi(min(extra)))))
-            return E(n, Not(chi(min(union_y - union_x))))
+            for P in sorted(min_x, key=lambda P: [*_bit_indices(P)]):
+                if not any(Q & P == Q for Q in min_y):
+                    return True, S, n, [*_bit_indices(P)]
+            for P in sorted(min_y, key=lambda P: [*_bit_indices(P)]):
+                if not any(Q & P == Q for Q in min_x):
+                    return False, S, n, [*_bit_indices(P)]
+        if union_x & ~union_y:  # the first class only x reaches
+            return False, E, n, [next(_bit_indices(union_x & ~union_y))]
+        if union_y & ~union_x:
+            return True, E, n, [next(_bit_indices(union_y & ~union_x))]
     raise AssertionError("states were split without a signature difference")
 
 
-def _refine_with_formulas(u: KripkeModel):
-    """Coarsest partition of u's states invariant under the one-step E/S
-    signature, with a separating formula for every pair of distinct blocks."""
-    rounds = _refine(u, _modal_signature)
-    delta: dict[tuple[int, int], Formula] = {}
-    for ci, x in enumerate(rounds[0]):
-        for cj, y in enumerate(rounds[0]):
-            if ci != cj:
-                p = min(x.signature ^ y.signature)
-                delta[(ci, cj)] = Prop(p) if p in x.signature else Not(Prop(p))
-    names = sorted(u.names)
-    for previous, blocks in zip(rounds, rounds[1:]):
-        chi_memo: dict[int, Formula] = {}
-
-        def chi(c: int) -> Formula:
-            f = chi_memo.get(c)
-            if f is None:
-                f = chi_memo[c] = _conj(
-                    [delta[(c, d)] for d in range(len(previous)) if d != c]
-                )
-            return f
-
-        new_delta: dict[tuple[int, int], Formula] = {}
-        for ci, x in enumerate(blocks):
-            for cj, y in enumerate(blocks):
-                if ci == cj:
-                    continue
-                if x.parent != y.parent:
-                    new_delta[(ci, cj)] = delta[(x.parent, y.parent)]
-                elif (cj, ci) in new_delta:
-                    new_delta[(ci, cj)] = Not(new_delta[(cj, ci)])
-                else:
-                    new_delta[(ci, cj)] = _separator(names, x.signature, y.signature, chi)
-        delta = new_delta
-    classes = {w: cid for cid, block in enumerate(rounds[-1]) for w in block.members}
-    return classes, delta
+def _delta(rounds: list[list[_Block]], names: list[str], ci: int, cj: int) -> Formula:
+    """delta(r, ci, cj), true in block ci of round r and false in block cj,
+    for the last round, built only where the asked pair needs it.  Blocks
+    with different parents take their parents' delta; otherwise ci > cj
+    negates delta(r, cj, ci), and ci < cj is the _separator of the two
+    signatures over chi(r - 1, c), the conjunction of delta(r - 1, c, d)
+    over every other block d.  An explicit stack bounds the call depth."""
+    memo: dict[tuple, Formula] = {}  # delta by (r, ci, cj), chi by (r, c)
+    waiting: dict[tuple, tuple] = {}  # a separator's shape and chi rows while deltas are built
+    stack = [root := (len(rounds) - 1, ci, cj)]
+    while stack:
+        r, ci, cj = key = stack.pop()
+        if key in memo:
+            continue
+        x, y = rounds[r][ci], rounds[r][cj]
+        if r == 0:
+            p = min(x.signature ^ y.signature)
+            memo[key] = Prop(p) if p in x.signature else Not(Prop(p))
+        elif x.parent != y.parent or ci > cj:
+            dep = (r - 1, x.parent, y.parent) if x.parent != y.parent else (r, cj, ci)
+            if dep not in memo:
+                stack += [key, dep]
+                continue
+            memo[key] = memo[dep] if dep[0] < r else Not(memo[dep])
+        else:
+            if key not in waiting:
+                sep, blocks = _separator(names, x.signature, y.signature), len(rounds[r - 1])
+                waiting[key] = sep, {c: [(r - 1, c, d) for d in range(blocks) if d != c]
+                                     for c in sep[3] if (r - 1, c) not in memo}
+            (positive, op, n, cs), rows = waiting[key]
+            missing = [k for row in rows.values() for k in row if k not in memo]
+            if missing:
+                stack += [key, *missing]
+                continue
+            del waiting[key]
+            for c, row in rows.items():
+                if (r - 1, c) not in memo:
+                    memo[(r - 1, c)] = reduce(And, [memo[k] for k in row]) if row else TRUE
+            body = reduce(Or, [memo[(r - 1, c)] for c in cs]) if cs else FALSE
+            f = op(n, Not(body) if op is E else body)
+            memo[key] = f if positive else Not(f)
+    return memo[root]
 
 
 def distinguishing_formula(
@@ -367,12 +349,11 @@ def distinguishing_formula(
     or None when the two points satisfy exactly the same such formulas."""
     if w1 not in m1.states or w2 not in m2.states:
         raise UndeclaredSymbolError(f"undeclared state in ({w1!r}, {w2!r})")
-    u = disjoint_union([m1, m2])
-    classes, delta = _refine_with_formulas(u)
-    x, y = f"0:{w1}", f"1:{w2}"
-    if classes[x] == classes[y]:
-        return None
-    return delta[(classes[x], classes[y])]
+    ix = _joint_index(m1, m2)
+    rounds = _refine(ix, modal=True)
+    cx, cy = (next(c for c, b in enumerate(rounds[-1]) if b.members & ix.bit[s])
+              for s in ((0, w1), (1, w2)))
+    return None if cx == cy else _delta(rounds, sorted(ix.fam), cx, cy)
 
 
 def modal_equiv_corpus(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, product
 from operator import and_, or_
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import BudgetExceededError, ModelFormatError, UndeclaredSymbolError
 from .formula import (
@@ -339,6 +339,14 @@ def _compile(f: Formula) -> list[tuple]:
     return prog
 
 
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _Index:
     """A model's truth sets as int masks, one bit per state.
 
@@ -351,7 +359,8 @@ class _Index:
     picks out there)], for the declared states where it picks out someone.
     rows: agent -> {declared state bit: successor mask}, for B.
     bearers: (agent, name) -> the states where the agent bears the name.
-    order: state names by bit (empty for the oracle's candidates).
+    order: states by bit ((model, state) pairs in a _joint_index; empty for
+    the oracle's candidates).
     """
 
     __slots__ = ("full", "val", "fam", "rows", "bearers", "order", "bit", "_pred")
@@ -363,7 +372,7 @@ class _Index:
         self._pred: dict = {}
 
     def states_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.order[i] for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
+        return frozenset(self.order[i] for i in _bit_indices(mask))
 
     def escapes(self, name: str, good: int) -> int:
         """The declared states with a path of one or more name steps out of
@@ -477,6 +486,32 @@ def _kripke_index(m: KripkeModel) -> _Index:
     val = {p: reduce(or_, map(bit_of, ws), 0) for p, ws in m.valuation.items()}
     ix = m._cache["index"] = _Index((1 << len(m.states)) - 1, val, fam, rows, bearers, order)
     return ix
+
+
+def _joint_index(m1: KripkeModel, m2: KripkeModel) -> _Index:
+    """The declared states of m1 and m2 side by side, as one index whose
+    state (k, w) is w of model k: m1's states take the low bits in sorted
+    order, then m2's, the sorted order of their tagged disjoint union.  It
+    carries val and fam only, and raises on a named agent's successor that
+    its model does not declare; what an undeclared state carries is left
+    out."""
+    order: list = []
+    val: dict[str, int] = {}
+    fam: dict[str, list] = {}
+    for k, m in enumerate((m1, m2)):
+        ix, shift = _kripke_index(m), len(order)
+        order += [(k, w) for w in ix.order[: len(m.states)]]
+        for p, mask in ix.val.items():
+            val[p] = val.get(p, 0) | (mask & ix.full) << shift
+        for n, entries in ix.fam.items():
+            for w, union, members in entries:
+                if union & ~ix.full:
+                    x, y = ix.order[w.bit_length() - 1], min(ix.states_of(union & ~ix.full))
+                    raise UndeclaredSymbolError(f"undeclared {y!r} is an {n!r} successor of {x!r}")
+                fam.setdefault(n, []).append(
+                    (w << shift, union << shift, tuple(succ << shift for succ in members))
+                )
+    return _Index((1 << len(order)) - 1, val, fam, {}, {}, order)
 
 
 def _truth(m, f: Formula, index) -> int:

@@ -140,6 +140,120 @@ def reference_greatest_bisimulation(m1, m2) -> frozenset:
         rel = kept
 
 
+def _profile(u, w, props) -> frozenset:
+    return frozenset(p for p in props if u.holds(p, w))
+
+
+def reference_refine(u, signature) -> list:
+    """Partition refinement on the tagged disjoint union u, the engine the
+    library had before it ran on int masks: from the atom-profile partition
+    of u's states, every block of every round is split by signature(u, w,
+    classes) over the previous round's classes until a round splits
+    nothing.  Returns the rounds, each a list of (members, parent,
+    signature) with members sorted, numbered by parent block, then by first
+    member."""
+    props = sorted(u.valuation)
+    profiles: dict = {}
+    for w in sorted(u.states):
+        profiles.setdefault(_profile(u, w, props), []).append(w)
+    first = sorted(profiles.items(), key=lambda kv: kv[1])
+    rounds = [[(ws, None, atoms) for atoms, ws in first]]
+    while True:
+        blocks = rounds[-1]
+        classes = {w: cid for cid, block in enumerate(blocks) for w in block[0]}
+        split = []
+        for cid, (members, _, _) in enumerate(blocks):
+            groups: dict = {}
+            for w in members:
+                groups.setdefault(signature(u, w, classes), []).append(w)
+            split.extend((ws, cid, sig) for sig, ws in sorted(groups.items(), key=lambda kv: kv[1]))
+        if len(split) == len(blocks):
+            return rounds
+        rounds.append(split)
+
+
+def reference_family(u, w, n, classes) -> frozenset:
+    """The sets of classes reached by the agents named n at w."""
+    return frozenset(frozenset(classes[v] for v in u.successors(a, w)) for a in u.named(w, n))
+
+
+def reference_bisim_signature(u, w, classes):
+    return tuple(reference_family(u, w, n, classes) for n in sorted(u.names))
+
+
+def reference_modal_signature(u, w, classes):
+    # E and S observe only the minimal sets of a family and its union
+    out = []
+    for n in sorted(u.names):
+        fam = reference_family(u, w, n, classes)
+        minima = frozenset(P for P in fam if not any(Q < P for Q in fam))
+        out.append((minima, frozenset().union(*fam)))
+    return tuple(out)
+
+
+def _fold(parts, op, unit):
+    if not parts:
+        return unit
+    out = parts[0]
+    for g in parts[1:]:
+        out = op(out, g)
+    return out
+
+
+def _reference_separator(names, sig_x, sig_y, chi):
+    for n, (min_x, union_x), (min_y, union_y) in zip(names, sig_x, sig_y):
+        if min_x != min_y:
+            for P in sorted(min_x, key=sorted):
+                if not any(Q <= P for Q in min_y):
+                    return S(n, _fold([chi(c) for c in sorted(P)], Or, FALSE))
+            for P in sorted(min_y, key=sorted):
+                if not any(Q <= P for Q in min_x):
+                    return Not(S(n, _fold([chi(c) for c in sorted(P)], Or, FALSE)))
+        if union_x != union_y:
+            extra = union_x - union_y
+            if extra:
+                return Not(E(n, Not(chi(min(extra)))))
+            return E(n, Not(chi(min(union_y - union_x))))
+    raise AssertionError("states were split without a signature difference")
+
+
+def reference_refine_with_formulas(u):
+    """The stable modal partition of u with the all-pairs table of
+    separating formulas: (classes, delta), where delta[(ci, cj)] is true in
+    block ci of the last round and false in block cj.  Each round's table
+    is built for every ordered pair of blocks from the previous round's."""
+    rounds = reference_refine(u, reference_modal_signature)
+    delta = {}
+    for ci, (_, _, x) in enumerate(rounds[0]):
+        for cj, (_, _, y) in enumerate(rounds[0]):
+            if ci != cj:
+                p = min(x ^ y)
+                delta[(ci, cj)] = Prop(p) if p in x else Not(Prop(p))
+    names = sorted(u.names)
+    for previous, blocks in zip(rounds, rounds[1:]):
+        chi_memo = {}
+
+        def chi(c):
+            if c not in chi_memo:
+                chi_memo[c] = _fold([delta[(c, d)] for d in range(len(previous)) if d != c], And, TRUE)
+            return chi_memo[c]
+
+        new_delta = {}
+        for ci, (_, pi, x) in enumerate(blocks):
+            for cj, (_, pj, y) in enumerate(blocks):
+                if ci == cj:
+                    continue
+                if pi != pj:
+                    new_delta[(ci, cj)] = delta[(pi, pj)]
+                elif (cj, ci) in new_delta:
+                    new_delta[(ci, cj)] = Not(new_delta[(cj, ci)])
+                else:
+                    new_delta[(ci, cj)] = _reference_separator(names, x, y, chi)
+        delta = new_delta
+    classes = {w: cid for cid, (members, _, _) in enumerate(rounds[-1]) for w in members}
+    return classes, delta
+
+
 def reference_symbols(f) -> tuple[frozenset, frozenset, frozenset]:
     """(names, props, agents) of f, collected by walking every subterm: the
     definition that the library's cached per-node symbol sets must match."""

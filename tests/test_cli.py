@@ -335,6 +335,25 @@ def test_bisim_unknown_state_is_an_input_error(capsys):
     assert "error:" in captured.err
 
 
+def test_bisim_edge_into_an_undeclared_state_is_an_input_error(capsys, tmp_path):
+    dangling = tmp_path / "m.json"
+    dangling.write_text(json.dumps({
+        "states": ["w"],
+        "agents": ["a"],
+        "names": ["n"],
+        "relations": {"a": [["w", "z"]]},
+        "naming": {"w": {"n": ["a"]}},
+        "valuation": {"p": ["w"]},
+    }))
+    for args in (["--model1", str(dangling), "--state1", "w", "--model2", FIGURE, "--state2", "w"],
+                 ["--model1", FIGURE, "--state1", "w", "--model2", str(dangling), "--state2", "w",
+                  "--distinguish"]):
+        code, captured = run(capsys, "bisim", *args)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'z'" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # translate
 

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import formula_corpus, reference_greatest_bisimulation
+from helpers import (
+    formula_corpus,
+    reference_bisim_signature,
+    reference_greatest_bisimulation,
+    reference_modal_signature,
+    reference_refine,
+    reference_refine_with_formulas,
+)
 from namelogic import (
     Not,
     Prop,
@@ -22,6 +29,7 @@ from namelogic import (
 )
 from namelogic.equivalence import (
     BisimRelation,
+    _refine,
     bisimilar,
     check_bisimulation,
     check_frame_morphism,
@@ -31,6 +39,7 @@ from namelogic.equivalence import (
 )
 from namelogic.kripke import (
     KripkeModel,
+    _joint_index,
     check,
     disjoint_union,
     frame_valid,
@@ -444,3 +453,143 @@ def test_distinguisher_texts_are_pinned():
     assert len(texts) == 683
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == "b8e99c71a574a90a8f838f131869233d73649744d648de93311acff4c5b7c120"
+
+
+# ---------------------------------------------------------------------------
+# The mask engine against the frozenset reference
+
+def _tagged_rounds(m1, m2, modal):
+    """_refine's rounds as (members, parent) per block, with the members
+    named as the states of the tagged disjoint union."""
+    ix = _joint_index(m1, m2)
+    return [
+        [(sorted(f"{k}:{w}" for k, w in ix.states_of(block.members)), block.parent)
+         for block in blocks]
+        for blocks in _refine(ix, modal)
+    ]
+
+
+def _reference_rounds(m1, m2, signature):
+    return [
+        [(members, parent) for members, parent, _ in blocks]
+        for blocks in reference_refine(disjoint_union([m1, m2]), signature)
+    ]
+
+
+def _reference_texts(m1, m2):
+    classes, delta = reference_refine_with_formulas(disjoint_union([m1, m2]))
+    out = {}
+    for w1 in m1.states:
+        for w2 in m2.states:
+            ci, cj = classes[f"0:{w1}"], classes[f"1:{w2}"]
+            out[(w1, w2)] = None if ci == cj else print_formula(delta[(ci, cj)])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, kind=st.sampled_from(["union", "submodel", "independent"]))
+def test_mask_engine_matches_the_frozenset_reference(seed, kind):
+    # every round of both partitions, and at every point the very text the
+    # reference's all-pairs table holds
+    rng = random.Random(seed)
+
+    def model():
+        return random_model(
+            states=rng.randint(1, 7),
+            names=rng.randint(1, 2),
+            props=rng.randint(1, 3),
+            mode=rng.choice(["general", "epistemic"]),
+            seed=rng.randrange(10**6),
+        )
+
+    m1 = model()
+    if kind == "union":
+        m2 = disjoint_union([m1, model()])
+    elif kind == "submodel":
+        m2 = generated_submodel(m1, rng.choice(sorted(m1.states)))
+    else:
+        m2 = model()
+    assert _tagged_rounds(m1, m2, False) == _reference_rounds(m1, m2, reference_bisim_signature)
+    assert _tagged_rounds(m1, m2, True) == _reference_rounds(m1, m2, reference_modal_signature)
+    for (w1, w2), text in _reference_texts(m1, m2).items():
+        f = distinguishing_formula(m1, w1, m2, w2)
+        assert (None if f is None else print_formula(f)) == text
+
+
+def _watched_chain(k: int) -> KripkeModel:
+    # x0 -> x1 -> ... -> x{k-1}, where only the last satisfies p, and
+    # y_i (satisfying q) sees x_i for i < k - 1; every state sees itself.
+    # Each round splits one more x off the chain.  The y block does not
+    # split in the first round, but in the second, once an x it sees has
+    # split, so blocks split that did not split the round before
+    xs = [f"x{i}" for i in range(k)]
+    ys = [f"y{i}" for i in range(k - 1)]
+    return KripkeModel.make(
+        states=xs + ys,
+        agents=["a"],
+        names=["n"],
+        relations={
+            "a": [[w, w] for w in xs + ys]
+            + [[x, x2] for x, x2 in zip(xs, xs[1:])]
+            + [[y, x] for x, y in zip(xs, ys)]
+        },
+        naming={(w, "n"): ["a"] for w in xs + ys},
+        valuation={"p": [xs[-1]], "q": ys},
+    )
+
+
+def test_splits_that_cross_several_rounds():
+    m = _watched_chain(5)
+    for modal, signature in ((False, reference_bisim_signature), (True, reference_modal_signature)):
+        rounds = _tagged_rounds(m, m, modal)
+        assert rounds == _reference_rounds(m, m, signature)
+        assert [len(blocks) for blocks in rounds] == [3, 4, 6, 8, 9]
+    for w1 in sorted(m.states):
+        for w2 in sorted(m.states):
+            f = distinguishing_formula(m, w1, m, w2)
+            if w1 == w2:
+                assert f is None
+            else:
+                assert check(m, w1, f).value and not check(m, w2, f).value
+
+
+# ---------------------------------------------------------------------------
+# States that are not declared
+
+def _one_state(**changes) -> KripkeModel:
+    doc = {
+        "states": ["w"],
+        "agents": ["a"],
+        "names": ["n"],
+        "relations": {"a": [["w", "w"]]},
+        "naming": {"w": {"n": ["a"]}},
+        "valuation": {"p": ["w"]},
+    }
+    return model_from_dict({**doc, **changes})
+
+
+def test_edge_into_an_undeclared_state_is_an_input_error(fig):
+    m = _one_state(relations={"a": [["w", "w"], ["w", "z"]]})
+    calls = (
+        lambda: greatest_bisimulation(m, fig),
+        lambda: greatest_bisimulation(fig, m),
+        lambda: bisimilar(m, "w", fig, "w"),
+        lambda: distinguishing_formula(fig, "w", m, "w"),
+    )
+    for call in calls:
+        with pytest.raises(UndeclaredSymbolError, match="'z'"):
+            call()
+
+
+def test_what_undeclared_states_carry_is_ignored(fig):
+    clean = _one_state()
+    noisy = _one_state(
+        relations={"a": [["w", "w"], ["z", "w"], ["z", "z"]]},
+        naming={"w": {"n": ["a"]}, "z": {"n": ["a"]}},
+        valuation={"p": ["w", "z"]},
+    )
+    assert greatest_bisimulation(noisy, fig) == greatest_bisimulation(clean, fig)
+    for w2 in sorted(fig.states):
+        assert distinguishing_formula(noisy, "w", fig, w2) == distinguishing_formula(
+            clean, "w", fig, w2
+        )
