@@ -16,8 +16,13 @@ relation from states where the agent bears the name, and each minted agent
 bears its name at its minting state only.
 
 Distributed knowledge has no effective route here.  Those queries go through
-the bounded oracle, which evaluates its candidates through kripke's truth
-core and is also used to cross-validate unsat verdicts.
+the bounded oracle, which is also used to cross-validate unsat verdicts.  It
+evaluates its candidates as bit lanes: each block of candidates (every
+rows-and-valuation choice under one naming, or a block of random draws)
+becomes lane masks, and _run_lanes runs kripke's compiled program on all
+of them at once.  That is a second copy of kripke's truth clauses, kept
+equal to the truth core's one-model _run by a differential test; every hit
+is checked again through kripke.check.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import and_, or_, xor
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import kripke
@@ -462,8 +467,10 @@ class _MaskModel(NamedTuple):
     """A candidate model over at most a handful of states, as arrays:
     rows[agent][state bit] -> successor mask, mu[(state bit, name)] -> tuple
     of agent indices, val[prop] -> state mask.  The search evaluates
-    candidates through kripke's truth core (see _candidate_index); a hit
-    becomes a KripkeModel and is checked again through kripke.check."""
+    candidates as bit lanes (see _run_lanes, a second copy of kripke's
+    truth clauses kept honest by a differential test); the hit lane is
+    decoded into this form, becomes a KripkeModel and is checked again
+    through kripke.check."""
 
     states: list[str]
     agents: list[str]
@@ -565,32 +572,181 @@ def _search_tier(chi, prog, size, n_agents, props, names, fixed_agents,
     return _tier_sampled(chi, prog, states, agents, names, props, samples, seed)
 
 
-def _bearer_masks(mu, size, agents):
-    bearers = [0] * len(agents)
-    for (w, _), group in mu.items():
-        for a in group:
-            bearers[a] |= 1 << w
-    return bearers
+# Candidates as bit lanes: lane k of every mask below is candidate k of a
+# block.  N[(w, n)][a] holds the lanes where agent a bears n at w,
+# R[a][w][v] those where v is an a-successor of w, V[p][v] those where p
+# holds at v; a slot is a list of per-state lane masks.  Every mask lies
+# within ones, the block's lanes.
+
+# sampled candidates drawn and evaluated together
+_BLOCK = 128
 
 
-def _candidate_index(size, agents, rows, mu) -> kripke._Index:
-    """A candidate's truth sets for kripke's truth core, read straight from
-    its arrays; the valuation is passed to each run."""
-    fam: dict[str, list] = {}
-    bearers: dict[tuple[str, str], int] = {}
-    for (w, n), group in mu.items():
-        if group:
-            bit = 1 << w
-            members = tuple(rows[a][w] for a in group)
-            fam.setdefault(n, []).append((bit, reduce(or_, members), members))
-            for a in group:
-                key = (agents[a], n)
-                bearers[key] = bearers.get(key, 0) | bit
-    by_agent = {
-        agents[a]: {1 << w: succ for w, succ in enumerate(per) if succ}
-        for a, per in enumerate(rows)
-    }
-    return kripke._Index((1 << size) - 1, {}, fam, by_agent, bearers)
+def _sees(row, bad) -> int:
+    """The lanes where the successor row meets a bad state."""
+    return reduce(or_, map(and_, row, bad), 0)
+
+
+def _members_seeing(N, R, w, n, bad) -> list[int]:
+    """Per agent, the lanes where it bears n at w and sees a bad state."""
+    return [bears & _sees(R[a][w], bad) for a, bears in enumerate(N[(w, n)])]
+
+
+def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
+    """Per state, the lanes where prog's formula holds there: the truth
+    core's _run clause for clause, for every candidate of a block at once."""
+    states = range(size)
+    out: list[list[int]] = []
+    push = out.append
+    for ins in prog:
+        op = ins[0]
+        if op == kripke._PROP:
+            push(V[ins[1]])
+        elif op == kripke._AND:
+            push(list(map(and_, out[ins[1]], out[ins[2]])))
+        elif op == kripke._NOT:
+            push([ones ^ x for x in out[ins[1]]])
+        elif op == kripke._OR:
+            push(list(map(or_, out[ins[1]], out[ins[2]])))
+        elif op == kripke._IMPLIES:
+            push([(ones ^ x) | y for x, y in zip(out[ins[1]], out[ins[2]])])
+        elif op == kripke._IFF:
+            push([ones ^ x ^ y for x, y in zip(out[ins[1]], out[ins[2]])])
+        elif op == kripke._TOP:
+            push([ones] * size)
+        elif op == kripke._BOT:
+            push([0] * size)
+        elif op == kripke._E:  # no member of the group sees a bad state
+            n, bad = ins[1], [ones ^ x for x in out[ins[2]]]
+            push([ones ^ reduce(or_, _members_seeing(N, R, w, n, bad), 0) for w in states])
+        elif op == kripke._S:  # some member of the group sees none
+            n, bad = ins[1], [ones ^ x for x in out[ins[2]]]
+            push([
+                reduce(or_, map(xor, N[(w, n)], _members_seeing(N, R, w, n, bad)), 0)
+                for w in states
+            ])
+        elif op == kripke._D:  # a nonempty group, and what all members see is good
+            n, bad = ins[1], [ones ^ x for x in out[ins[2]]]
+            v = []
+            for w in states:
+                pooled = [ones] * size
+                for a, bears in enumerate(N[(w, n)]):
+                    pooled = [x & ((ones ^ bears) | e) for x, e in zip(pooled, R[a][w])]
+                v.append(reduce(or_, N[(w, n)], 0) & ~_sees(pooled, bad))
+            push(v)
+        elif op == kripke._C:
+            # a path of one or more name steps out of good, by backward
+            # closure: a shortest one has at most size steps
+            n, bad = ins[1], [ones ^ x for x in out[ins[2]]]
+            step = []  # step[w][v]: the lanes with a name step from w to v
+            for w in states:
+                row = [0] * size
+                for a, bears in enumerate(N[(w, n)]):
+                    row = [x | (bears & e) for x, e in zip(row, R[a][w])]
+                step.append(row)
+            reach = [0] * size
+            for _ in states:
+                targets = list(map(or_, bad, reach))
+                grown = [_sees(row, targets) for row in step]
+                if grown == reach:
+                    break
+                reach = grown
+            push([ones ^ x for x in reach])
+        else:  # B: the agent's successors where it bears the name are good
+            a, n, good = agents.index(ins[1]), ins[2], out[ins[3]]
+            bad = [N[(v, n)][a] & (ones ^ good[v]) for v in states]
+            push([ones ^ _sees(R[a][w], bad) for w in states])
+    return out[-1]
+
+
+def _periodic(digits, stride, radix, lanes) -> int:
+    """The lanes below lanes whose mixed-radix digit of the given stride and
+    radix lies in digits: one block of radix * stride lanes, repeated."""
+    block = 0
+    for d in digits:
+        block |= ((1 << stride) - 1) << (d * stride)
+    period = stride * radix
+    while period < lanes:
+        block |= block << period
+        period *= 2
+    return block & ((1 << lanes) - 1)
+
+
+def _naming_lanes(size, props, bearers):
+    """Every (rows, valuation) candidate under one naming as one lane,
+    numbered in the order product visits them: the rows a-major, then the
+    propositions, the last factor fastest.  bearers[a] holds the states
+    where agent a bears some name.  Returns (lanes, R, V)."""
+    domains = []
+    for bears in bearers:
+        for w in range(size):
+            # an agent bearing a name at w keeps its loop there
+            forced = bears & 1 << w
+            domains.append([m for m in range(2 ** size) if m & forced == forced])
+    domains += [range(2 ** size)] * len(props)
+    lanes = 1
+    for dom in domains:
+        lanes *= len(dom)
+    masks = []
+    stride = lanes
+    for dom in domains:
+        stride //= len(dom)
+        masks.append([
+            _periodic([d for d, m in enumerate(dom) if (m >> v) & 1], stride, len(dom), lanes)
+            for v in range(size)
+        ])
+    R = [masks[a * size:(a + 1) * size] for a in range(len(bearers))]
+    V = dict(zip(props, masks[len(bearers) * size:]))
+    return lanes, R, V
+
+
+def _draw_block(rng, size, n_agents, names, props, count):
+    """count sampled candidates as lanes (N, R, V), drawn with the same rng
+    calls, in the same order, as one candidate at a time."""
+    densities = (0.15, 0.3, 0.5, 0.75)
+    choice, draw, randrange = rng.choice, rng.random, rng.randrange
+    N = {(w, n): [0] * n_agents for w in range(size) for n in names}
+    R = [[[0] * size for _ in range(size)] for _ in range(n_agents)]
+    V = {p: [0] * size for p in props}
+    # one candidate's draws in order: who bears each name where, each edge
+    # of each agent's rows, each proposition's state set
+    naming = [(N[(w, n)], a) for w in range(size) for n in names for a in range(n_agents)]
+    edges = [(row, v) for per in R for row in per for v in range(size)]
+    for k in range(count):
+        lane = 1 << k
+        nd = choice(densities)
+        ed = choice(densities)
+        for group, a in naming:
+            if draw() < nd:
+                group[a] |= lane
+        for row, v in edges:
+            if draw() < ed:
+                row[v] |= lane
+        for p in props:
+            m = randrange(2 ** size)
+            for v in range(size):
+                if (m >> v) & 1:
+                    V[p][v] |= lane
+    # an agent bearing a name at w keeps its loop there
+    for a, per in enumerate(R):
+        for w, row in enumerate(per):
+            for n in names:
+                row[w] |= N[(w, n)][a]
+    return N, R, V
+
+
+def _first_hit(chi, prog, states, agents, names, props, ones, N, R, V):
+    """The verified model of the lowest lane where chi holds somewhere."""
+    truth = _run_lanes(prog, len(states), agents, ones, N, R, V)
+    hits = reduce(or_, truth, 0)
+    if not hits:
+        return None
+    k = (hits & -hits).bit_length() - 1
+    at = lambda masks: sum(((m >> k) & 1) << i for i, m in enumerate(masks))
+    mu = {cell: tuple(_bit_indices(at(group))) for cell, group in N.items()}
+    rows = [[at(row) for row in per] for per in R]
+    val = {p: at(V[p]) for p in props}
+    return _verify_hit(chi, at(truth), _MaskModel(states, agents, names, rows, mu, val))
 
 
 def _tier_exhaustive(chi, prog, states, agents, names, props):
@@ -598,48 +754,29 @@ def _tier_exhaustive(chi, prog, states, agents, names, props):
     n_agents = len(agents)
     cells = [(w, n) for w in range(size) for n in names]
     for groups in product(range(2 ** n_agents), repeat=len(cells)):
-        mu = {cell: tuple(_bit_indices(g)) for cell, g in zip(cells, groups)}
-        bearers = _bearer_masks(mu, size, agents)
-        row_domains = []
-        for a in range(n_agents):
-            for w in range(size):
-                forced = (1 << w) if (bearers[a] >> w) & 1 else 0
-                row_domains.append([m | forced for m in range(2 ** size) if m & forced == forced])
-        for rows_flat in product(*row_domains):
-            rows = [list(rows_flat[a * size:(a + 1) * size]) for a in range(n_agents)]
-            ix = _candidate_index(size, agents, rows, mu)
-            for vals in product(range(2 ** size), repeat=len(props)):
-                val = dict(zip(props, vals))
-                found = kripke._run(prog, ix, val)[-1]
-                if found:
-                    return _verify_hit(chi, found, _MaskModel(states, agents, names, rows, mu, val))
+        bearers = [0] * n_agents
+        for (w, _), g in zip(cells, groups):
+            for a in _bit_indices(g):
+                bearers[a] |= 1 << w
+        lanes, R, V = _naming_lanes(size, props, bearers)
+        ones = (1 << lanes) - 1
+        N = {cell: [ones * ((g >> a) & 1) for a in range(n_agents)]
+             for cell, g in zip(cells, groups)}
+        hit = _first_hit(chi, prog, states, agents, names, props, ones, N, R, V)
+        if hit is not None:
+            return hit
     return None
 
 
 def _tier_sampled(chi, prog, states, agents, names, props, samples, seed):
-    size = len(states)
-    n_agents = len(agents)
-    rng = random.Random(f"{seed}/{size}/{n_agents}/{print_formula(chi)}")
-    densities = (0.15, 0.3, 0.5, 0.75)
-    for _ in range(samples):
-        nd = rng.choice(densities)
-        ed = rng.choice(densities)
-        mu = {
-            (w, n): tuple(a for a in range(n_agents) if rng.random() < nd)
-            for w in range(size)
-            for n in names
-        }
-        bearers = _bearer_masks(mu, size, agents)
-        # an agent bearing a name at w keeps its loop there
-        rows = [
-            [sum(1 << v for v in range(size) if rng.random() < ed) | (bearers[a] & 1 << w)
-             for w in range(size)]
-            for a in range(n_agents)
-        ]
-        val = {p: rng.randrange(2 ** size) for p in props}
-        found = kripke._run(prog, _candidate_index(size, agents, rows, mu), val)[-1]
-        if found:
-            return _verify_hit(chi, found, _MaskModel(states, agents, names, rows, mu, val))
+    # the rng is the tier's own, so draws past a hit change nothing
+    rng = random.Random(f"{seed}/{len(states)}/{len(agents)}/{print_formula(chi)}")
+    for start in range(0, samples, _BLOCK):
+        count = min(_BLOCK, samples - start)
+        N, R, V = _draw_block(rng, len(states), len(agents), names, props, count)
+        hit = _first_hit(chi, prog, states, agents, names, props, (1 << count) - 1, N, R, V)
+        if hit is not None:
+            return hit
     return None
 
 

@@ -5,11 +5,14 @@ agent, a naming map mu(state, name) -> set of agents, and a valuation.  The
 modalities quantify over the agents a name currently picks out, so who counts
 as "everyone named n" changes from state to state.
 
-Truth has one core, used by relational and neighborhood truth, frame
-validity and the bounded oracle: _compile turns a formula into a postorder
-program, an _Index holds a model's truth sets as int masks (per name and
-state, the successor masks of the agents the name picks out), and _run
-executes the program on an index with each truth clause written once.
+Truth has one core, used by relational and neighborhood truth and frame
+validity: _compile turns a formula into a postorder program, an _Index holds
+a model's truth sets as int masks (per name and state, the successor masks
+of the agents the name picks out), and _run executes the program on an
+index with each truth clause written once.  The bounded oracle in decision
+runs the same programs on many candidate models at once, one candidate per
+bit lane: a second copy of the truth clauses, kept equal to _run by a
+differential test.
 """
 
 from __future__ import annotations
@@ -359,13 +362,12 @@ class _Index:
     picks out there)], for the declared states where it picks out someone.
     rows: agent -> {declared state bit: successor mask}, for B.
     bearers: (agent, name) -> the states where the agent bears the name.
-    order: states by bit ((model, state) pairs in a _joint_index; empty for
-    the oracle's candidates).
+    order: states by bit ((model, state) pairs in a _joint_index).
     """
 
     __slots__ = ("full", "val", "fam", "rows", "bearers", "order", "bit", "_pred")
 
-    def __init__(self, full, val, fam, rows, bearers, order=()):
+    def __init__(self, full, val, fam, rows, bearers, order):
         self.full, self.val, self.fam, self.rows, self.bearers = full, val, fam, rows, bearers
         self.order = order
         self.bit = {s: 1 << i for i, s in enumerate(order)}

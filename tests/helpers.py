@@ -5,9 +5,12 @@ frozen against a seed.
 """
 
 import random
+from functools import reduce
 from itertools import islice
+from operator import or_
 
 from namelogic import And, B, Bot, C, D, E, FALSE, Iff, Implies, Not, Or, Prop, S, TRUE, Top, closure, walk
+from namelogic import kripke
 
 _BOOLEAN = ("not", "and", "or", "implies", "iff")
 
@@ -396,3 +399,51 @@ def reference_extension_nbhd(m, f) -> frozenset:
         raise TypeError(f"no neighborhood reading for {g!r}")
 
     return ext(f)
+
+
+def reference_candidate_index(size, agents, rows, mu):
+    """One bounded-oracle candidate as an index of kripke's truth core, read
+    straight from its arrays: rows[a][w] is agent a's successor mask at
+    state w, mu[(w, n)] the agent indices n picks out at w.  The valuation
+    is passed to each _run.  The oracle evaluated its candidates one at a
+    time through this before it ran them as bit lanes."""
+    fam: dict = {}
+    bearers: dict = {}
+    for (w, n), group in mu.items():
+        if group:
+            bit = 1 << w
+            members = tuple(rows[a][w] for a in group)
+            fam.setdefault(n, []).append((bit, reduce(or_, members), members))
+            for a in group:
+                key = (agents[a], n)
+                bearers[key] = bearers.get(key, 0) | bit
+    by_agent = {
+        agents[a]: {1 << w: succ for w, succ in enumerate(per) if succ}
+        for a, per in enumerate(rows)
+    }
+    return kripke._Index((1 << size) - 1, {}, fam, by_agent, bearers, tuple(range(size)))
+
+
+def reference_draw(rng, size, n_agents, names, props):
+    """One sampled oracle candidate (mu, rows, val), drawn one at a time as
+    the oracle did before it drew whole blocks of them as bit lanes."""
+    densities = (0.15, 0.3, 0.5, 0.75)
+    nd = rng.choice(densities)
+    ed = rng.choice(densities)
+    mu = {
+        (w, n): tuple(a for a in range(n_agents) if rng.random() < nd)
+        for w in range(size)
+        for n in names
+    }
+    bearers = [0] * n_agents
+    for (w, _), group in mu.items():
+        for a in group:
+            bearers[a] |= 1 << w
+    # an agent bearing a name at w keeps its loop there
+    rows = [
+        [sum(1 << v for v in range(size) if rng.random() < ed) | (bearers[a] & 1 << w)
+         for w in range(size)]
+        for a in range(n_agents)
+    ]
+    val = {p: rng.randrange(2 ** size) for p in props}
+    return mu, rows, val

@@ -1,24 +1,50 @@
 """Satisfiability procedure, bounded model search, and axiom-suite tests."""
 
+import hashlib
+import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import capped_corpus, random_formula
+from helpers import (
+    capped_corpus,
+    random_formula,
+    reference_candidate_index,
+    reference_draw,
+    reference_extension,
+)
 from namelogic import (
+    FALSE,
+    TRUE,
     And,
+    B,
     BudgetExceededError,
+    C,
+    D,
+    E,
+    Iff,
+    Implies,
     LogicError,
     Not,
+    Or,
     Prop,
+    S,
+    agents_in,
     closure,
+    kripke,
     parse_formula,
     print_formula,
 )
 from namelogic.decision import (
+    _BLOCK,
     SatResult,
+    _draw_block,
+    _MaskModel,
+    _naming_lanes,
+    _run_lanes,
     axiom_suite,
     brute_force_sat,
     extract_model,
@@ -290,6 +316,233 @@ def test_bounded_search_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # Cross-validation: filtration vs bounded search
+
+
+# The oracle queries of the benchmark's `decide` workload (seed 1), in its
+# order: 22 known misses and 5 hits at bounds (2, 2)
+DECIDE_ORACLE_TEXTS = (
+    "!(D[n] E[n] false & E[n] (E[n] false -> S[n] true) -> D[n] S[n] true)",
+    "!(E[n] q -> D[n] q)",
+    "!(D[n] S[n] true & D[n] (S[n] true -> !E[n] false) -> D[n] !E[n] false)",
+    "!(S[n] E[n] false -> D[n] E[n] false)",
+    "!(D[n] S[n] true -> S[n] true)",
+    "!(B[a;n] (E[n] false -> S[n] true) -> B[a;n] E[n] false -> B[a;n] S[n] true)",
+    "!(D[n] S[n] true & D[n] (S[n] true -> !E[n] false) -> D[n] !E[n] false)",
+    "!(D[n] S[n] true & D[n] (S[n] true -> !E[n] false) -> D[n] !E[n] false)",
+    "!(D[n] S[n] true & D[n] (S[n] true -> !E[n] false) -> D[n] !E[n] false)",
+    "!(D[n] S[n] true & D[n] (S[n] true -> !E[n] false) -> D[n] !E[n] false)",
+    "!(D[n] E[n] false -> E[n] false)",
+    "!(B[a;n] (S[n] true -> !E[n] false) -> B[a;n] S[n] true -> B[a;n] !E[n] false)",
+    "!(p -> D[n] p)",
+    "!(D[n] E[n] false & D[n] (E[n] false -> S[n] true) -> D[n] S[n] true)",
+    "!(D[n] E[n] false & D[n] (E[n] false -> S[n] true) -> D[n] S[n] true)",
+    "!(D[n] S[n] true & D[n] (S[n] true -> !E[n] false) -> D[n] !E[n] false)",
+    "!(D[n] q -> E[n] q)",
+    "!(B[a;n] p -> p)",
+    "!(D[n] E[n] false & D[n] (E[n] false -> S[n] true) -> D[n] S[n] true)",
+    "!(D[n] E[n] false & D[n] (E[n] false -> S[n] true) -> D[n] S[n] true)",
+    "!(D[n] E[n] false & D[n] (E[n] false -> S[n] true) -> D[n] S[n] true)",
+    "!(D[n] S[n] true & D[n] (S[n] true -> !E[n] false) -> D[n] !E[n] false)",
+    "!(D[n] E[n] false & D[n] (E[n] false -> S[n] true) -> D[n] S[n] true)",
+    "!(S[n] S[n] true -> D[n] S[n] true)",
+    "!(D[n] E[n] false & D[n] (E[n] false -> S[n] true) -> D[n] S[n] true)",
+    "!(D[n] S[n] true & E[n] (S[n] true -> !E[n] false) -> D[n] !E[n] false)",
+    "!(B[a;n] p -> D[n] p)",
+)
+
+# Acceptance criterion 7's axiom instances (one per schema, over p and q)
+# and its example formulas, searched at bounds (3, 2)
+CRITERION_7_TEXTS = (
+    "S[n] p -> p",
+    "E[n] p & E[n] (p -> q) -> E[n] q",
+    "S[n] p & E[n] (p -> q) -> S[n] q",
+    "!E[n] false -> S[n] true",
+    "C[n] (p -> q) -> C[n] p -> C[n] q",
+    "C[n] p -> E[n] (p & C[n] p)",
+    "D[n] p & D[n] (p -> q) -> D[n] q",
+    "S[n] p -> D[n] p",
+    "D[n] p -> p",
+    "D[n] p & E[n] (p -> q) -> D[n] q",
+    "S[n] p & !E[n] p",
+    "S[n] p & !p",
+    "!(C[n] p -> E[n] (p & C[n] p))",
+    "C[n] p & !p",
+    "!C[n] true & S[n] true",
+    "D[n] (p & q) & !S[n] (p & q)",
+    "D[n] p",
+    "S[n] p -> S[n] S[n] p",
+    "!S[n] p -> S[n] !S[n] p",
+    "E[n] p -> p",
+    "D[n] (p & q)",
+    "C[n] p -> E[n] E[n] p",
+    "C[n] true",
+    "!S[m] p & E[m] p & E[m] !p",
+    "S[m] q & !S[m] S[m] q",
+    "!S[n] p & !S[n] !S[n] p",
+    "C[n] (p | q)",
+    "C[m] !q",
+    "E[m] p & E[m] !p",
+    "B[a;n] p & !p",
+)
+
+
+def test_oracle_results_are_pinned():
+    # the digests were taken when the oracle evaluated one candidate at a
+    # time; they change with any change to the verdicts, the returned models
+    # and states, or the stats.  capped_corpus at (2, 2) reaches sampled
+    # tiers: two names and two props over two states exceed the budget
+    groups = {
+        "decide": ([parse_formula(t) for t in DECIDE_ORACLE_TEXTS], 2, 2),
+        "capped": (capped_corpus(seed=11, count=200, depth=3), 2, 2),
+        "criterion 7": ([parse_formula(t) for t in CRITERION_7_TEXTS], 3, 2),
+    }
+    digests = {}
+    for label, (formulas, max_states, max_agents) in groups.items():
+        lines = [
+            json.dumps(satisfiable_bounded(chi, max_states, max_agents).to_dict(), sort_keys=True)
+            for chi in formulas
+        ]
+        digests[label] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digests == {
+        "decide": "d295ae659b7f22c1fd439196df80cf1af8afca4fb9744722e4182a9874250a56",
+        "capped": "f0384e30d3143a04ac4bc5a2d9eb8abc3bc9cc6d6e21f5e3d85cf7ab038508f1",
+        "criterion 7": "f067fc2f1c89d310d7f08aecba88cf242323f1fb8ee77d3799e352f068d689e1",
+    }
+
+
+# ---------------------------------------------------------------------------
+# Bit lanes against one candidate at a time
+
+
+@st.composite
+def _lane_formulas(draw, names, props):
+    leaves = st.sampled_from([TRUE, FALSE, *map(Prop, props)])
+
+    def extend(kids):
+        out = [
+            kids.map(Not),
+            *(st.builds(op, kids, kids) for op in (And, Or, Implies, Iff)),
+        ]
+        if names:
+            name = st.sampled_from(names)
+            out += [st.builds(op, name, kids) for op in (E, S, C, D)]
+            out.append(st.builds(B, st.just("a"), name, kids))
+        return st.one_of(out)
+
+    return draw(st.recursive(leaves, extend, max_leaves=6))
+
+
+@st.composite
+def _lane_cases(draw):
+    names = draw(st.sampled_from([(), ("n",), ("m", "n")]))
+    props = draw(st.sampled_from([(), ("p",), ("p", "q")]))
+    chi = draw(_lane_formulas(names, props))
+    n_agents = draw(st.integers(1 if agents_in(chi) else 0, 2))
+    return chi, ["a", "b"][:n_agents], list(names), list(props)
+
+
+def _lane(masks, k):
+    """Lane k of per-index masks, as one mask over the indices."""
+    return sum(((m >> k) & 1) << i for i, m in enumerate(masks))
+
+
+def _assert_lanes_match(chi, size, agents, names, props, candidates, truth):
+    """Every lane of truth, hit or not, equals one _run of the reference
+    index of its candidate (mu, rows, val); each hit's states are
+    reference_extension's."""
+    prog = kripke._compile(chi)
+    states = [f"x{i}" for i in range(size)]
+    got, want = [], []
+    for k, (mu, rows, val) in enumerate(candidates):
+        found = kripke._run(prog, reference_candidate_index(size, agents, rows, mu), val)[-1]
+        got.append(_lane(truth, k))
+        want.append(found)
+        if got[-1]:
+            model = _MaskModel(states, agents, names, rows, mu, val).to_kripke()
+            holds = {states[w] for w in range(size) if (got[-1] >> w) & 1}
+            assert holds == reference_extension(model, chi)
+    assert got == want, print_formula(chi)
+
+
+def _naming_candidates(size, n_agents, props, mu):
+    """The (mu, rows, val) candidates under mu in the exhaustive tier's
+    visiting order: every row, a-major, then every valuation."""
+    domains = []
+    for a in range(n_agents):
+        for w in range(size):
+            loop = (1 << w) if any(a in g for (x, _), g in mu.items() if x == w) else 0
+            domains.append([m for m in range(2 ** size) if m & loop == loop])
+    for choice in product(*domains, *[range(2 ** size)] * len(props)):
+        rows = [list(choice[a * size:(a + 1) * size]) for a in range(n_agents)]
+        yield mu, rows, dict(zip(props, choice[n_agents * size:]))
+
+
+def _exhaustive_lanes_match(chi, size, agents, names, props, groups):
+    cells = [(w, n) for w in range(size) for n in names]
+    mu = {cell: tuple(a for a in range(len(agents)) if (g >> a) & 1)
+          for cell, g in zip(cells, groups)}
+    bearers = [sum(1 << w for w in range(size) if any(a in mu[(w, n)] for n in names))
+               for a in range(len(agents))]
+    lanes, R, V = _naming_lanes(size, props, bearers)
+    ones = (1 << lanes) - 1
+    N = {cell: [ones * ((g >> a) & 1) for a in range(len(agents))]
+         for cell, g in zip(cells, groups)}
+    truth = _run_lanes(kripke._compile(chi), size, agents, ones, N, R, V)
+    candidates = list(_naming_candidates(size, len(agents), props, mu))
+    assert len(candidates) == lanes
+    _assert_lanes_match(chi, size, agents, names, props, candidates, truth)
+    return truth, ones
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_lane_cases(), size=st.integers(1, 2), data=st.data())
+def test_exhaustive_lanes_match_one_candidate_at_a_time(case, size, data):
+    chi, agents, names, props = case
+    groups = data.draw(st.lists(
+        st.integers(0, 2 ** len(agents) - 1), min_size=size * len(names), max_size=size * len(names)
+    ))
+    _exhaustive_lanes_match(chi, size, agents, names, props, groups)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_lane_cases(), seed=st.integers(0, 10**6))
+def test_sampled_lanes_match_one_candidate_at_a_time(case, seed):
+    chi, agents, names, props = case
+    N, R, V = _draw_block(random.Random(seed), 3, len(agents), names, props, _BLOCK)
+    ones = (1 << _BLOCK) - 1
+    rng = random.Random(seed)
+    candidates = [reference_draw(rng, 3, len(agents), names, props) for _ in range(_BLOCK)]
+    # the block holds the candidates drawn one at a time from the same seed
+    for k, (mu, rows, val) in enumerate(candidates):
+        assert {cell: _lane(group, k) for cell, group in N.items()} == {
+            cell: sum(1 << a for a in group) for cell, group in mu.items()
+        }
+        assert [[_lane(row, k) for row in per] for per in R] == rows
+        assert {p: _lane(V[p], k) for p in props} == val
+    truth = _run_lanes(kripke._compile(chi), 3, agents, ones, N, R, V)
+    _assert_lanes_match(chi, 3, agents, names, props, candidates, truth)
+
+
+@pytest.mark.parametrize(
+    "text", ["E[n] false", "!S[n] true", "!D[n] true", "C[n] false", "B[a;n] false"]
+)
+def test_lanes_with_empty_naming_groups(text):
+    # every group empty: E and C hold vacuously, S and D fail, and B holds
+    # for want of a state where a bears the name; then groups empty at one
+    # state only
+    chi = parse_formula(text)
+    for size in (1, 2):
+        truth, ones = _exhaustive_lanes_match(chi, size, ["a", "b"], ["n"], [], [0] * size)
+        assert truth == [ones] * size
+    _exhaustive_lanes_match(chi, 2, ["a", "b"], ["n"], [], [0, 3])
+    _exhaustive_lanes_match(chi, 2, ["a", "b"], ["n"], [], [2, 0])
+
+
+def test_common_knowledge_lanes_follow_paths_of_every_length():
+    # a named agent keeps its loop, so only three states give an escape
+    # that takes two steps: x0 -> x1 -> x2 with p false at x2 alone
+    for text in ("C[n] p", "!C[n] !C[n] p", "C[n] p & !E[n] !p"):
+        _exhaustive_lanes_match(parse_formula(text), 3, ["a"], ["n"], ["p"], [1, 1, 1])
 
 
 def test_procedure_agrees_with_bounded_search():
