@@ -9,6 +9,19 @@ satisfiable exactly when some survivor contains it.  Every sat verdict is
 re-verified through the kripke module before it is returned; a re-check
 failure raises instead of producing a verdict.
 
+From the layout on the procedure works on ints.  _Layout numbers the
+closure's positive members once and resolves every member, each E/S/C
+operand among them, to an integer literal: a positive's index and a
+polarity.  An atom is an int with one bit per positive.  Each coherence
+rule becomes a (mask, pattern) pair, broken by an atom exactly when
+atom & mask == pattern.  A rule whose conclusion is among its own
+antecedents is dropped, and one whose antecedent denies its conclusion is
+broken whenever its antecedents hold.  The enumeration sets the bits of
+constants and conjunctions without branching and branches only at the
+other levels.  The elimination rounds read columns, one int mask over the
+atoms per positive, and per name the operand columns of its E, S and C
+members.
+
 Extracted models record each witness agent's relation from the state that
 minted it.  That keeps models linear in the survivor count and changes no
 truth value: the everyone/someone/common operators only ever read an agent's
@@ -125,67 +138,124 @@ class EliminationState:
 
 
 # ---------------------------------------------------------------------------
-# Closure layout: positives in children-first order plus coherence rules
-
-def _strip(f: Formula) -> tuple[Formula, bool]:
-    neg = False
-    while isinstance(f, Not):
-        f = f.arg
-        neg = not neg
-    return f, neg
-
-
-def _weight(f: Formula) -> int:
-    return len(subformulas(f))
-
+# Closure layout: positives in children-first order, literals and rules as ints
 
 class _Layout:
+    """The closure of a query, resolved to integers once.
+
+    positives are the members that are not negations, ordered by subterm
+    count and then text; an atom sets bit i when positives[i] holds.  A
+    literal (i, want) stands for a member: the positive its negations strip
+    down to, and the member's truth when that positive holds.  e_of, s_of
+    and c_of list per name each E, S and C member as (index, literal of the
+    operand); s_of adds the operand's text.  kinds and rules are the local
+    coherence conditions over literals, and steps the same conditions as
+    masks, one entry per level of the atom enumeration.
+    """
+
     def __init__(self, chi: Formula, max_closure: int):
         cl = closure(chi)
         if len(cl) > max_closure:
             raise BudgetExceededError(
                 f"closure holds {len(cl)} formulas, over the cap of {max_closure}"
             )
-        self.chi = desugar(chi)
         self.closure_size = len(cl)
         self.names = tuple(sorted(cl.names))
-        self.props = tuple(sorted(cl.props))
-        self.positives = tuple(
-            sorted(
-                (f for f in cl if not isinstance(f, Not)),
-                key=lambda f: (_weight(f), print_formula(f)),
-            )
+
+        # Members as slots, children first: kids[k] holds the operand slots
+        # of nodes[k], sub[k] its subterm slots as a mask, text[k] its
+        # print_formula text (the closure lies in the !/&/E/S/C core, where
+        # only a conjunction needs parentheses, as an operand of a unary
+        # operator or as the right operand of &).
+        slot: dict[Formula, int] = {}
+        nodes: list[Formula] = []
+        kids: list[tuple[int, ...]] = []
+        sub: list[int] = []
+        text: list[str] = []
+        for root in cl:
+            stack = [root]
+            while stack:
+                g = stack[-1]
+                if g in slot:
+                    stack.pop()
+                    continue
+                pending = [k for k in g._kids() if k not in slot]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                stack.pop()
+                k = len(nodes)
+                ks = tuple(slot[x] for x in g._kids())
+                slot[g] = k
+                nodes.append(g)
+                kids.append(ks)
+                mask = 1 << k
+                for c in ks:
+                    mask |= sub[c]
+                sub.append(mask)
+                wrapped = [f"({text[c]})" if isinstance(nodes[c], And) else text[c] for c in ks]
+                match g:
+                    case Prop(name):
+                        text.append(name)
+                    case Top():
+                        text.append("true")
+                    case Bot():
+                        text.append("false")
+                    case Not():
+                        text.append("!" + wrapped[0])
+                    case And():
+                        text.append(f"{text[ks[0]]} & {wrapped[1]}")
+                    case _:  # E, S, C: the class name is the head
+                        text.append(f"{type(g).__name__}[{g.name}] {wrapped[0]}")
+
+        order = sorted(
+            (k for k, g in enumerate(nodes) if not isinstance(g, Not)),
+            key=lambda k: (sub[k].bit_count(), text[k]),
         )
-        self.index = {f: i for i, f in enumerate(self.positives)}
-        self.prop_bits = {f.name: i for i, f in enumerate(self.positives) if isinstance(f, Prop)}
+        rank = {k: i for i, k in enumerate(order)}
+        lit: list[tuple[int, bool]] = []
+        for k, g in enumerate(nodes):
+            if isinstance(g, Not):
+                i, want = lit[kids[k][0]]
+                lit.append((i, not want))
+            else:
+                lit.append((rank[k], True))
+        self.positives = tuple(nodes[k] for k in order)
+        self.texts = tuple(text[k] for k in order)
+        self.prop_bits = {g.name: i for i, g in enumerate(self.positives) if isinstance(g, Prop)}
+        self.chi_lit = lit[slot[desugar(chi)]]
 
-        # literal of a closure member: (positive index, truth when the member holds)
-        def lit(f: Formula) -> tuple[int, bool]:
-            core, neg = _strip(f)
-            return self.index[core], not neg
+        # the positive index of the member cls(name, operand slot)
+        heads = {(type(g), g.name, kids[k][0]): rank[k]
+                 for k, g in enumerate(nodes) if isinstance(g, (E, S, C))}
 
-        self.lit = lit
-
-        self.s_of: dict[str, list[tuple[int, Formula]]] = {n: [] for n in self.names}
-        self.e_of: dict[str, list[tuple[int, Formula]]] = {n: [] for n in self.names}
-        self.c_of: dict[str, list[tuple[int, Formula]]] = {n: [] for n in self.names}
+        self.s_of: dict[str, list[tuple[int, tuple[int, bool], str]]] = {n: [] for n in self.names}
+        self.e_of: dict[str, list[tuple[int, tuple[int, bool]]]] = {n: [] for n in self.names}
+        self.c_of: dict[str, list[tuple[int, tuple[int, bool]]]] = {n: [] for n in self.names}
+        e_to_s: dict[int, int] = {}
+        c_to_e: dict[int, tuple[int, int]] = {}
         kinds: list[tuple] = []
-        for i, f in enumerate(self.positives):
-            match f:
+        for i, k in enumerate(order):
+            match nodes[k]:
                 case Top():
                     kinds.append(("const", True))
                 case Bot():
                     kinds.append(("const", False))
-                case And(l, r):
-                    kinds.append(("and", lit(l), lit(r)))
-                case E(n, arg):
-                    self.e_of[n].append((i, arg))
+                case And():
+                    kinds.append(("and", lit[kids[k][0]], lit[kids[k][1]]))
+                case E(n):
+                    a = kids[k][0]
+                    self.e_of[n].append((i, lit[a]))
+                    e_to_s[i] = heads[(S, n, a)]
                     kinds.append(("free",))
-                case S(n, arg):
-                    self.s_of[n].append((i, arg))
+                case S(n):
+                    a = kids[k][0]
+                    self.s_of[n].append((i, lit[a], text[a]))
                     kinds.append(("free",))
-                case C(n, arg):
-                    self.c_of[n].append((i, arg))
+                case C(n):
+                    a = kids[k][0]
+                    self.c_of[n].append((i, lit[a]))
+                    c_to_e[i] = (heads[(E, n, a)], heads[(E, n, k)])
                     kinds.append(("free",))
                 case _:
                     kinds.append(("free",))
@@ -195,69 +265,109 @@ class _Layout:
         # antecedent conjuncts (index, needed value) force (index, value).
         rules: list[tuple[tuple[tuple[int, bool], ...], tuple[int, bool]]] = []
         for n in self.names:
-            i_bot = self.index[E(n, FALSE)]
-            i_top = self.index[S(n, TRUE)]
+            i_bot = heads[(E, n, slot[FALSE])]
+            i_top = heads[(S, n, slot[TRUE])]
             # no named agent may know falsity unless nobody bears the name
             rules.append((((i_bot, False),), (i_top, True)))
-            for i_s, arg in self.s_of[n]:
-                rules.append((((i_s, True),), lit(arg)))          # knowledge is factive
+            for i_s, arg, _ in self.s_of[n]:
+                rules.append((((i_s, True),), arg))               # knowledge is factive
                 rules.append((((i_bot, True),), (i_s, False)))    # empty name: nobody knows
-            for i_e, arg in self.e_of[n]:
+            for i_e, _ in self.e_of[n]:
                 if i_e != i_bot:
                     rules.append((((i_bot, True),), (i_e, True)))  # empty name: all E hold
                     # a bearer of the name turns E into S
-                    rules.append((((i_e, True), (i_bot, False)), (self.index[S(n, arg)], True)))
-            for i_s, _ in self.s_of[n]:
+                    rules.append((((i_e, True), (i_bot, False)), (e_to_s[i_e], True)))
+            for i_s, _, _ in self.s_of[n]:
                 for i_e, arg in self.e_of[n]:
                     # the witness behind S also knows everything under E
-                    rules.append((((i_s, True), (i_e, True)), lit(arg)))
-            for i_c, arg in self.c_of[n]:
-                rules.append((((i_c, True),), (self.index[E(n, arg)], True)))
-                rules.append((((i_c, True),), (self.index[E(n, C(n, arg))], True)))
+                    rules.append((((i_s, True), (i_e, True)), arg))
+            for i_c, _ in self.c_of[n]:
+                for i_e in c_to_e[i_c]:
+                    rules.append((((i_c, True),), (i_e, True)))
+        self.rules = tuple(rules)
 
-        buckets: list[list] = [[] for _ in self.positives]
-        for ants, (j, want) in rules:
-            top = max(j, *(i for i, _ in ants))
-            buckets[top].append((ants, (j, want)))
-        self.buckets = tuple(tuple(b) for b in buckets)
+        # The rules as masks: rule (mask, pattern) is broken by an atom
+        # exactly when atom & mask == pattern.  It sits at the level of its
+        # highest bit, where the enumeration has just set that bit, in on
+        # when it breaks with the bit set and in off when it breaks with the
+        # bit clear.  A level's forced value (mask, pattern) holds when
+        # atom & mask == pattern; None marks a free level.
+        on: list[list[tuple[int, int]]] = [[] for _ in order]
+        off: list[list[tuple[int, int]]] = [[] for _ in order]
+        for ants, concl in rules:
+            rule = _mask_rule(ants, concl)
+            if rule is not None:
+                top = rule[0].bit_length() - 1
+                (on if (rule[1] >> top) & 1 else off)[top].append(rule)
+        steps = []
+        for d, kind in enumerate(self.kinds):
+            match kind:
+                case ("const", v):
+                    forced = (0, 0) if v else (0, 1)
+                case ("and", (jl, wl), (jr, wr)):
+                    if jl == jr and wl != wr:
+                        forced = (0, 1)  # a literal and its negation
+                    else:
+                        forced = ((1 << jl) | (1 << jr), (wl << jl) | (wr << jr))
+                case _:
+                    forced = None
+            steps.append((forced, tuple(on[d]), tuple(off[d])))
+        self.steps = tuple(steps)
 
-    def value(self, f: Formula, atom: int) -> bool:
-        i, want = self.lit(f)
-        return bool((atom >> i) & 1) is want
+
+def _mask_rule(ants, concl) -> Optional[tuple[int, int]]:
+    """The rule ants -> concl as (mask, pattern), broken by an atom exactly
+    when atom & mask == pattern: the antecedents hold and the conclusion
+    fails.  The antecedents name distinct positives; None when one of them
+    grants the conclusion, so that nothing can break the rule."""
+    mask = pattern = 0
+    for i, need in ants:
+        mask |= 1 << i
+        pattern |= need << i
+    j, want = concl
+    bit = 1 << j
+    if mask & bit:
+        # the conclusion is an antecedent: granted, or denied by the others
+        return None if bool(pattern & bit) is want else (mask, pattern)
+    return mask | bit, pattern | (not want) << j
+
+
+def _broken(rules, atom: int) -> bool:
+    for mask, pattern in rules:
+        if atom & mask == pattern:
+            return True
+    return False
 
 
 def _enumerate_atoms(lay: _Layout, max_atoms: int) -> list[int]:
-    bits = [False] * len(lay.positives)
+    """The coherent atoms, depth first with bit d true before false: forced
+    levels set their bit without branching, and a branch dies at the first
+    broken rule of its level."""
+    steps = lay.steps
+    width = len(steps)
     atoms: list[int] = []
-
-    def consistent(d: int) -> bool:
-        for ants, (j, want) in lay.buckets[d]:
-            if all(bits[i] is need for i, need in ants) and bits[j] is not want:
-                return False
-        return True
-
-    def assign(d: int) -> None:
-        if d == len(bits):
+    stack = [(0, 0)]
+    while stack:
+        d, atom = stack.pop()
+        while d < width:
+            forced, on, off = steps[d]
+            if forced is None:
+                if not _broken(off, atom):
+                    stack.append((d + 1, atom))  # the false branch, for later
+                holds = True
+            else:
+                holds = atom & forced[0] == forced[1]
+            if holds:
+                atom |= 1 << d
+                if _broken(on, atom):
+                    break
+            elif _broken(off, atom):
+                break
+            d += 1
+        else:
             if len(atoms) >= max_atoms:
                 raise BudgetExceededError(f"more than {max_atoms} coherent atoms")
-            atoms.append(sum(1 << i for i, b in enumerate(bits) if b))
-            return
-        match lay.kinds[d]:
-            case ("const", v):
-                bits[d] = v
-                if consistent(d):
-                    assign(d + 1)
-            case ("and", (jl, wl), (jr, wr)):
-                bits[d] = (bits[jl] is wl) and (bits[jr] is wr)
-                if consistent(d):
-                    assign(d + 1)
-            case _:
-                for v in (True, False):
-                    bits[d] = v
-                    if consistent(d):
-                        assign(d + 1)
-
-    assign(0)
+            atoms.append(atom)
     return atoms
 
 
@@ -270,63 +380,73 @@ class _Solver:
         self.atoms = list(atoms)
         full = (1 << len(self.atoms)) - 1
         self.full = full
-        col = []
-        for i in range(len(lay.positives)):
-            mask = 0
-            for j, atom in enumerate(self.atoms):
-                if (atom >> i) & 1:
-                    mask |= 1 << j
-            col.append(mask)
-        self._col = col
+        # col[i]: the atoms holding positive i
+        col = [0] * len(lay.positives)
+        for j, atom in enumerate(self.atoms):
+            for i in _bit_indices(atom):
+                col[i] |= 1 << j
 
-        def vcol(f: Formula) -> int:
-            i, want = lay.lit(f)
-            return col[i] if want else (full & ~col[i])
+        def vcol(lit: tuple[int, bool]) -> int:
+            i, want = lit
+            return col[i] if want else full ^ col[i]
 
-        self.vcol = vcol
+        # Per name, each E and S member's bit (a C member's column), the
+        # atoms where its operand fails, and its elimination reasons.
+        texts = lay.texts
+        self.e_ops = {
+            n: [(1 << i, full ^ vcol(arg), f"{texts[i]} denied, no dissenting successor")
+                for i, arg in lay.e_of[n]]
+            for n in lay.names
+        }
+        self.s_ops = {
+            n: [(1 << i, full ^ vcol(arg), f"{texts[i]} denied, a witness knows it")
+                for i, arg, _ in lay.s_of[n]]
+            for n in lay.names
+        }
+        self.c_ops = {
+            n: [(col[i], full ^ vcol(arg), f"{texts[i]} claimed, escape path exists",
+                 f"{texts[i]} denied, no escape path")
+                for i, arg in lay.c_of[n]]
+            for n in lay.names
+        }
 
         # Witness agents, one per (atom, name, known formula): the agent's
         # extension is every atom containing that formula plus everything the
-        # atom puts under E for the name.  Cached by the atom's E-pattern.
-        base_cache: dict[tuple, int] = {}
-        ext_cache: dict[tuple, int] = {}
-        self.wit: list[dict[str, list[tuple[Formula, int]]]] = []
-        self.succ0: list[dict[str, int]] = []
+        # atom puts under E for the name.  Cached by the atom's E/S pattern.
+        cache: dict[tuple[str, int], tuple[list, int]] = {}
+        self.wit: list[dict[str, list[tuple[str, int]]]] = []
+        self.succ: dict[str, list[int]] = {n: [] for n in lay.names}
+        per_name = []
+        for n in lay.names:
+            e_args = [(1 << i, vcol(arg)) for i, arg in lay.e_of[n]]
+            s_args = [(1 << i, vcol(arg), label) for i, arg, label in lay.s_of[n]]
+            claims = sum(1 << entry[0] for entry in lay.e_of[n] + lay.s_of[n])
+            per_name.append((n, e_args, s_args, claims, self.succ[n]))
         for atom in self.atoms:
-            per_wit: dict[str, list[tuple[Formula, int]]] = {}
-            per_succ: dict[str, int] = {}
-            for n in lay.names:
-                e_true = tuple(i for i, _ in lay.e_of[n] if (atom >> i) & 1)
-                base = base_cache.get((n, e_true))
-                if base is None:
+            per_wit: dict[str, list[tuple[str, int]]] = {}
+            for n, e_args, s_args, claims, succ_of in per_name:
+                key = (n, atom & claims)
+                got = cache.get(key)
+                if got is None:
                     base = full
-                    for i in e_true:
-                        base &= vcol(lay.positives[i].arg)
-                    base_cache[(n, e_true)] = base
-                entries = []
-                succ = 0
-                for i_s, arg in lay.s_of[n]:
-                    if not ((atom >> i_s) & 1):
-                        continue
-                    ext = ext_cache.get((n, e_true, i_s))
-                    if ext is None:
-                        ext = vcol(arg) & base
-                        ext_cache[(n, e_true, i_s)] = ext
-                    entries.append((arg, ext))
-                    succ |= ext
-                per_wit[n] = entries
-                per_succ[n] = succ
+                    for bit, good in e_args:
+                        if atom & bit:
+                            base &= good
+                    entries = [(label, good & base) for bit, good, label in s_args if atom & bit]
+                    got = cache[key] = (entries, reduce(or_, (ext for _, ext in entries), 0))
+                per_wit[n] = got[0]
+                succ_of.append(got[1])
             self.wit.append(per_wit)
-            self.succ0.append(per_succ)
 
     def _reaches(self, targets: int, name: str, alive: int) -> int:
         # atoms with a >=1 step path into targets, over the live graph
+        succ = self.succ[name]
         hit = 0
         while True:
             goal = targets | hit
             grown = hit
             for j in _bit_indices(alive & ~hit):
-                if self.succ0[j][name] & alive & goal:
+                if succ[j] & alive & goal:
                     grown |= 1 << j
             if grown == hit:
                 return hit
@@ -334,45 +454,35 @@ class _Solver:
 
     def _modal_flaw(self, j: int, alive: int) -> Optional[str]:
         """Reason atom j's denied E/S claims clash with its live witnesses."""
-        lay = self.lay
         atom = self.atoms[j]
-        for n in lay.names:
-            live_exts = [ext & alive for _, ext in self.wit[j][n]]
-            for i_e, arg in lay.e_of[n]:
-                if (atom >> i_e) & 1:
+        for n in self.lay.names:
+            reach = self.succ[n][j] & alive
+            for bit, bad, reason in self.e_ops[n]:
+                if not atom & bit and not reach & bad:
+                    return reason
+            for bit, bad, reason in self.s_ops[n]:
+                if atom & bit:
                     continue
-                outside = self.full & ~self.vcol(arg)
-                if not any(ext & outside for ext in live_exts):
-                    return f"{print_formula(lay.positives[i_e])} denied, no dissenting successor"
-            for i_s, arg in lay.s_of[n]:
-                if (atom >> i_s) & 1:
-                    continue
-                good = self.vcol(arg)
-                if any(ext and not (ext & ~good) for ext in live_exts):
-                    return f"{print_formula(lay.positives[i_s])} denied, a witness knows it"
+                for _, ext in self.wit[j][n]:
+                    ext &= alive
+                    if ext and not ext & bad:
+                        return reason
         return None
 
     def run(self) -> EliminationState:
-        lay = self.lay
         alive = self.full
         rounds = 0
         eliminated: list[tuple[int, str]] = []
         while True:
             rounds += 1
             doomed: dict[int, str] = {}
-            for n in lay.names:
-                for i_c, arg in lay.c_of[n]:
-                    escapes = self._reaches(alive & ~self.vcol(arg), n, alive)
-                    for j in _bit_indices(alive):
-                        member = (self.atoms[j] >> i_c) & 1
-                        if member and (escapes >> j) & 1:
-                            doomed.setdefault(
-                                j, f"{print_formula(lay.positives[i_c])} claimed, escape path exists"
-                            )
-                        elif not member and not (escapes >> j) & 1:
-                            doomed.setdefault(
-                                j, f"{print_formula(lay.positives[i_c])} denied, no escape path"
-                            )
+            for n in self.lay.names:
+                for members, bad, claimed, denied in self.c_ops[n]:
+                    escapes = self._reaches(alive & bad, n, alive)
+                    for j in _bit_indices(alive & members & escapes):
+                        doomed.setdefault(j, claimed)
+                    for j in _bit_indices(alive & ~members & ~escapes):
+                        doomed.setdefault(j, denied)
             for j in _bit_indices(alive):
                 if j not in doomed:
                     flaw = self._modal_flaw(j, alive)
@@ -403,8 +513,8 @@ class _Solver:
         for j in state_of:
             w = state_of[j]
             for n in lay.names:
-                for arg, ext in self.wit[j][n]:
-                    agent = f"a({w},{n},{print_formula(arg)})"
+                for label, ext in self.wit[j][n]:
+                    agent = f"a({w},{n},{label})"
                     members = ext & alive
                     assert (members >> j) & 1, "witness agent must include its own state"
                     relations[agent] = frozenset((w, state_of[k]) for k in _bit_indices(members))
@@ -443,7 +553,8 @@ def satisfiable(chi: Formula, *, max_closure: int = 64, max_atoms: int = 200_000
         "initial_atoms": len(atoms),
         "rounds": state.round,
     }
-    winners = [a for a in state.surviving if lay.value(lay.chi, a)]
+    i, want = lay.chi_lit
+    winners = [a for a in state.surviving if bool((a >> i) & 1) is want]
     if not winners:
         return SatResult("unsat", None, None, stats)
     model, point = solver.extract(state.surviving, min(winners))

@@ -23,7 +23,9 @@ comparison recurses.  The name, proposition and agent sets read by
 ``names_in``/``props_in``/``agents_in`` are filled lazily, children first,
 the first time they are asked for: most nodes built by the distinguisher
 construction are discarded unread.  They share one frozenset per symbol and
-reuse a child's set wherever a union adds nothing.  There is no intern
+reuse a child's set wherever a union adds nothing.  A node asked about as a
+whole also keeps the truth program ``kripke._compile`` made for it.  There
+is no intern
 table: a strong one would keep every parsed formula alive, and a weak one
 costs a weakref per node.
 """
@@ -40,8 +42,9 @@ from .errors import ParseError, UnsupportedFragmentError
 class Formula:
     """Base class for all formula nodes. Instances are immutable."""
 
-    # _names/_props/_agents stay unset until _symbols fills them
-    __slots__ = ("_hash", "_names", "_props", "_agents")
+    # _names/_props/_agents stay unset until _symbols fills them, _prog
+    # until kripke._compile does
+    __slots__ = ("_hash", "_names", "_props", "_agents", "_prog")
     __match_args__: tuple[str, ...] = ()
 
     def __hash__(self) -> int:
@@ -98,6 +101,7 @@ _set_hash = Formula._hash.__set__
 _set_names = Formula._names.__set__
 _set_props = Formula._props.__set__
 _set_agents = Formula._agents.__set__
+_set_prog = Formula._prog.__set__
 
 _NO_SYMBOLS: frozenset[str] = frozenset()
 _SINGLETONS: dict[str, frozenset[str]] = {}

@@ -40,6 +40,7 @@ from .formula import (
     Prop,
     S,
     Top,
+    _set_prog,
     agents_in,
     names_in,
     props_in,
@@ -147,12 +148,30 @@ def _listed(value: Any, what: str) -> Any:
     return value
 
 
+def _known_keys(d: Any, keys: frozenset[str], what: str) -> None:
+    """Refuse a top-level key of the document d outside keys: a misspelled
+    key would otherwise read as an absent, empty entry."""
+    if isinstance(d, Mapping):
+        unknown = set(d) - keys
+        if unknown:
+            raise ModelFormatError(
+                f"unknown keys in a {what} document: {sorted(map(str, unknown))};"
+                f" expected some of {sorted(keys)}"
+            )
+
+
+_MODEL_KEYS = frozenset(
+    {"states", "agents", "names", "relations", "naming", "valuation", "closure"}
+)
+
+
 def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
     """Build a model from its JSON dictionary form.
 
     The optional "closure" list applies the given closure operations, in
     order, to every agent relation before anything else looks at the model.
     """
+    _known_keys(d, _MODEL_KEYS, "model")
     try:
         states = frozenset(_listed(d["states"], "states"))
         agents = frozenset(_listed(d.get("agents", []), "agents"))
@@ -318,13 +337,29 @@ _OPCODES = {
 }
 
 
+# the number of fields after the opcode in each opcode's instructions
+_ARITY = tuple(len(cls.__match_args__) for cls in sorted(_OPCODES, key=_OPCODES.__getitem__))
+
+
 def _compile(f: Formula) -> list[tuple]:
     """f as a postorder program: one instruction per distinct subformula,
     operands first, so instruction k computes slot k and the last computes
     f.  An instruction is the opcode followed by the node's fields, with
-    each subformula replaced by its slot: (_E, name, operand slot)."""
-    slot: dict[Formula, int] = {}
+    each subformula replaced by its slot: (_E, name, operand slot).
+
+    The program is made once per node and kept on it, flattened into one
+    tuple: a tuple per instruction would take about twice the memory, and
+    models keep the formulas they were asked about alive."""
+    flat = getattr(f, "_prog", None)
     prog: list[tuple] = []
+    if flat is not None:
+        i = 0
+        while i < len(flat):
+            j = i + 1 + _ARITY[flat[i]]
+            prog.append(flat[i:j])
+            i = j
+        return prog
+    slot: dict[Formula, int] = {}
     stack = [f]
     while stack:
         g = stack[-1]
@@ -339,6 +374,7 @@ def _compile(f: Formula) -> list[tuple]:
         fields = (getattr(g, a) for a in g.__match_args__)
         slot[g] = len(prog)
         prog.append((_OPCODES[type(g)], *(slot[x] if isinstance(x, Formula) else x for x in fields)))
+    _set_prog(f, tuple(x for ins in prog for x in ins))
     return prog
 
 

@@ -34,6 +34,7 @@ from .kripke import (
     Pair,
     _Index,
     _compile,
+    _known_keys,
     _listed,
     _require_symbols,
     _run,
@@ -88,7 +89,11 @@ class NeighborhoodModel:
         return state in self.valuation.get(prop, _EMPTY)
 
 
+_NBHD_KEYS = frozenset({"states", "names", "nu", "valuation"})
+
+
 def nbhd_from_dict(d: Mapping[str, Any]) -> NeighborhoodModel:
+    _known_keys(d, _NBHD_KEYS, "neighborhood model")
     try:
         states = frozenset(_listed(d["states"], "states"))
         names = frozenset(_listed(d.get("names", []), "names"))

@@ -9,7 +9,7 @@ from functools import reduce
 from itertools import islice
 from operator import or_
 
-from namelogic import And, B, Bot, C, D, E, FALSE, Iff, Implies, Not, Or, Prop, S, TRUE, Top, closure, walk
+from namelogic import And, B, Bot, BudgetExceededError, C, D, E, FALSE, Iff, Implies, Not, Or, Prop, S, TRUE, Top, closure, walk
 from namelogic import kripke
 
 _BOOLEAN = ("not", "and", "or", "implies", "iff")
@@ -447,3 +447,45 @@ def reference_draw(rng, size, n_agents, names, props):
     ]
     val = {p: rng.randrange(2 ** size) for p in props}
     return mu, rows, val
+
+
+def reference_enumerate_atoms(lay, max_atoms):
+    """The coherent atoms of a decision._Layout, one bit at a time: after
+    each assignment, every literal rule of lay.rules filed under that level
+    (its highest index) is tested with all(), in the order and with the
+    budget of the enumeration before it compiled the rules to masks."""
+    buckets = [[] for _ in lay.positives]
+    for ants, (j, want) in lay.rules:
+        buckets[max(j, *(i for i, _ in ants))].append((ants, (j, want)))
+    bits = [False] * len(lay.positives)
+    atoms = []
+
+    def consistent(d):
+        for ants, (j, want) in buckets[d]:
+            if all(bits[i] is need for i, need in ants) and bits[j] is not want:
+                return False
+        return True
+
+    def assign(d):
+        if d == len(bits):
+            if len(atoms) >= max_atoms:
+                raise BudgetExceededError(f"more than {max_atoms} coherent atoms")
+            atoms.append(sum(1 << i for i, b in enumerate(bits) if b))
+            return
+        match lay.kinds[d]:
+            case ("const", v):
+                bits[d] = v
+                if consistent(d):
+                    assign(d + 1)
+            case ("and", (jl, wl), (jr, wr)):
+                bits[d] = (bits[jl] is wl) and (bits[jr] is wr)
+                if consistent(d):
+                    assign(d + 1)
+            case _:
+                for v in (True, False):
+                    bits[d] = v
+                    if consistent(d):
+                        assign(d + 1)
+
+    assign(0)
+    return atoms

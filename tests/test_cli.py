@@ -165,6 +165,33 @@ def test_well_typed_variant_documents_load(capsys, tmp_path, command):
     assert code == 0, captured.err
 
 
+# a misspelled top-level key, renamed from the given one; read as absent, the
+# first would leave the model without edges and make E[n] p true at w
+_MISSPELLED_KEYS = [
+    ("check", _KRIPKE_DOC, ["--state", "w", "--formula", "E[n] p"], "relations", "relation"),
+    ("validate", _KRIPKE_DOC, [], "naming", "namings"),
+    ("translate", _KRIPKE_DOC, ["--to", "nbhd"], "valuation", "valuations"),
+    ("translate", _NBHD_DOC, ["--to", "kripke"], "valuation", "val"),
+    ("algebra", _NBHD_DOC, [], "names", "name"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, extra, key, typo", _MISSPELLED_KEYS,
+    ids=[f"{c[0]}-{c[4]}" for c in _MISSPELLED_KEYS],
+)
+def test_unknown_top_level_key_is_an_input_error(capsys, tmp_path, command, base, extra, key, typo):
+    doc = dict(base)
+    doc[typo] = doc.pop(key)
+    model = tmp_path / "doc.json"
+    model.write_text(json.dumps(doc))
+    code, captured = run(capsys, command, "--model", str(model), *extra)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert repr(typo) in captured.err
+
+
 def test_check_unreadable_model_is_an_input_error(capsys, tmp_path):
     bogus = tmp_path / "nope.json"
     code, captured = run(capsys, "check", "--model", str(bogus), "--state", "w", "--formula", "p")

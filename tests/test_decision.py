@@ -14,6 +14,7 @@ from helpers import (
     random_formula,
     reference_candidate_index,
     reference_draw,
+    reference_enumerate_atoms,
     reference_extension,
 )
 from namelogic import (
@@ -42,9 +43,12 @@ from namelogic.decision import (
     _BLOCK,
     SatResult,
     _draw_block,
+    _enumerate_atoms,
+    _Layout,
     _MaskModel,
     _naming_lanes,
     _run_lanes,
+    _Solver,
     axiom_suite,
     brute_force_sat,
     extract_model,
@@ -581,6 +585,226 @@ def test_sat_results_self_verify(seed):
         return
     if res.verdict == "sat":
         assert not has_errors(validate_model(res.model, "lenient"))
+
+
+# ---------------------------------------------------------------------------
+# Elimination: pinned results
+
+
+# The satisfiable and valid queries of the benchmark's `decide` workload
+# (seed 1), in its order; valid(f) decides satisfiable(!f)
+DECIDE_SAT_TEXTS = (
+    "(p -> S[m] q) & !q",
+    "C[m] !S[n] (E[m] q & E[n] S[m] q | (S[m] p | !!E[m] p & (p <-> p) & (!p | q)))",
+    "p & p -> !E[n] false",
+    "q -> (q <-> p)",
+    "C[n] q & p",
+    "((q <-> q) | C[n] p) & (p -> p) | (p | q)",
+    "!q & p & (p <-> C[m] p)",
+    "C[n] false | C[n] !q & (S[n] q | !false)",
+    "C[n] C[m] (C[m] (q | false & q) -> S[m] C[n] true)",
+    "C[n] S[m] ((S[m] q | (p | q)) & (p -> !(q -> q)))",
+    "(q <-> p) -> !(!p | S[m] p)",
+    "C[n] S[n] q & (q -> q) <-> !p & (p <-> q)",
+)
+DECIDE_VALID_TEXTS = (
+    "S[n] (S[m] p | p | E[n] E[m] p) -> S[m] p | p | E[n] E[m] p",
+    "S[n] (C[n] C[m] p -> p | q) -> C[n] C[m] p -> p | q",
+    "S[n] q -> q",
+    "E[m] C[m] (E[m] q | q) & E[m] (C[m] (E[m] q | q) -> C[n] p & q) -> E[m] (C[n] p & q)",
+    "C[m] !(E[m] q & q) -> E[m] (!(E[m] q & q) & C[m] !(E[m] q & q))",
+    "C[n] (true -> S[n] false & S[n] q) -> E[n] ((true -> S[n] false & S[n] q) & C[n] (true -> S[n] false & S[n] q))",
+    "E[m] (p -> p) & E[m] ((p -> p) -> p & q) -> E[m] (p & q)",
+    "S[n] (!q -> p -> p -> E[m] q) -> !q -> p -> p -> E[m] q",
+    "C[m] ((true -> q) -> p) -> E[m] (((true -> q) -> p) & C[m] ((true -> q) -> p))",
+    "E[m] (p | (true -> q)) & E[m] (p | (true -> q) -> p) -> E[m] p",
+    "!E[n] false -> S[n] true",
+    "C[m] !(q | !p) -> E[m] (!(q | !p) & C[m] !(q | !p))",
+    "S[m] (q & q <-> q) & E[m] ((q & q <-> q) -> !q | p) -> S[m] (!q | p)",
+    "S[n] p -> p",
+    "S[m] (q | true) -> q | true",
+    "S[m] true -> true",
+    "S[n] ((p <-> !q) <-> false -> E[n] q) -> ((p <-> !q) <-> false -> E[n] q)",
+    "S[m] p & E[m] (p -> p) -> S[m] p",
+    "S[n] q & E[n] (q -> (!p <-> q)) -> S[n] (!p <-> q)",
+    "C[m] ((p | p) & !!p) -> E[m] ((p | p) & !!p & C[m] ((p | p) & !!p))",
+    "C[m] (!q | p) -> E[m] ((!q | p) & C[m] (!q | p))",
+    "S[m] (C[m] q <-> !p) -> (C[m] q <-> !p)",
+    "S[m] E[m] p & E[m] (E[m] p -> (p <-> false)) -> S[m] (p <-> false)",
+    "C[n] (q & (p <-> p) & !p) -> E[n] (q & (p <-> p) & !p & C[n] (q & (p <-> p) & !p))",
+    "S[m] E[m] C[n] q -> E[m] C[n] q",
+    "S[n] !q & E[n] (!q -> E[m] p) -> S[n] E[m] p",
+    "E[n] p & E[n] (p -> p -> q) -> E[n] (p -> q)",
+    "E[m] C[m] !p & E[m] (C[m] !p -> q) -> E[m] q",
+    "S[m] !(p -> q) -> E[m] !(p -> q)",
+    "(!p -> p) -> E[m] (!p -> p)",
+    "C[n] C[n] p -> E[n] (C[n] p & C[n] C[n] p)",
+    "S[m] p & E[m] (p -> S[m] p) -> S[m] S[m] p",
+    "S[m] !(p & true <-> p | p) -> !(p & true <-> p | p)",
+    "E[m] (q & (p <-> p)) & E[m] (q & (p <-> p) -> !(true | (q | q))) -> E[m] !(true | (q | q))",
+    "S[m] !E[n] (S[m] q <-> p) -> !E[n] (S[m] q <-> p)",
+    "S[n] (p -> p) & E[n] ((p -> p) -> (q -> true) | q & q) -> S[n] ((q -> true) | q & q)",
+    "S[m] q & E[m] (q -> C[n] ((q <-> q) & (q | p))) -> S[m] C[n] ((q <-> q) & (q | p))",
+    "S[m] (q & p & (p <-> q)) & E[m] (q & p & (p <-> q) -> q) -> S[m] q",
+    "S[n] (S[n] (q <-> p) & q) & E[n] (S[n] (q <-> p) & q -> ((S[m] q <-> q) <-> false -> !p)) -> S[n] ((S[m] q <-> q) <-> false -> !p)",
+    "C[m] C[m] p -> E[m] (C[m] p & C[m] C[m] p)",
+    "E[m] (!q -> q) -> S[m] (!q -> q)",
+    "E[n] (q & q | (q | q)) & E[n] (q & q | (q | q) -> !(q | q)) -> E[n] !(q | q)",
+    "C[n] !p -> E[n] (!p & C[n] !p)",
+    "E[n] (p -> !q) & E[n] ((p -> !q) -> !q) -> E[n] !q",
+    "C[n] (true <-> !q) -> E[n] ((true <-> !q) & C[n] (true <-> !q))",
+    "S[m] (!q | !q) -> E[m] (!q | !q)",
+    "S[n] (p | q | q) & E[n] (p | q | q -> p -> p) -> S[n] (p -> p)",
+    "C[m] (S[m] q -> q) -> C[m] S[m] q -> C[m] q",
+    "S[n] (p <-> C[n] q) -> (p <-> C[n] q)",
+    "C[m] C[m] q -> E[m] (C[m] q & C[m] C[m] q)",
+    "C[m] (p <-> S[m] (p <-> p)) -> E[m] ((p <-> S[m] (p <-> p)) & C[m] (p <-> S[m] (p <-> p)))",
+    "S[n] (!S[m] q <-> E[n] q) -> (!S[m] q <-> E[n] q)",
+    "S[m] (q <-> p | E[n] p) -> (q <-> p | E[n] p)",
+    "S[m] (q -> q | q) & E[m] ((q -> q | q) -> p | !q) -> S[m] (p | !q)",
+    "S[n] S[n] p & E[n] (S[n] p -> C[m] S[m] q) -> S[n] C[m] S[m] q",
+    "C[n] S[m] q -> E[n] (S[m] q & C[n] S[m] q)",
+    "S[n] !!q & E[n] (!!q -> (p <-> q)) -> S[n] (p <-> q)",
+    "E[m] (E[m] q & C[m] p) & E[m] (E[m] q & C[m] p -> C[m] p) -> E[m] C[m] p",
+    "S[n] (false & (q <-> p) & E[m] q) -> false & (q <-> p) & E[m] q",
+    "C[n] (q -> S[n] p) -> E[n] ((q -> S[n] p) & C[n] (q -> S[n] p))",
+    "S[m] !(q -> p) -> !(q -> p)",
+    "C[m] (q & !p) -> q & !p",
+    "E[n] (q -> p) -> S[n] (q -> p)",
+    "C[m] (E[m] q & p) -> E[m] (E[m] q & p & C[m] (E[m] q & p))",
+    "S[m] ((q -> E[n] q) & (p | E[n] p)) -> (q -> E[n] q) & (p | E[n] p)",
+    "E[m] q & E[m] (q -> !(p & q)) -> E[m] !(p & q)",
+    "C[m] (S[m] (false | p) -> E[m] p) -> C[m] S[m] (false | p) -> C[m] E[m] p",
+    "S[m] (q <-> p <-> !p) -> (q <-> p <-> !p)",
+    "C[n] (q <-> S[m] p) -> E[n] ((q <-> S[m] p) & C[n] (q <-> S[m] p))",
+    "S[n] S[n] q -> S[n] q",
+    "S[m] !(C[m] p | E[n] !q) & E[m] (!(C[m] p | E[n] !q) -> p | p) -> S[m] (p | p)",
+    "E[m] !!((q -> false) | !q) & E[m] (!!((q -> false) | !q) -> q) -> E[m] q",
+    "S[n] (S[m] q | C[m] true) -> S[m] q | C[m] true",
+    "S[n] C[m] (!p & (S[m] p -> p)) -> C[m] (!p & (S[m] p -> p))",
+    "S[n] ((S[m] true -> (false <-> true)) -> S[m] p) -> (S[m] true -> (false <-> true)) -> S[m] p",
+    "S[n] !(q -> C[n] q) & E[n] (!(q -> C[n] q) -> q) -> S[n] q",
+    "E[n] (!p & !q) -> !p & !q",
+    "S[m] (C[n] p & q) -> C[n] p & q",
+    "E[n] (p & p) -> p & p",
+    "S[m] (E[n] p -> C[m] q & !q) & E[m] ((E[n] p -> C[m] q & !q) -> C[m] p) -> S[m] C[m] p",
+    "S[m] ((false <-> p) | !p) -> (false <-> p) | !p",
+    "C[n] S[m] p -> E[n] (S[m] p & C[n] S[m] p)",
+    "C[m] (!q -> (false & q <-> q)) -> C[m] !q -> C[m] (false & q <-> q)",
+    "S[m] !E[n] C[n] p & E[m] (!E[n] C[n] p -> C[n] S[n] p) -> S[m] C[n] S[n] p",
+    "S[n] q & E[n] (q -> (p <-> !q)) -> S[n] (p <-> !q)",
+    "C[n] (E[n] q | p) -> E[n] ((E[n] q | p) & C[n] (E[n] q | p))",
+    "S[n] true -> true",
+    "E[m] (q & true) & E[m] (q & true -> p | false) -> E[m] (p | false)",
+    "S[m] !q & E[m] (!q -> !(!p | E[m] p)) -> S[m] !(!p | E[m] p)",
+    "C[n] p -> E[n] (p & C[n] p)",
+    "S[n] (S[n] (p | p) & (q -> q)) & E[n] (S[n] (p | p) & (q -> q) -> !p) -> S[n] !p",
+    "S[m] (S[n] true | C[m] q) -> S[n] true | C[m] q",
+    "S[n] ((p <-> E[m] p) & S[n] p) -> (p <-> E[m] p) & S[n] p",
+    "S[n] ((S[n] p <-> q) & C[n] true) -> (S[n] p <-> q) & C[n] true",
+    "(!p <-> !true) -> E[n] (!p <-> !true)",
+    "S[n] (false | (q | p) & C[n] p) -> false | (q | p) & C[n] p",
+    "S[m] (true & q) & E[m] (true & q -> p & p | true) -> S[m] (p & p | true)",
+    "C[n] S[n] (p & q) -> E[n] (S[n] (p & q) & C[n] S[n] (p & q))",
+    "S[n] (!p | p) -> !p | p",
+    "C[m] ((C[m] p -> E[n] p) | p) -> E[m] (((C[m] p -> E[n] p) | p) & C[m] ((C[m] p -> E[n] p) | p))",
+    "S[n] E[n] S[m] p & E[n] (E[n] S[m] p -> p) -> S[n] p",
+    "S[n] !C[n] (!q <-> !p) -> !C[n] (!q <-> !p)",
+    "C[m] (p <-> q) -> E[m] ((p <-> q) & C[m] (p <-> q))",
+    "C[m] (q | p) -> q | p",
+    "E[n] C[n] false & E[n] (C[n] false -> q | !q) -> E[n] (q | !q)",
+    "S[m] false -> false",
+    "C[n] (p -> q) -> E[n] ((p -> q) & C[n] (p -> q))",
+)
+
+
+def _elimination_record(chi) -> str:
+    lay = _Layout(chi, 64)
+    atoms = _enumerate_atoms(lay, 200_000)
+    state = _Solver(lay, atoms).run()
+    return json.dumps({
+        "positives": [print_formula(f) for f in lay.positives],
+        "atoms": atoms,
+        "surviving": state.surviving,
+        "rounds": state.round,
+        "eliminated": state.eliminated,
+        "result": satisfiable(chi).to_dict(),
+    }, sort_keys=True)
+
+
+def test_elimination_results_are_pinned():
+    # the digests were taken when literals were looked up formula by formula
+    # and the atoms were enumerated one rule check at a time; they change
+    # with any change to the closure order, the atoms, the elimination trace
+    # or the extracted models
+    groups = {
+        "decide": [parse_formula(t) for t in DECIDE_SAT_TEXTS]
+        + [Not(parse_formula(t)) for t in DECIDE_VALID_TEXTS],
+        "capped": capped_corpus(seed=13, count=150, depth=3),
+    }
+    digests = {
+        label: hashlib.sha256("\n".join(map(_elimination_record, formulas)).encode()).hexdigest()
+        for label, formulas in groups.items()
+    }
+    assert digests == {
+        "decide": "66cee4ce8ce4d5c610d90b6112d84a5c383ae70e544f4c899973a100a3072b81",
+        "capped": "91ae0eae61b389a8ccff0e34880270892b7771e1729b46c71fa746ac3572be89",
+    }
+
+
+# ---------------------------------------------------------------------------
+# Elimination: mask rules against the per-bit reference
+
+
+@st.composite
+def _self_granting_formulas(draw):
+    # E[n] S[n] f puts S[n] f among the antecedents of its own rule (the
+    # witness behind S[n] f knows what E[n] puts under it): the rule is
+    # granted and must be dropped.  E[n] !S[n] f puts the same antecedent
+    # against its conclusion: the rule is broken whenever it applies.
+    # And(x, !x) is a conjunction of a literal with its own negation.
+    names = st.sampled_from(["n", "m"])
+    leaves = st.sampled_from([TRUE, FALSE, Prop("p"), Prop("q")])
+    inner = st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.tuples(sub, sub).map(lambda lr: And(*lr)),
+            sub.map(lambda x: And(x, Not(x))),
+            st.tuples(st.sampled_from([E, S, C]), names, sub).map(lambda t: t[0](t[1], t[2])),
+        ),
+        max_leaves=4,
+    )
+    n = draw(names)
+    known = S(n, draw(inner))
+    shared = E(n, draw(st.sampled_from([known, Not(known)])))
+    f = And(known, shared) if draw(st.booleans()) else And(draw(inner), Or(shared, known))
+    return Not(f) if draw(st.booleans()) else f
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=_self_granting_formulas())
+def test_mask_rules_enumerate_the_reference_atoms(f):
+    if len(closure(f)) > 40:
+        return
+    lay = _Layout(f, 40)
+    assert lay.texts == tuple(map(print_formula, lay.positives))
+    try:
+        want = reference_enumerate_atoms(lay, 5000)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            _enumerate_atoms(lay, 5000)
+        return
+    assert _enumerate_atoms(lay, 5000) == want
+
+
+def test_self_granting_rule_keeps_its_only_atom():
+    # S[n] q & E[n] S[n] q -> S[n] q must not prune the atoms making both
+    # conjuncts true; the chi below holds in exactly one of its 7 atoms
+    res = sat("S[n] q & E[n] S[n] q")
+    assert res.verdict == "sat"
+    assert res.stats["initial_atoms"] == 7
+    assert sat("S[n] q & E[n] !S[n] q").verdict == "unsat"
 
 
 # ---------------------------------------------------------------------------

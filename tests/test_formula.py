@@ -1,8 +1,11 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import reference_symbols
 
+from namelogic import kripke
 from namelogic.errors import ParseError, UnsupportedFragmentError
 from namelogic.formula import (
     And,
@@ -246,6 +249,16 @@ def test_rebuilt_formula_is_equal_with_equal_hash(f):
     assert hash(g) == hash(f)
     assert {f: 1}[g] == 1
     assert print_formula(g) == print_formula(f)
+
+
+@given(_formulas())
+def test_compiled_program_is_kept_without_changing_the_node(f):
+    before = (hash(f), repr(f), pickle.dumps(f))
+    prog = kripke._compile(f)
+    assert kripke._compile(f) == prog  # read back from the node
+    assert kripke._compile(_rebuild(f)) == prog
+    assert (hash(f), repr(f), pickle.dumps(f)) == before
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 @given(_formulas())
