@@ -26,7 +26,11 @@ Extracted models record each witness agent's relation from the state that
 minted it.  That keeps models linear in the survivor count and changes no
 truth value: the everyone/someone/common operators only ever read an agent's
 relation from states where the agent bears the name, and each minted agent
-bears its name at its minting state only.
+bears its name at its minting state only.  Agents minted at one state with
+the same live successor mask share one frozenset of pairs, built once: the
+mask's bits become a byte string that selects the state names with
+itertools.compress, so no Python step runs per edge.  The model is
+constructed from those frozen sets directly, so no pair is hashed twice.
 
 Distributed knowledge has no effective route here.  Those queries go through
 the bounded oracle, which is also used to cross-validate unsat verdicts.  It
@@ -43,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import compress, product, repeat
 from operator import and_, or_, xor
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -374,6 +378,10 @@ def _enumerate_atoms(lay: _Layout, max_atoms: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Elimination to fixpoint
 
+# bin(mask)[:1:-1].encode().translate(_BIT_BYTES): one byte per bit of mask,
+# lowest first, 1 where the bit is set; a selector for itertools.compress
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
 class _Solver:
     def __init__(self, lay: _Layout, atoms: Sequence[int]):
         self.lay = lay
@@ -508,25 +516,39 @@ class _Solver:
             alive |= 1 << j
             state_of[j] = f"t{rank}"
 
+        # names_at[k]: the state of atom k, or None when it is dead; a mask's
+        # states are names_at filtered by the mask's bits, lowest first
+        names_at = [state_of.get(k) for k in range(len(self.atoms))]
         relations: dict[str, frozenset] = {}
-        naming: dict[tuple[str, str], set[str]] = {}
-        for j in state_of:
-            w = state_of[j]
+        naming: dict[tuple[str, str], frozenset[str]] = {}
+        for j, w in state_of.items():
+            shared: dict[int, frozenset] = {}  # live successor mask -> its pairs
             for n in lay.names:
+                group = []
                 for label, ext in self.wit[j][n]:
                     agent = f"a({w},{n},{label})"
                     members = ext & alive
                     assert (members >> j) & 1, "witness agent must include its own state"
-                    relations[agent] = frozenset((w, state_of[k]) for k in _bit_indices(members))
-                    naming.setdefault((w, n), set()).add(agent)
+                    pairs = shared.get(members)
+                    if pairs is None:
+                        bits = bin(members)[:1:-1].encode().translate(_BIT_BYTES)
+                        pairs = shared[members] = frozenset(
+                            zip(repeat(w), compress(names_at, bits))
+                        )
+                    relations[agent] = pairs
+                    group.append(agent)
+                if group:
+                    naming[(w, n)] = frozenset(group)
         valuation = {
             p: frozenset(state_of[j] for j in state_of if (self.atoms[j] >> i) & 1)
             for p, i in lay.prop_bits.items()
         }
-        model = KripkeModel.make(
-            states=state_of.values(),
-            agents=relations.keys(),
-            names=lay.names,
+        # built directly, as every container is already frozen: make would
+        # hash every pair again
+        model = KripkeModel(
+            states=frozenset(state_of.values()),
+            agents=frozenset(relations),
+            names=frozenset(lay.names),
             relations=relations,
             naming=naming,
             valuation=valuation,

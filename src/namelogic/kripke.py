@@ -20,8 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, product
-from operator import and_, or_
+from itertools import chain, combinations, product, repeat
+from operator import and_, itemgetter, or_
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import BudgetExceededError, ModelFormatError, UndeclaredSymbolError
@@ -125,16 +125,19 @@ def _close_relation(pairs: set[Pair], ops: Iterable[str], states: frozenset[str]
         elif op == "symmetric":
             pairs |= {(y, x) for x, y in pairs}
         elif op == "transitive":
-            changed = True
-            while changed:
-                extra = {
-                    (x, z)
-                    for x, y in pairs
-                    for y2, z in pairs
-                    if y == y2 and (x, z) not in pairs
-                }
-                changed = bool(extra)
-                pairs |= extra
+            # one search per source over the successor sets: x reaches
+            # whatever a path of one or more edges leads to
+            succ: dict[Any, set] = {}
+            for x, y in pairs:
+                succ.setdefault(x, set()).add(y)
+            for x, ys in succ.items():
+                reach = set(ys)
+                frontier = list(ys)
+                while frontier:
+                    new = succ.get(frontier.pop(), _EMPTY) - reach
+                    reach |= new
+                    frontier.extend(new)
+                pairs.update(zip(repeat(x), reach))
         else:
             raise ModelFormatError(f"unknown closure op {op!r}")
     return pairs
@@ -240,13 +243,16 @@ def validate_model(m: KripkeModel, mode: str = "lenient") -> list[Diagnostic]:
     err = lambda code, msg: out.append(Diagnostic("error", code, msg))
     warn = lambda code, msg: out.append(Diagnostic("warning", code, msg))
 
+    # Every agent's edges are checked by set lookups, a C-level step per
+    # edge; only the offending edges are sorted, to report them in order.
     if not m.states:
         err("empty-states", "model has no states")
     for a in sorted(m.relations):
         if a not in m.agents:
             err("undeclared-agent", f"relation for undeclared agent {a!r}")
-        for x, y in sorted(m.relations[a]):
-            if x not in m.states or y not in m.states:
+        rel = m.relations[a]
+        if not m.states.issuperset(chain.from_iterable(rel)):
+            for x, y in sorted(p for p in rel if p[0] not in m.states or p[1] not in m.states):
                 err("undeclared-state", f"edge ({x!r}, {y!r}) of agent {a!r} leaves the state set")
     for (state, name), group in sorted(m.naming.items()):
         if state not in m.states:
@@ -266,16 +272,19 @@ def validate_model(m: KripkeModel, mode: str = "lenient") -> list[Diagnostic]:
     bearers = {
         (state, a) for (state, _), group in m.naming.items() for a in group
     }
+    bears_at: dict[str, set[str]] = {}  # agent -> the states where it bears a name
     for state, a in sorted(bearers):
+        bears_at.setdefault(a, set()).add(state)
         if (state, state) not in m.relations.get(a, _EMPTY):
             err(
                 "missing-reflexive-loop",
                 f"agent {a!r} bears a name at {state!r} but ({state!r}, {state!r}) is not in its relation",
             )
+    report = err if mode == "strict" else warn
     for a in sorted(m.relations):
-        for x, y in sorted(m.relations[a]):
-            if (x, a) not in bearers:
-                report = err if mode == "strict" else warn
+        rel, bears = m.relations[a], bears_at.get(a, _EMPTY)
+        if not bears.issuperset(map(itemgetter(0), rel)):
+            for x, _ in sorted(p for p in rel if p[0] not in bears):
                 report(
                     "edge-from-unnamed-source",
                     f"agent {a!r} has an edge at {x!r} where it bears no name",
@@ -283,12 +292,19 @@ def validate_model(m: KripkeModel, mode: str = "lenient") -> list[Diagnostic]:
     if mode == "epistemic":
         for a in sorted(m.relations):
             rel = m.relations[a]
-            fld = {x for pair in rel for x in pair}
-            ok = all((x, x) in rel for x in fld)
-            ok = ok and all((y, x) in rel for x, y in rel)
-            ok = ok and all(
-                (x, z) in rel for x, y in rel for y2, z in rel if y == y2
-            )
+            succ: dict[str, set[str]] = {}
+            for x, y in rel:
+                succ.setdefault(x, set()).add(y)
+            # Symmetric, so that the field is the sources, and reflexive
+            # there.  Then transitive exactly when every edge joins two
+            # states with the same successor set: number the distinct sets
+            # once, and compare two numbers per edge.
+            ok = all((y, x) in rel for x, y in rel)
+            ok = ok and all(x in ys for x, ys in succ.items())
+            if ok:
+                ids: dict[frozenset, int] = {}
+                cls = {x: ids.setdefault(frozenset(ys), len(ids)) for x, ys in succ.items()}
+                ok = all(cls[x] == cls[y] for x, y in rel)
             if not ok:
                 err(
                     "not-equivalence-on-field",

@@ -9,7 +9,7 @@ from functools import reduce
 from itertools import islice
 from operator import or_
 
-from namelogic import And, B, Bot, BudgetExceededError, C, D, E, FALSE, Iff, Implies, Not, Or, Prop, S, TRUE, Top, closure, walk
+from namelogic import And, B, Bot, BudgetExceededError, C, D, E, FALSE, Iff, Implies, ModelFormatError, Not, Or, Prop, S, TRUE, Top, closure, walk
 from namelogic import kripke
 
 _BOOLEAN = ("not", "and", "or", "implies", "iff")
@@ -489,3 +489,99 @@ def reference_enumerate_atoms(lay, max_atoms):
 
     assign(0)
     return atoms
+
+
+def reference_close_relation(pairs, ops, states):
+    """The closure ops applied in order to the pair set, the transitive one
+    as a fixpoint that joins every pair with every pair until nothing new
+    appears: the definition that kripke._close_relation's per-source
+    searches must match."""
+    pairs = set(pairs)
+    for op in ops:
+        if op == "reflexive":
+            pairs |= {(s, s) for s in states}
+        elif op == "symmetric":
+            pairs |= {(y, x) for x, y in pairs}
+        elif op == "transitive":
+            changed = True
+            while changed:
+                extra = {
+                    (x, z)
+                    for x, y in pairs
+                    for y2, z in pairs
+                    if y == y2 and (x, z) not in pairs
+                }
+                changed = bool(extra)
+                pairs |= extra
+        else:
+            raise ModelFormatError(f"unknown closure op {op!r}")
+    return pairs
+
+
+def reference_validate_model(m, mode="lenient"):
+    """kripke.validate_model as the definitions read: every agent's pairs
+    sorted and walked one at a time, twice, and the epistemic check joining
+    every pair with every pair.  The library must give the same
+    diagnostics in the same order."""
+    Diagnostic, has_errors = kripke.Diagnostic, kripke.has_errors
+    if mode not in ("lenient", "strict", "epistemic"):
+        raise ValueError(f"unknown validation mode {mode!r}")
+    out = []
+    err = lambda code, msg: out.append(Diagnostic("error", code, msg))
+    warn = lambda code, msg: out.append(Diagnostic("warning", code, msg))
+
+    if not m.states:
+        err("empty-states", "model has no states")
+    for a in sorted(m.relations):
+        if a not in m.agents:
+            err("undeclared-agent", f"relation for undeclared agent {a!r}")
+        for x, y in sorted(m.relations[a]):
+            if x not in m.states or y not in m.states:
+                err("undeclared-state", f"edge ({x!r}, {y!r}) of agent {a!r} leaves the state set")
+    for (state, name), group in sorted(m.naming.items()):
+        if state not in m.states:
+            err("undeclared-state", f"naming entry at undeclared state {state!r}")
+        if name not in m.names:
+            err("undeclared-name", f"naming entry for undeclared name {name!r}")
+        for a in sorted(group):
+            if a not in m.agents:
+                err("undeclared-agent", f"name {name!r} at {state!r} lists undeclared agent {a!r}")
+    for prop, ws in sorted(m.valuation.items()):
+        for w in sorted(ws):
+            if w not in m.states:
+                err("undeclared-state", f"valuation of {prop!r} lists undeclared state {w!r}")
+    if has_errors(out):
+        return out
+
+    bearers = {
+        (state, a) for (state, _), group in m.naming.items() for a in group
+    }
+    for state, a in sorted(bearers):
+        if (state, state) not in m.relations.get(a, frozenset()):
+            err(
+                "missing-reflexive-loop",
+                f"agent {a!r} bears a name at {state!r} but ({state!r}, {state!r}) is not in its relation",
+            )
+    for a in sorted(m.relations):
+        for x, y in sorted(m.relations[a]):
+            if (x, a) not in bearers:
+                report = err if mode == "strict" else warn
+                report(
+                    "edge-from-unnamed-source",
+                    f"agent {a!r} has an edge at {x!r} where it bears no name",
+                )
+    if mode == "epistemic":
+        for a in sorted(m.relations):
+            rel = m.relations[a]
+            fld = {x for pair in rel for x in pair}
+            ok = all((x, x) in rel for x in fld)
+            ok = ok and all((y, x) in rel for x, y in rel)
+            ok = ok and all(
+                (x, z) in rel for x, y in rel for y2, z in rel if y == y2
+            )
+            if not ok:
+                err(
+                    "not-equivalence-on-field",
+                    f"relation of agent {a!r} is not an equivalence on its field",
+                )
+    return out

@@ -15,7 +15,15 @@ import pytest
 import namelogic
 from namelogic import Not, parse_formula
 from namelogic.cli import main
-from namelogic.kripke import check, disjoint_union, model_from_dict, model_to_dict, random_model
+from namelogic.kripke import (
+    check,
+    disjoint_union,
+    has_errors,
+    model_from_dict,
+    model_to_dict,
+    random_model,
+    validate_model,
+)
 
 FIGURE = str(Path(__file__).resolve().parent.parent / "figure1.json")
 
@@ -433,6 +441,66 @@ def test_validate_modes_and_exit_codes(capsys):
 
     code, payload = run_json(capsys, "validate", "--model", FIGURE, "--mode", "epistemic")
     assert code == 0 and payload["ok"] is True
+
+
+def _write(tmp_path, doc) -> str:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_validate_epistemic_on_a_large_equivalence_document(capsys, tmp_path, broken):
+    # 120 states: a relates every state to every state, b each block of
+    # ten; both bear n everywhere.  Broken drops b's edges between s0 and
+    # s5 both ways, which leaves b symmetric and reflexive, not transitive.
+    states = [f"s{i}" for i in range(120)]
+    blocks = [states[i:i + 10] for i in range(0, 120, 10)]
+    b = [[x, y] for block in blocks for x in block for y in block]
+    if broken:
+        b = [e for e in b if set(e) != {"s0", "s5"}]
+    doc = {
+        "states": states,
+        "agents": ["a", "b"],
+        "names": ["n"],
+        "relations": {"a": [[x, y] for x in states for y in states], "b": b},
+        "naming": {w: {"n": ["a", "b"]} for w in states},
+        "valuation": {"p": states[::3]},
+    }
+    code, payload = run_json(
+        capsys, "validate", "--model", _write(tmp_path, doc), "--mode", "epistemic"
+    )
+    diags = validate_model(model_from_dict(doc), "epistemic")
+    assert payload == {
+        "mode": "epistemic",
+        "ok": not has_errors(diags),
+        "diagnostics": [{"level": d.level, "code": d.code, "message": d.message} for d in diags],
+    }
+    assert code == (1 if broken else 0)
+    assert [d["code"] for d in payload["diagnostics"]] == (
+        ["not-equivalence-on-field"] if broken else []
+    )
+
+
+def test_check_on_a_large_transitively_closed_chain(capsys, tmp_path):
+    states = [f"s{i}" for i in range(120)]
+    doc = {
+        "states": states,
+        "agents": ["a"],
+        "names": ["n"],
+        "relations": {"a": [[states[i], states[i + 1]] for i in range(119)]},
+        "naming": {w: {"n": ["a"]} for w in states},
+        "valuation": {"p": states[:-1]},
+        "closure": ["transitive"],
+    }
+    code, payload = run_json(
+        capsys, "check", "--model", _write(tmp_path, doc), "--state", "s0", "--formula", "C[n] p"
+    )
+    res = check(model_from_dict(doc), "s0", parse_formula("C[n] p"))
+    assert payload == {"value": res.value, "witness": list(res.witness)}
+    # the closure gives s0 a step straight to s119, where p fails
+    assert code == 1
+    assert payload == {"value": False, "witness": ["s0", "s119"]}
 
 
 def test_random_matches_the_library(capsys):

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_extension, reference_extension_nbhd, sized_corpus
+from helpers import (
+    reference_close_relation,
+    reference_extension,
+    reference_extension_nbhd,
+    reference_validate_model,
+    sized_corpus,
+)
 from namelogic import (
     And,
     B,
@@ -38,6 +44,7 @@ from namelogic import (
 )
 from namelogic.kripke import (
     KripkeModel,
+    _close_relation,
     check,
     disjoint_union,
     distributed_by_subsets,
@@ -152,6 +159,70 @@ def test_validation_referential_integrity():
     )
     codes = {d.code for d in validate_model(m) if d.level == "error"}
     assert codes == {"undeclared-state", "undeclared-name", "undeclared-agent"}
+
+
+# Differential tests against the definitions in tests/helpers.py.  The pools
+# mix declared symbols with ones the model leaves undeclared.
+
+_STATE_POOL = ("w0", "w1", "w2", "w3", "w4")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pairs=st.frozensets(st.tuples(st.sampled_from(_STATE_POOL + ("x",)),
+                                  st.sampled_from(_STATE_POOL + ("x",))), max_size=14),
+    ops=st.lists(st.sampled_from(["reflexive", "symmetric", "transitive"]), max_size=4),
+    states=st.frozensets(st.sampled_from(_STATE_POOL)),
+)
+def test_closure_ops_match_the_fixpoint(pairs, ops, states):
+    # x is never declared: reflexivity skips it, symmetry and transitivity
+    # do not
+    assert _close_relation(set(pairs), ops, states) == reference_close_relation(pairs, ops, states)
+
+
+@st.composite
+def _validation_models(draw):
+    """Models that may leave agents, states and names undeclared, carry stray
+    edges, miss reflexive loops, act from unnamed sources and hold
+    relations that are, or are one toggled edge away from, equivalences."""
+    states = draw(st.frozensets(st.sampled_from(_STATE_POOL)))
+    agents = draw(st.frozensets(st.sampled_from("abc"), min_size=1))
+    names = draw(st.frozensets(st.sampled_from("nm"), min_size=1))
+    stray = draw(st.integers(0, 2)) == 0
+    state_pool = sorted(states | {"x", "y"} if stray else states)
+    agent_pool = sorted(agents | {"z"} if stray else agents)
+    name_pool = sorted(names | {"k"} if stray else names)
+    if not state_pool:
+        return KripkeModel(states, agents, names, {}, {}, {})
+    state = st.sampled_from(state_pool)
+    edges = st.frozensets(st.tuples(state, state), max_size=3)
+    relations = {}
+    for a in agent_pool:
+        if draw(st.booleans()):
+            blocks = draw(st.lists(st.frozensets(state, min_size=1), max_size=3))
+            pairs = {(x, y) for block in blocks for x in block for y in block}
+            pairs ^= draw(edges)
+        else:
+            pairs = draw(st.frozensets(st.tuples(state, state), max_size=12))
+        relations[a] = frozenset(pairs)
+    naming = draw(st.dictionaries(
+        st.tuples(state, st.sampled_from(name_pool)),
+        st.frozensets(st.sampled_from(agent_pool), min_size=1),
+        max_size=6,
+    ))
+    if draw(st.booleans()):  # give every bearer its loop
+        for (w, _), group in naming.items():
+            for a in group:
+                relations[a] = relations.get(a, frozenset()) | {(w, w)}
+    valuation = draw(st.dictionaries(st.sampled_from("pq"), st.frozensets(state), max_size=2))
+    return KripkeModel(states, agents, names, relations, naming, valuation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_validation_models())
+def test_validation_matches_the_reference(m):
+    for mode in ("lenient", "strict", "epistemic"):
+        assert validate_model(m, mode) == reference_validate_model(m, mode)
 
 
 def test_extensions_frozen(fig):
