@@ -222,7 +222,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser and the printer recurse on nesting depth
+        # the parser recurses
         print("error: formula nests too deeply", file=sys.stderr)
         return 2
 

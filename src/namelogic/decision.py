@@ -68,6 +68,8 @@ from .formula import (
     Prop,
     S,
     Top,
+    _numbering,
+    _texts,
     agents_in,
     closure,
     desugar,
@@ -168,49 +170,16 @@ class _Layout:
 
         # Members as slots, children first: kids[k] holds the operand slots
         # of nodes[k], sub[k] its subterm slots as a mask, text[k] its
-        # print_formula text (the closure lies in the !/&/E/S/C core, where
-        # only a conjunction needs parentheses, as an operand of a unary
-        # operator or as the right operand of &).
-        slot: dict[Formula, int] = {}
-        nodes: list[Formula] = []
-        kids: list[tuple[int, ...]] = []
+        # print_formula text.
+        nodes, kids = _numbering(*cl)
+        slot = {g: k for k, g in enumerate(nodes)}
+        text = _texts(nodes, kids)
         sub: list[int] = []
-        text: list[str] = []
-        for root in cl:
-            stack = [root]
-            while stack:
-                g = stack[-1]
-                if g in slot:
-                    stack.pop()
-                    continue
-                pending = [k for k in g._kids() if k not in slot]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                stack.pop()
-                k = len(nodes)
-                ks = tuple(slot[x] for x in g._kids())
-                slot[g] = k
-                nodes.append(g)
-                kids.append(ks)
-                mask = 1 << k
-                for c in ks:
-                    mask |= sub[c]
-                sub.append(mask)
-                wrapped = [f"({text[c]})" if isinstance(nodes[c], And) else text[c] for c in ks]
-                match g:
-                    case Prop(name):
-                        text.append(name)
-                    case Top():
-                        text.append("true")
-                    case Bot():
-                        text.append("false")
-                    case Not():
-                        text.append("!" + wrapped[0])
-                    case And():
-                        text.append(f"{text[ks[0]]} & {wrapped[1]}")
-                    case _:  # E, S, C: the class name is the head
-                        text.append(f"{type(g).__name__}[{g.name}] {wrapped[0]}")
+        for k, ks in enumerate(kids):
+            mask = 1 << k
+            for c in ks:
+                mask |= sub[c]
+            sub.append(mask)
 
         order = sorted(
             (k for k, g in enumerate(nodes) if not isinstance(g, Not)),

@@ -19,15 +19,19 @@ computes its hash once, in ``__init__``, from its field tuple and its
 children's cached hashes, so the value is the one a frozen dataclass with the
 same fields would give, but a memo lookup no longer re-hashes the subtree.
 ``==`` walks both trees with an explicit stack, so neither hashing nor
-comparison recurses.  The name, proposition and agent sets read by
-``names_in``/``props_in``/``agents_in`` are filled lazily, children first,
-the first time they are asked for: most nodes built by the distinguisher
-construction are discarded unread.  They share one frozenset per symbol and
-reuse a child's set wherever a union adds nothing.  A node asked about as a
-whole also keeps the truth program ``kripke._compile`` made for it.  There
-is no intern
-table: a strong one would keep every parsed formula alive, and a weak one
-costs a weakref per node.
+comparison recurses.
+
+A formula is a DAG: equal subterms may be one shared node.  One walk,
+``_numbering``, lists the distinct subterms of one or more roots children
+first, each with the numbers of its operands.  Printing, ``desugar``,
+``modal_depth``, ``subformulas``, ``closure``, ``kripke._compile`` and the
+decision procedure's layout are folds over that list, so only the parser
+recurses, and each of them meets a shared subterm once.  The name,
+proposition and agent sets read by ``names_in``/``props_in``/``agents_in``
+are filled by ``kripke._compile``, in the pass that makes the node's truth
+program, and are kept on the node with it.  There is no intern table: a
+strong one would keep every parsed formula alive, and a weak one costs a
+weakref per node.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from .errors import ParseError, UnsupportedFragmentError
 class Formula:
     """Base class for all formula nodes. Instances are immutable."""
 
-    # _names/_props/_agents stay unset until _symbols fills them, _prog
-    # until kripke._compile does
+    # _names/_props/_agents/_prog stay unset until kripke._compile fills
+    # them
     __slots__ = ("_hash", "_names", "_props", "_agents", "_prog")
     __match_args__: tuple[str, ...] = ()
 
@@ -89,11 +93,6 @@ class Formula:
     def _kids(self) -> tuple[Formula, ...]:
         return ()
 
-    def _fill(self) -> None:
-        _set_names(self, _NO_SYMBOLS)
-        _set_props(self, _NO_SYMBOLS)
-        _set_agents(self, _NO_SYMBOLS)
-
 
 # Slot setters: __setattr__ refuses every assignment, so constructors write
 # through the slot descriptors directly.
@@ -103,24 +102,6 @@ _set_props = Formula._props.__set__
 _set_agents = Formula._agents.__set__
 _set_prog = Formula._prog.__set__
 
-_NO_SYMBOLS: frozenset[str] = frozenset()
-_SINGLETONS: dict[str, frozenset[str]] = {}
-
-
-def _one(symbol: str) -> frozenset[str]:
-    out = _SINGLETONS.get(symbol)
-    if out is None:
-        out = _SINGLETONS[symbol] = frozenset((symbol,))
-    return out
-
-
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    if a is b or b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
 
 class Prop(Formula):
     __slots__ = ("name",)
@@ -129,11 +110,6 @@ class Prop(Formula):
     def __init__(self, name: str):
         _set_prop_name(self, name)
         _set_hash(self, hash((name,)))
-
-    def _fill(self) -> None:
-        _set_names(self, _NO_SYMBOLS)
-        _set_props(self, _one(self.name))
-        _set_agents(self, _NO_SYMBOLS)
 
 
 _set_prop_name = Prop.name.__set__
@@ -168,12 +144,6 @@ class Not(Formula):
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
 
-    def _fill(self) -> None:
-        arg = self.arg
-        _set_names(self, arg._names)
-        _set_props(self, arg._props)
-        _set_agents(self, arg._agents)
-
 
 _set_not_arg = Not.arg.__set__
 
@@ -189,12 +159,6 @@ class _Binary(Formula):
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
-
-    def _fill(self) -> None:
-        left, right = self.left, self.right
-        _set_names(self, _union(left._names, right._names))
-        _set_props(self, _union(left._props, right._props))
-        _set_agents(self, _union(left._agents, right._agents))
 
 
 _set_left = _Binary.left.__set__
@@ -229,12 +193,6 @@ class _Modal(Formula):
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
 
-    def _fill(self) -> None:
-        arg = self.arg
-        _set_names(self, _union(arg._names, _one(self.name)))
-        _set_props(self, arg._props)
-        _set_agents(self, arg._agents)
-
 
 _set_modal_name = _Modal.name.__set__
 _set_modal_arg = _Modal.arg.__set__
@@ -268,12 +226,6 @@ class B(Formula):
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
-
-    def _fill(self) -> None:
-        arg = self.arg
-        _set_names(self, _union(arg._names, _one(self.name)))
-        _set_props(self, arg._props)
-        _set_agents(self, _union(arg._agents, _one(self.agent)))
 
 
 _set_b_agent = B.agent.__set__
@@ -437,61 +389,7 @@ def parse_formula(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_LVL_IFF, _LVL_IMPLIES, _LVL_OR, _LVL_AND, _LVL_UNARY, _LVL_ATOM = range(6)
-
-
-def _fmt(f: Formula, required: int) -> str:
-    match f:
-        case Prop(name):
-            text, level = name, _LVL_ATOM
-        case Top():
-            text, level = "true", _LVL_ATOM
-        case Bot():
-            text, level = "false", _LVL_ATOM
-        case Not(arg):
-            text, level = "!" + _fmt(arg, _LVL_UNARY), _LVL_UNARY
-        case E(name, arg):
-            text, level = f"E[{name}] " + _fmt(arg, _LVL_UNARY), _LVL_UNARY
-        case S(name, arg):
-            text, level = f"S[{name}] " + _fmt(arg, _LVL_UNARY), _LVL_UNARY
-        case C(name, arg):
-            text, level = f"C[{name}] " + _fmt(arg, _LVL_UNARY), _LVL_UNARY
-        case D(name, arg):
-            text, level = f"D[{name}] " + _fmt(arg, _LVL_UNARY), _LVL_UNARY
-        case B(agent, name, arg):
-            text, level = f"B[{agent};{name}] " + _fmt(arg, _LVL_UNARY), _LVL_UNARY
-        case And(left, right):
-            text = _fmt(left, _LVL_AND) + " & " + _fmt(right, _LVL_AND + 1)
-            level = _LVL_AND
-        case Or(left, right):
-            text = _fmt(left, _LVL_OR) + " | " + _fmt(right, _LVL_OR + 1)
-            level = _LVL_OR
-        case Implies(left, right):
-            text = _fmt(left, _LVL_IMPLIES + 1) + " -> " + _fmt(right, _LVL_IMPLIES)
-            level = _LVL_IMPLIES
-        case Iff(left, right):
-            text = _fmt(left, _LVL_IFF + 1) + " <-> " + _fmt(right, _LVL_IFF)
-            level = _LVL_IFF
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    if level < required:
-        return "(" + text + ")"
-    return text
-
-
-def print_formula(f: Formula) -> str:
-    """Render a formula so that parse_formula(print_formula(f)) == f."""
-    return _fmt(f, 0)
-
-
-# ---------------------------------------------------------------------------
 # Structure
-
-def children(f: Formula) -> tuple[Formula, ...]:
-    return f._kids() if isinstance(f, Formula) else ()
-
 
 def walk(f: Formula) -> Iterator[Formula]:
     """All subterms of f, including f, without deduplication of leaves."""
@@ -502,22 +400,118 @@ def walk(f: Formula) -> Iterator[Formula]:
         stack.extend(g._kids())
 
 
-def _symbols(f: Formula) -> Formula:
-    """Fill the symbol sets of f and of every subterm still lacking them,
-    children first.  Returns f."""
-    if hasattr(f, "_agents"):
-        return f
-    stack = [f]
+def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
+    """The distinct subterms of the roots, children first: nodes[k] is the
+    node numbered k and kids[k] the numbers of its operands, left first.
+    Equal subterms get one number, so a shared subterm is met once however
+    often it occurs.  The roots are numbered in the order given, each left
+    operand before the right, and a single root comes last.
+
+    The printer, desugar, modal_depth, subformulas, closure and
+    kripke._compile fold over this list, computing each node's value from
+    its operands' values, so that none of them recurses."""
+    slot: dict[Formula, int] = {}
+    nodes: list[Formula] = []
+    kids: list[tuple[int, ...]] = []
+    stack = list(reversed(roots))
     while stack:
         g = stack[-1]
-        ready = True
-        for k in g._kids():
-            if not hasattr(k, "_agents"):
-                stack.append(k)
-                ready = False
-        if ready:
+        if g in slot:
             stack.pop()
-            g._fill()
+            continue
+        ks = g._kids()
+        if ks:
+            pending = [x for x in ks if x not in slot]
+            if pending:
+                pending.reverse()  # the left operand on top
+                stack += pending
+                continue
+            ks = tuple([slot[x] for x in ks])
+        stack.pop()
+        slot[g] = len(nodes)
+        nodes.append(g)
+        kids.append(ks)
+    return nodes, kids
+
+
+# ---------------------------------------------------------------------------
+# Printing
+
+_LVL_IFF, _LVL_IMPLIES, _LVL_OR, _LVL_AND, _LVL_UNARY, _LVL_ATOM = range(6)
+
+# an infix node's separator, its level, and the levels its left and right
+# operands need to go without parentheses
+_INFIX = {
+    And: (" & ", _LVL_AND, _LVL_AND, _LVL_AND + 1),
+    Or: (" | ", _LVL_OR, _LVL_OR, _LVL_OR + 1),
+    Implies: (" -> ", _LVL_IMPLIES, _LVL_IMPLIES + 1, _LVL_IMPLIES),
+    Iff: (" <-> ", _LVL_IFF, _LVL_IFF + 1, _LVL_IFF),
+}
+
+
+def _texts(nodes: list[Formula], kids: list[tuple[int, ...]], drop: bool = False) -> list:
+    """The print_formula text of every node of a numbering.
+
+    With drop, each text is let go once its last reader has used it, and
+    only the last node's text is kept: the texts of a chain's nodes add up
+    to the square of its length."""
+    text: list = []
+    level: list[int] = []
+    if drop:
+        last = [0] * len(nodes)
+        for j, ks in enumerate(kids):
+            for k in ks:
+                last[k] = j
+    for j, (g, ks) in enumerate(zip(nodes, kids)):
+        cls = g.__class__
+        infix = _INFIX.get(cls)
+        if infix is not None:
+            sep, lvl, need_left, need_right = infix
+            left, right = ks
+            a = text[left] if level[left] >= need_left else f"({text[left]})"
+            b = text[right] if level[right] >= need_right else f"({text[right]})"
+            t = a + sep + b
+        elif ks:
+            k = ks[0]
+            a = text[k] if level[k] >= _LVL_UNARY else f"({text[k]})"
+            if cls is Not:
+                t = "!" + a
+            elif cls is B:
+                t = f"B[{g.agent};{g.name}] " + a
+            else:  # E, S, C, D: the class name is the head
+                t = f"{cls.__name__}[{g.name}] " + a
+            lvl = _LVL_UNARY
+        else:
+            t = g.name if cls is Prop else "true" if cls is Top else "false"
+            lvl = _LVL_ATOM
+        text.append(t)
+        level.append(lvl)
+        if drop:
+            for k in ks:
+                if last[k] == j:
+                    text[k] = None
+    return text
+
+
+def print_formula(f: Formula) -> str:
+    """Render a formula so that parse_formula(print_formula(f)) == f."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return _texts(*_numbering(f), drop=True)[-1]
+
+
+# ---------------------------------------------------------------------------
+# Symbols and folds
+
+def _symbols(f: Formula) -> Formula:
+    """f, with its name, proposition and agent sets filled.
+
+    kripke._compile fills them in the pass that numbers f for its program,
+    so a formula asked about in a model is numbered once for both."""
+    if not hasattr(f, "_agents"):
+        from .kripke import _compile  # kripke imports this module
+
+        _compile(f)
     return f
 
 
@@ -534,53 +528,49 @@ def agents_in(f: Formula) -> frozenset[str]:
 
 
 def modal_depth(f: Formula) -> int:
-    match f:
-        case E(_, arg) | S(_, arg) | C(_, arg) | D(_, arg) | B(_, _, arg):
-            return 1 + modal_depth(arg)
-        case _:
-            kids = children(f)
-            return max((modal_depth(g) for g in kids), default=0)
+    nodes, kids = _numbering(f)
+    depth: list[int] = []
+    for g, ks in zip(nodes, kids):
+        d = max([depth[k] for k in ks], default=0)
+        depth.append(d + 1 if isinstance(g, (_Modal, B)) else d)
+    return depth[-1]
 
 
 def desugar(f: Formula) -> Formula:
-    """Rewrite ->, |, <-> into the !/& core. Idempotent."""
-    match f:
-        case Or(l, r):
-            return Not(And(Not(desugar(l)), Not(desugar(r))))
-        case Implies(l, r):
-            return Not(And(desugar(l), Not(desugar(r))))
-        case Iff(l, r):
-            return And(desugar(Implies(l, r)), desugar(Implies(r, l)))
-        case Not(arg):
-            return Not(desugar(arg))
-        case And(l, r):
-            return And(desugar(l), desugar(r))
-        case E(name, arg):
-            return E(name, desugar(arg))
-        case S(name, arg):
-            return S(name, desugar(arg))
-        case C(name, arg):
-            return C(name, desugar(arg))
-        case D(name, arg):
-            return D(name, desugar(arg))
-        case B(agent, name, arg):
-            return B(agent, name, desugar(arg))
-        case _:
-            return f
+    """Rewrite ->, |, <-> into the !/& core. Idempotent.
+
+    A node whose operands come out unchanged is returned as it is."""
+    nodes, kids = _numbering(f)
+    out: list[Formula] = []
+    for g, ks in zip(nodes, kids):
+        cls = g.__class__
+        args = [out[k] for k in ks]
+        if cls is Or:
+            left, right = args
+            g = Not(And(Not(left), Not(right)))
+        elif cls is Implies:
+            left, right = args
+            g = Not(And(left, Not(right)))
+        elif cls is Iff:
+            left, right = args
+            g = And(Not(And(left, Not(right))), Not(And(right, Not(left))))
+        elif all(a is nodes[k] for a, k in zip(args, ks)):
+            pass
+        elif cls is And:
+            g = And(*args)
+        elif cls is Not:
+            g = Not(*args)
+        elif cls is B:
+            g = B(g.agent, g.name, *args)
+        else:  # E, S, C, D
+            g = cls(g.name, *args)
+        out.append(g)
+    return out[-1]
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """The reflexive-transitive subterm set of the desugared formula."""
-    f = desugar(f)
-    seen: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        stack.extend(children(g))
-    return frozenset(seen)
+    return frozenset(_numbering(desugar(f))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -613,24 +603,25 @@ def closure(chi: Formula) -> Closure:
     """Compute the closure of chi over the !/&/E/S/C core.
 
     chi is desugared first; D and B are outside the supported fragment.
+    The members start as the subterms of chi and the seeds, so every
+    member a rule adds has its operands in already.
     """
     chi = desugar(chi)
-    for g in walk(chi):
+    names = names_in(chi)
+    seeds = [S(n, TRUE) for n in sorted(names)] + [E(n, FALSE) for n in sorted(names)]
+    nodes, _ = _numbering(chi, *seeds)
+    for g in reversed(nodes):  # outermost first, as a walk of a tree meets them
         if isinstance(g, (D, B)):
             raise UnsupportedFragmentError(
                 f"closure is defined for the E/S/C fragment, got {print_formula(g)}"
             )
-    names = names_in(chi)
     formulas: set[Formula] = set()
-    queue: list[Formula] = [chi]
-    queue.extend(S(n, TRUE) for n in sorted(names))
-    queue.extend(E(n, FALSE) for n in sorted(names))
+    queue = nodes
     while queue:
         g = queue.pop()
         if g in formulas:
             continue
         formulas.add(g)
-        queue.extend(children(g))
         if not isinstance(g, Not):
             queue.append(Not(g))
         match g:
@@ -638,5 +629,5 @@ def closure(chi: Formula) -> Closure:
                 queue.append(S(n, arg))
             case C(n, arg):
                 queue.append(E(n, arg))
-                queue.append(E(n, C(n, arg)))
+                queue.append(E(n, g))
     return Closure(frozenset(formulas), names, props_in(chi))

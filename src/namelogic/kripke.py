@@ -40,7 +40,11 @@ from .formula import (
     Prop,
     S,
     Top,
+    _numbering,
+    _set_agents,
+    _set_names,
     _set_prog,
+    _set_props,
     agents_in,
     names_in,
     props_in,
@@ -151,6 +155,17 @@ def _listed(value: Any, what: str) -> Any:
     return value
 
 
+def _named(values: Any, what: str) -> list:
+    """The identifiers listed in values.  A state, agent, name or
+    proposition is a string: a number among them would be read, and fail
+    only later, where sorting meets 1 beside "w"."""
+    values = list(_listed(values, what))
+    for x in values:
+        if not isinstance(x, str):
+            raise ModelFormatError(f"{what}: {x!r} is not a string")
+    return values
+
+
 def _known_keys(d: Any, keys: frozenset[str], what: str) -> None:
     """Refuse a top-level key of the document d outside keys: a misspelled
     key would otherwise read as an absent, empty entry."""
@@ -176,9 +191,9 @@ def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
     """
     _known_keys(d, _MODEL_KEYS, "model")
     try:
-        states = frozenset(_listed(d["states"], "states"))
-        agents = frozenset(_listed(d.get("agents", []), "agents"))
-        names = frozenset(_listed(d.get("names", []), "names"))
+        states = frozenset(_named(d["states"], "states"))
+        agents = frozenset(_named(d.get("agents", []), "agents"))
+        names = frozenset(_named(d.get("names", []), "names"))
         ops = list(_listed(d.get("closure", []), "closure"))
         relations = {}
         for a, pairs in d.get("relations", {}).items():
@@ -186,14 +201,20 @@ def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
             for pair in _listed(pairs, f"relation of {a!r}"):
                 x, y = _listed(pair, f"an edge of {a!r}")
                 rel.add((x, y))
+            # an endpoint among the declared states is a string already
+            if not states.issuperset(chain.from_iterable(rel)):
+                _named(chain.from_iterable(pairs), f"an edge of {a!r}")
             relations[a] = _close_relation(rel, ops, states)
         naming = {}
         for state, per_name in d.get("naming", {}).items():
             for name, group in per_name.items():
-                naming[(state, name)] = _listed(group, f"naming of {name!r} at {state!r}")
+                naming[(state, name)] = _named(group, f"naming of {name!r} at {state!r}")
         valuation = {
-            p: _listed(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
+            p: _named(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
         }
+        _named(relations, "relations")
+        _named(chain.from_iterable(naming), "naming")
+        _named(valuation, "valuation")
         return KripkeModel.make(states, agents, names, relations, naming, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due
@@ -363,9 +384,11 @@ def _compile(f: Formula) -> list[tuple]:
     f.  An instruction is the opcode followed by the node's fields, with
     each subformula replaced by its slot: (_E, name, operand slot).
 
-    The program is made once per node and kept on it, flattened into one
-    tuple: a tuple per instruction would take about twice the memory, and
-    models keep the formulas they were asked about alive."""
+    The program is made once per node from formula._numbering, in the pass
+    that also fills the node's name, proposition and agent sets.  It is
+    kept on the node flattened into one tuple: a tuple per instruction
+    would take about twice the memory, and models keep the formulas they
+    were asked about alive."""
     flat = getattr(f, "_prog", None)
     prog: list[tuple] = []
     if flat is not None:
@@ -375,22 +398,27 @@ def _compile(f: Formula) -> list[tuple]:
             prog.append(flat[i:j])
             i = j
         return prog
-    slot: dict[Formula, int] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g in slot:
-            stack.pop()
-            continue
-        pending = [k for k in reversed(g._kids()) if k not in slot]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        fields = (getattr(g, a) for a in g.__match_args__)
-        slot[g] = len(prog)
-        prog.append((_OPCODES[type(g)], *(slot[x] if isinstance(x, Formula) else x for x in fields)))
+    names: set[str] = set()
+    props: set[str] = set()
+    agents: set[str] = set()
+    for g, ks in zip(*_numbering(f)):
+        op = _OPCODES[g.__class__]
+        if op == _PROP:
+            props.add(g.name)
+            prog.append((op, g.name))
+        elif op < _E:
+            prog.append((op, *ks))
+        elif op == _B:
+            agents.add(g.agent)
+            names.add(g.name)
+            prog.append((op, g.agent, g.name, *ks))
+        else:
+            names.add(g.name)
+            prog.append((op, g.name, *ks))
     _set_prog(f, tuple(x for ins in prog for x in ins))
+    _set_names(f, frozenset(names))
+    _set_props(f, frozenset(props))
+    _set_agents(f, frozenset(agents))
     return prog
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import or_
 from typing import Any, Iterable, Mapping
 
@@ -27,15 +28,19 @@ from .errors import (
     UndeclaredSymbolError,
     UnsupportedFragmentError,
 )
-from .formula import B, C, D, E, Formula, Prop, S, walk
+from .formula import E, Formula, Prop, S
 from .kripke import (
     Diagnostic,
     KripkeModel,
     Pair,
+    _B,
+    _C,
+    _D,
     _Index,
     _compile,
     _known_keys,
     _listed,
+    _named,
     _require_symbols,
     _run,
     _truth,
@@ -95,18 +100,20 @@ _NBHD_KEYS = frozenset({"states", "names", "nu", "valuation"})
 def nbhd_from_dict(d: Mapping[str, Any]) -> NeighborhoodModel:
     _known_keys(d, _NBHD_KEYS, "neighborhood model")
     try:
-        states = frozenset(_listed(d["states"], "states"))
-        names = frozenset(_listed(d.get("names", []), "names"))
+        states = frozenset(_named(d["states"], "states"))
+        names = frozenset(_named(d.get("names", []), "names"))
         nu: dict[Pair, Family] = {}
         for state, per_name in d["nu"].items():
             for name, fam in per_name.items():
                 what = f"neighborhoods of {name!r} at {state!r}"
                 nu[(state, name)] = frozenset(
-                    frozenset(_listed(x, what)) for x in _listed(fam, what)
+                    frozenset(_named(x, what)) for x in _listed(fam, what)
                 )
         valuation = {
-            p: _listed(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
+            p: _named(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
         }
+        _named(chain.from_iterable(nu), "nu")
+        _named(valuation, "valuation")
         m = NeighborhoodModel.make(states, names, nu, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due
@@ -142,11 +149,15 @@ def nbhd_to_dict(m: NeighborhoodModel) -> dict:
 # ---------------------------------------------------------------------------
 # Truth (E/S fragment only)
 
+_UNSUPPORTED = {_C: "C", _D: "D", _B: "B"}
+
+
 def _assert_supported(f: Formula) -> None:
-    for g in walk(f):
-        if isinstance(g, (C, D, B)):
+    # outermost first, as a walk of a tree meets them
+    for ins in reversed(_compile(f)):
+        if ins[0] in _UNSUPPORTED:
             raise UnsupportedFragmentError(
-                f"{type(g).__name__} has no neighborhood reading; only E and S do"
+                f"{_UNSUPPORTED[ins[0]]} has no neighborhood reading; only E and S do"
             )
 
 

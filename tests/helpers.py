@@ -257,6 +257,90 @@ def reference_refine_with_formulas(u):
     return classes, delta
 
 
+# The recursive printer, desugaring and modal depth that the library's folds
+# over formula._numbering replaced: each follows its definition clause by
+# clause, and visits a shared subterm once per occurrence.
+
+_LVL_IFF, _LVL_IMPLIES, _LVL_OR, _LVL_AND, _LVL_UNARY, _LVL_ATOM = range(6)
+
+
+def _reference_fmt(f, required: int) -> str:
+    match f:
+        case Prop(name):
+            text, level = name, _LVL_ATOM
+        case Top():
+            text, level = "true", _LVL_ATOM
+        case Bot():
+            text, level = "false", _LVL_ATOM
+        case Not(arg):
+            text, level = "!" + _reference_fmt(arg, _LVL_UNARY), _LVL_UNARY
+        case E(name, arg):
+            text, level = f"E[{name}] " + _reference_fmt(arg, _LVL_UNARY), _LVL_UNARY
+        case S(name, arg):
+            text, level = f"S[{name}] " + _reference_fmt(arg, _LVL_UNARY), _LVL_UNARY
+        case C(name, arg):
+            text, level = f"C[{name}] " + _reference_fmt(arg, _LVL_UNARY), _LVL_UNARY
+        case D(name, arg):
+            text, level = f"D[{name}] " + _reference_fmt(arg, _LVL_UNARY), _LVL_UNARY
+        case B(agent, name, arg):
+            text, level = f"B[{agent};{name}] " + _reference_fmt(arg, _LVL_UNARY), _LVL_UNARY
+        case And(left, right):
+            text = _reference_fmt(left, _LVL_AND) + " & " + _reference_fmt(right, _LVL_AND + 1)
+            level = _LVL_AND
+        case Or(left, right):
+            text = _reference_fmt(left, _LVL_OR) + " | " + _reference_fmt(right, _LVL_OR + 1)
+            level = _LVL_OR
+        case Implies(left, right):
+            text = _reference_fmt(left, _LVL_IMPLIES + 1) + " -> " + _reference_fmt(right, _LVL_IMPLIES)
+            level = _LVL_IMPLIES
+        case Iff(left, right):
+            text = _reference_fmt(left, _LVL_IFF + 1) + " <-> " + _reference_fmt(right, _LVL_IFF)
+            level = _LVL_IFF
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    if level < required:
+        return "(" + text + ")"
+    return text
+
+
+def reference_print(f) -> str:
+    return _reference_fmt(f, 0)
+
+
+def reference_modal_depth(f) -> int:
+    match f:
+        case E(_, arg) | S(_, arg) | C(_, arg) | D(_, arg) | B(_, _, arg):
+            return 1 + reference_modal_depth(arg)
+        case _:
+            return max((reference_modal_depth(g) for g in f._kids()), default=0)
+
+
+def reference_desugar(f):
+    match f:
+        case Or(l, r):
+            return Not(And(Not(reference_desugar(l)), Not(reference_desugar(r))))
+        case Implies(l, r):
+            return Not(And(reference_desugar(l), Not(reference_desugar(r))))
+        case Iff(l, r):
+            return And(reference_desugar(Implies(l, r)), reference_desugar(Implies(r, l)))
+        case Not(arg):
+            return Not(reference_desugar(arg))
+        case And(l, r):
+            return And(reference_desugar(l), reference_desugar(r))
+        case E(name, arg):
+            return E(name, reference_desugar(arg))
+        case S(name, arg):
+            return S(name, reference_desugar(arg))
+        case C(name, arg):
+            return C(name, reference_desugar(arg))
+        case D(name, arg):
+            return D(name, reference_desugar(arg))
+        case B(agent, name, arg):
+            return B(agent, name, reference_desugar(arg))
+        case _:
+            return f
+
+
 def reference_symbols(f) -> tuple[frozenset, frozenset, frozenset]:
     """(names, props, agents) of f, collected by walking every subterm: the
     definition that the library's cached per-node symbol sets must match."""

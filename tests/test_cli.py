@@ -127,6 +127,17 @@ _WRONG_LEAVES = [
     (_ALGEBRA, ("valuation", "p"), 5),
     (_ALGEBRA, ("nu", "w", "n"), 5),
     (_ALGEBRA, ("nu", "w", "n"), [5]),
+    # a number where an identifier is due
+    (_CHECK, ("states",), ["w", "v", 1]),
+    (_CHECK, ("agents",), ["a", 1]),
+    (_CHECK, ("names",), ["n", 1]),
+    (_CHECK, ("relations", "a"), [["w", "w"], ["w", 1]]),
+    (_CHECK, ("naming", "w", "n"), ["a", 1]),
+    (_CHECK, ("valuation", "p"), ["w", 1]),
+    (_ALGEBRA, ("states",), ["w", "v", 1]),
+    (_ALGEBRA, ("names",), ["n", 1]),
+    (_ALGEBRA, ("nu", "w", "n"), [["w", 1]]),
+    (_ALGEBRA, ("valuation", "p"), ["w", 1.5]),
 ]
 
 
@@ -171,6 +182,30 @@ def test_string_where_a_list_is_due_is_an_input_error(capsys, tmp_path, command,
 def test_well_typed_variant_documents_load(capsys, tmp_path, command):
     code, captured = _run_on_variant(capsys, tmp_path, *command, ("valuation", "q"), ["v"])
     assert code == 0, captured.err
+
+
+# numbers among the states: read as they stand, validation would sort 1
+# beside "w", and so would the checker, each failing with a TypeError
+_NUMBERED_DOC = {
+    "states": [1, "w"],
+    "agents": ["a"],
+    "names": ["n"],
+    "relations": {"a": [[1, 1], ["w", "w"]]},
+    "naming": {"w": {"n": ["a"]}},
+    "valuation": {"p": [1, "w"]},
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "--state", "w", "--formula", "p"], ["validate"]], ids=["check", "validate"]
+)
+def test_numbered_states_are_an_input_error(capsys, tmp_path, command):
+    model = tmp_path / "doc.json"
+    model.write_text(json.dumps(_NUMBERED_DOC))
+    code, captured = run(capsys, command[0], "--model", str(model), *command[1:])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: states: 1 is not a string\n"
 
 
 # a misspelled top-level key, renamed from the given one; read as absent, the

@@ -1,11 +1,13 @@
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import reference_symbols
+from helpers import reference_desugar, reference_modal_depth, reference_print, reference_symbols
 
-from namelogic import kripke
+from namelogic import kripke, neighborhood
 from namelogic.errors import ParseError, UnsupportedFragmentError
 from namelogic.formula import (
     And,
@@ -218,6 +220,78 @@ def test_desugar_is_idempotent(f):
 @given(_formulas())
 def test_desugar_removes_sugar(f):
     assert not any(isinstance(g, (Or, Implies, Iff)) for g in subformulas(f))
+
+
+@given(_formulas())
+def test_folds_match_the_recursive_definitions(f):
+    assert print_formula(f) == reference_print(f)
+    assert desugar(f) == reference_desugar(f)
+    assert modal_depth(f) == reference_modal_depth(f)
+    assert subformulas(f) == frozenset(walk(reference_desugar(f)))
+
+
+FIGURE = Path(__file__).resolve().parent.parent / "figure1.json"
+
+
+def test_dag_shaped_formula_is_read_once_per_shared_subterm():
+    # f_{k+1} = f_k & f_k, 40 levels: 41 distinct nodes, 2^40 as a tree
+    m = kripke.model_from_dict(json.loads(FIGURE.read_text()))
+    base = Implies(S("n", p), E("m", q))
+    f = base
+    for _ in range(40):
+        f = And(f, f)
+    core = desugar(f)
+    assert core.left is core.right
+    assert modal_depth(f) == 1
+    assert len(subformulas(f)) == len(subformulas(base)) + 40
+    assert names_in(f) == frozenset({"n", "m"})
+    assert len(closure(f)) == len(closure(base)) + 2 * 40
+    assert kripke.extension(m, f) == kripke.extension(m, base)
+    nb = neighborhood.kripke_to_nbhd(m)
+    assert neighborhood.extension_nbhd(nb, f) == neighborhood.extension_nbhd(nb, base)
+
+
+_CHAIN = 10_000
+
+
+def _constructed_chain(kind: str):
+    """A chain of _CHAIN levels, built by the constructors, with its text,
+    modal depth, number of desugared subterms and an equivalent small formula."""
+    f, text = p, "p"
+    for _ in range(_CHAIN):
+        if kind == "!":
+            f, text = Not(f), "!" + text
+        elif kind == "E":
+            f, text = E("n", f), "E[n] " + text
+        elif kind == "B":
+            f, text = B("a", "n", f), "B[a;n] " + text
+        elif kind == "&":
+            f, text = And(q, f), f"q & ({text})" if isinstance(f, And) else f"q & {text}"
+        else:
+            f, text = Implies(q, f), "q -> " + text
+    return f, text, {
+        "!": (0, _CHAIN + 1, p),
+        "E": (_CHAIN, _CHAIN + 1, None),
+        "B": (_CHAIN, _CHAIN + 1, None),
+        "&": (0, _CHAIN + 2, And(q, p)),
+        "->": (0, 3 * _CHAIN + 2, Implies(q, p)),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["!", "E", "B", "&", "->"])
+def test_constructed_deep_chains_are_read_without_recursion(kind):
+    m = kripke.model_from_dict(json.loads(FIGURE.read_text()))
+    f, text, (depth, size, same) = _constructed_chain(kind)
+    assert print_formula(f) == text
+    assert modal_depth(f) == depth
+    core = desugar(f)
+    assert len(subformulas(f)) == size
+    assert names_in(f) == (frozenset({"n"}) if kind in "EB" else frozenset())
+    assert names_in(core) == names_in(f)
+    ext = kripke.extension(m, f)
+    assert ext <= m.states
+    if same is not None:
+        assert ext == kripke.extension(m, same)
 
 
 # ---------------------------------------------------------------------------

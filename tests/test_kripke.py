@@ -346,6 +346,13 @@ def test_model_format_errors():
         model_from_dict(
             {"states": ["x"], "closure": ["euclidean"], "relations": {"a": []}}
         )
+    # a JSON key is always a string, but a document built in Python need not be
+    doc = {"states": ["w"], "agents": ["a"], "names": ["n"], "relations": {"a": [["w", "w"]]},
+           "naming": {"w": {"n": ["a"]}}, "valuation": {"p": ["w"]}}
+    for key, value in [("relations", {1: [["w", "w"]]}), ("naming", {1: {"n": ["a"]}}),
+                       ("naming", {"w": {1: ["a"]}}), ("valuation", {1: ["w"]})]:
+        with pytest.raises(ModelFormatError, match="1 is not a string"):
+            model_from_dict({**doc, key: value})
 
 
 def test_random_model_deterministic():

@@ -238,6 +238,12 @@ def test_nbhd_from_dict_rejects_bad_documents():
         )
     with pytest.raises(ModelFormatError):
         nbhd_from_dict({"states": ["x"], "names": [], "nu": {}, "valuation": {"p": ["y"]}})
+    # a JSON key is always a string, but a document built in Python need not be
+    doc = {"states": ["w"], "names": ["n"], "nu": {"w": {"n": [["w"]]}}, "valuation": {"p": ["w"]}}
+    for key, value in [("nu", {1: {"n": [["w"]]}}), ("nu", {"w": {1: [["w"]]}}),
+                       ("valuation", {1: ["w"]})]:
+        with pytest.raises(ModelFormatError, match="1 is not a string"):
+            nbhd_from_dict({**doc, key: value})
 
 
 # ---------------------------------------------------------------------------
