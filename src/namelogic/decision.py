@@ -9,8 +9,9 @@ satisfiable exactly when some survivor contains it.  Every sat verdict is
 re-verified through the kripke module before it is returned; a re-check
 failure raises instead of producing a verdict.
 
-From the layout on the procedure works on ints.  _Layout numbers the
-closure's positive members once and resolves every member, each E/S/C
+From the layout on the procedure works on ints.  formula.closure numbers
+the desugared query and grows that numbering by the members its rules
+add.  _Layout reads it as it is and resolves every member, each E/S/C
 operand among them, to an integer literal: a positive's index and a
 polarity.  An atom is an int with one bit per positive.  Each coherence
 rule becomes a (mask, pattern) pair, broken by an atom exactly when
@@ -68,11 +69,9 @@ from .formula import (
     Prop,
     S,
     Top,
-    _numbering,
     _texts,
     agents_in,
     closure,
-    desugar,
     names_in,
     print_formula,
     props_in,
@@ -149,6 +148,10 @@ class EliminationState:
 class _Layout:
     """The closure of a query, resolved to integers once.
 
+    It reads the closure's numbering as it is: a member's operands are
+    numbers already, and the query is the closure's root, so nothing is
+    numbered, desugared or compiled here.
+
     positives are the members that are not negations, ordered by subterm
     count and then text; an atom sets bit i when positives[i] holds.  A
     literal (i, want) stands for a member: the positive its negations strip
@@ -168,11 +171,10 @@ class _Layout:
         self.closure_size = len(cl)
         self.names = tuple(sorted(cl.names))
 
-        # Members as slots, children first: kids[k] holds the operand slots
-        # of nodes[k], sub[k] its subterm slots as a mask, text[k] its
-        # print_formula text.
-        nodes, kids = _numbering(*cl)
-        slot = {g: k for k, g in enumerate(nodes)}
+        # Members as the closure numbers them, children first: kids[k]
+        # holds the operand numbers of nodes[k], sub[k] its subterm numbers
+        # as a mask, text[k] its print_formula text.
+        nodes, kids = cl.nodes, cl.kids
         text = _texts(nodes, kids)
         sub: list[int] = []
         for k, ks in enumerate(kids):
@@ -196,11 +198,13 @@ class _Layout:
         self.positives = tuple(nodes[k] for k in order)
         self.texts = tuple(text[k] for k in order)
         self.prop_bits = {g.name: i for i, g in enumerate(self.positives) if isinstance(g, Prop)}
-        self.chi_lit = lit[slot[desugar(chi)]]
+        self.chi_lit = lit[cl.root]
 
-        # the positive index of the member cls(name, operand slot)
+        # the positive index of the member cls(name, operand number), and
+        # the numbers of true and false, members whenever a name occurs
         heads = {(type(g), g.name, kids[k][0]): rank[k]
                  for k, g in enumerate(nodes) if isinstance(g, (E, S, C))}
+        const = {g.__class__: k for k, g in enumerate(nodes) if isinstance(g, (Top, Bot))}
 
         self.s_of: dict[str, list[tuple[int, tuple[int, bool], str]]] = {n: [] for n in self.names}
         self.e_of: dict[str, list[tuple[int, tuple[int, bool]]]] = {n: [] for n in self.names}
@@ -238,8 +242,8 @@ class _Layout:
         # antecedent conjuncts (index, needed value) force (index, value).
         rules: list[tuple[tuple[tuple[int, bool], ...], tuple[int, bool]]] = []
         for n in self.names:
-            i_bot = heads[(E, n, slot[FALSE])]
-            i_top = heads[(S, n, slot[TRUE])]
+            i_bot = heads[(E, n, const[Bot])]
+            i_top = heads[(S, n, const[Top])]
             # no named agent may know falsity unless nobody bears the name
             rules.append((((i_bot, False),), (i_top, True)))
             for i_s, arg, _ in self.s_of[n]:

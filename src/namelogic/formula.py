@@ -18,15 +18,20 @@ Nodes are immutable ``__slots__`` objects compared by structure.  Each node
 computes its hash once, in ``__init__``, from its field tuple and its
 children's cached hashes, so the value is the one a frozen dataclass with the
 same fields would give, but a memo lookup no longer re-hashes the subtree.
-``==`` walks both trees with an explicit stack, so neither hashing nor
-comparison recurses.
+``==`` walks both formulas with an explicit stack and pushes each pair of
+nodes at most once, so neither hashing nor comparison recurses, and two
+equal DAGs built apart compare in time linear in their distinct pairs of
+nodes, not in their paths.
 
 A formula is a DAG: equal subterms may be one shared node.  One walk,
 ``_numbering``, lists the distinct subterms of one or more roots children
 first, each with the numbers of its operands.  Printing, ``desugar``,
-``modal_depth``, ``subformulas``, ``closure``, ``kripke._compile`` and the
-decision procedure's layout are folds over that list, so only the parser
-recurses, and each of them meets a shared subterm once.  The name,
+``modal_depth``, ``subformulas`` and ``kripke._compile`` are folds over that
+list, so only the parser recurses, and each of them meets a shared subterm
+once.  ``closure`` is a numbering too: it numbers the desugared query, then
+appends the seeds and every member its rules add, each after its operands.
+The decision procedure's layout reads that numbering as it is, so a query
+is numbered twice, by ``desugar`` and by ``closure``.  The name,
 proposition and agent sets read by ``names_in``/``props_in``/``agents_in``
 are filled by ``kripke._compile``, in the pass that makes the node's truth
 program, and are kept on the node with it.  There is no intern table: a
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import ParseError, UnsupportedFragmentError
@@ -59,19 +65,36 @@ class Formula:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self._hash != other._hash:
+            return False
+        # Operands are checked for class and hash before they are pushed,
+        # and propositions compared on the spot.  A pair of nodes is pushed
+        # at most once, so two equal DAGs compare in time linear in their
+        # distinct pairs, not in their paths.
         stack = [(self, other)]
+        pushed: set[tuple[int, int]] = set()
         while stack:
             a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
             for field in a.__match_args__:
                 x, y = getattr(a, field), getattr(b, field)
-                if isinstance(x, Formula):
-                    stack.append((x, y))
-                elif x != y:
+                if x is y:
+                    continue
+                cls = x.__class__
+                if cls is not y.__class__:
                     return False
+                if cls is str:
+                    if x != y:
+                        return False
+                elif x._hash != y._hash:
+                    return False
+                elif cls is Prop:
+                    if x.name != y.name:
+                        return False
+                else:
+                    pair = (id(x), id(y))
+                    if pair not in pushed:
+                        pushed.add(pair)
+                        stack.append((x, y))
         return True
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -392,7 +415,11 @@ def parse_formula(text: str) -> Formula:
 # Structure
 
 def walk(f: Formula) -> Iterator[Formula]:
-    """All subterms of f, including f, without deduplication of leaves."""
+    """All subterms of f, including f, once per occurrence.
+
+    A subterm shared by several parents is yielded once for each path to
+    it, so on a DAG such as f_{k+1} = f_k & f_k the walk is exponential in
+    the depth; _numbering meets each distinct subterm once."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -407,9 +434,9 @@ def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
     often it occurs.  The roots are numbered in the order given, each left
     operand before the right, and a single root comes last.
 
-    The printer, desugar, modal_depth, subformulas, closure and
-    kripke._compile fold over this list, computing each node's value from
-    its operands' values, so that none of them recurses."""
+    The printer, desugar, modal_depth, subformulas and kripke._compile
+    fold over this list, computing each node's value from its operands'
+    values, so that none of them recurses; closure grows it."""
     slot: dict[Formula, int] = {}
     nodes: list[Formula] = []
     kids: list[tuple[int, ...]] = []
@@ -578,56 +605,82 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 
 @dataclass(frozen=True)
 class Closure:
-    """The finite formula set the decision procedure works inside.
+    """The finite formula set the decision procedure works inside, numbered.
 
     Closed under subterms, single negations of non-negations, witness seeds
     S[n] true / E[n] false for every name occurring in the input, S-weakening
     of E members, and the one-step unfolding members of C.
+
+    nodes lists the members children first, one number per distinct
+    formula, and kids[k] holds the numbers of the operands of nodes[k];
+    nodes[root] is the desugared input.  formulas, len, in and iteration
+    read the members as a set.
     """
 
-    formulas: frozenset[Formula]
+    nodes: tuple[Formula, ...]
+    kids: tuple[tuple[int, ...], ...]
+    root: int
     names: frozenset[str]
     props: frozenset[str]
 
+    @cached_property
+    def formulas(self) -> frozenset[Formula]:
+        return frozenset(self.nodes)
+
     def __len__(self) -> int:
-        return len(self.formulas)
+        return len(self.nodes)
 
     def __contains__(self, f: Formula) -> bool:
         return f in self.formulas
 
     def __iter__(self) -> Iterator[Formula]:
-        return iter(self.formulas)
+        return iter(self.nodes)
 
 
 def closure(chi: Formula) -> Closure:
-    """Compute the closure of chi over the !/&/E/S/C core.
+    """Number the closure of chi over the !/&/E/S/C core.
 
     chi is desugared first; D and B are outside the supported fragment.
-    The members start as the subterms of chi and the seeds, so every
-    member a rule adds has its operands in already.
+    The numbering of the desugared chi grows by the seeds, then by each
+    member a rule adds.  Every added member is built from numbered nodes
+    and numbered after its operands, so the numbering stays children first.
     """
-    chi = desugar(chi)
-    names = names_in(chi)
-    seeds = [S(n, TRUE) for n in sorted(names)] + [E(n, FALSE) for n in sorted(names)]
-    nodes, _ = _numbering(chi, *seeds)
+    nodes, kids = _numbering(desugar(chi))
     for g in reversed(nodes):  # outermost first, as a walk of a tree meets them
         if isinstance(g, (D, B)):
             raise UnsupportedFragmentError(
                 f"closure is defined for the E/S/C fragment, got {print_formula(g)}"
             )
-    formulas: set[Formula] = set()
-    queue = nodes
-    while queue:
-        g = queue.pop()
-        if g in formulas:
-            continue
-        formulas.add(g)
-        if not isinstance(g, Not):
-            queue.append(Not(g))
-        match g:
-            case E(n, arg):
-                queue.append(S(n, arg))
-            case C(n, arg):
-                queue.append(E(n, arg))
-                queue.append(E(n, g))
-    return Closure(frozenset(formulas), names, props_in(chi))
+    root = len(nodes) - 1
+    names = frozenset(g.name for g in nodes if isinstance(g, _Modal))
+    props = frozenset(g.name for g in nodes if g.__class__ is Prop)
+    slot = {g: k for k, g in enumerate(nodes)}
+
+    def add(g: Formula, ks: tuple[int, ...]) -> int:
+        k = slot.setdefault(g, len(nodes))
+        if k == len(nodes):
+            nodes.append(g)
+            kids.append(ks)
+        return k
+
+    if names:
+        top, bot = add(TRUE, ()), add(FALSE, ())
+        for n in sorted(names):
+            add(S(n, nodes[top]), (top,))
+        for n in sorted(names):
+            add(E(n, nodes[bot]), (bot,))
+    k = 0
+    while k < len(nodes):  # the members added here are read in turn
+        g = nodes[k]
+        cls = g.__class__
+        if cls is not Not:
+            add(Not(g), (k,))
+        if cls is E:
+            a = kids[k][0]
+            add(S(g.name, nodes[a]), (a,))
+        elif cls is C:
+            a = kids[k][0]
+            add(E(g.name, nodes[a]), (a,))
+            add(E(g.name, g), (k,))
+        k += 1
+    return Closure(tuple(nodes), tuple(kids), root, names, props)

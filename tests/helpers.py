@@ -10,7 +10,9 @@ from itertools import islice
 from operator import or_
 
 from namelogic import And, B, Bot, BudgetExceededError, C, D, E, FALSE, Iff, Implies, ModelFormatError, Not, Or, Prop, S, TRUE, Top, closure, walk
+from namelogic import UnsupportedFragmentError, desugar, names_in, print_formula, props_in
 from namelogic import kripke
+from namelogic.formula import _numbering
 
 _BOOLEAN = ("not", "and", "or", "implies", "iff")
 
@@ -350,6 +352,38 @@ def reference_symbols(f) -> tuple[frozenset, frozenset, frozenset]:
         frozenset(g.name for g in nodes if isinstance(g, Prop)),
         frozenset(g.agent for g in nodes if isinstance(g, B)),
     )
+
+
+def reference_closure(chi) -> tuple[frozenset, frozenset, frozenset]:
+    """(members, names, props) of the closure of chi, by a worklist over a
+    set: the subterms of the desugared chi and the seeds, then every
+    negation, S-weakening and C-unfolding until nothing is new.  Raises
+    UnsupportedFragmentError naming the outermost desugared D/B member."""
+    chi = desugar(chi)
+    names = names_in(chi)
+    seeds = [S(n, TRUE) for n in sorted(names)] + [E(n, FALSE) for n in sorted(names)]
+    nodes, _ = _numbering(chi, *seeds)
+    for g in reversed(nodes):
+        if isinstance(g, (D, B)):
+            raise UnsupportedFragmentError(
+                f"closure is defined for the E/S/C fragment, got {print_formula(g)}"
+            )
+    formulas: set = set()
+    queue = nodes
+    while queue:
+        g = queue.pop()
+        if g in formulas:
+            continue
+        formulas.add(g)
+        if not isinstance(g, Not):
+            queue.append(Not(g))
+        match g:
+            case E(n, arg):
+                queue.append(S(n, arg))
+            case C(n, arg):
+                queue.append(E(n, arg))
+                queue.append(E(n, g))
+    return frozenset(formulas), names, props_in(chi)
 
 
 def _mentioned_states(m) -> frozenset:

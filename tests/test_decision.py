@@ -35,6 +35,7 @@ from namelogic import (
     S,
     agents_in,
     closure,
+    formula,
     kripke,
     parse_formula,
     print_formula,
@@ -750,6 +751,28 @@ def test_elimination_results_are_pinned():
         "decide": "66cee4ce8ce4d5c610d90b6112d84a5c383ae70e544f4c899973a100a3072b81",
         "capped": "91ae0eae61b389a8ccff0e34880270892b7771e1729b46c71fa746ac3572be89",
     }
+
+
+def test_layout_numbers_each_query_at_most_twice(monkeypatch):
+    # desugar numbers the query and closure numbers the desugared query;
+    # the layout reads that numbering and builds no truth program
+    numbered = []
+    numbering = formula._numbering
+
+    def counted(*roots):
+        numbered.append(roots)
+        return numbering(*roots)
+
+    def refused(f):
+        raise AssertionError(f"compiled {print_formula(f)}")
+
+    monkeypatch.setattr(formula, "_numbering", counted)
+    monkeypatch.setattr(kripke, "_compile", refused)
+    for text in DECIDE_SAT_TEXTS + DECIDE_VALID_TEXTS:
+        for chi in (parse_formula(text), Not(parse_formula(text))):
+            numbered.clear()
+            _Layout(chi, 64)
+            assert 1 <= len(numbered) <= 2, text
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 import json
 import pickle
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import reference_desugar, reference_modal_depth, reference_print, reference_symbols
+from helpers import (
+    reference_closure,
+    reference_desugar,
+    reference_modal_depth,
+    reference_print,
+    reference_symbols,
+)
 
 from namelogic import kripke, neighborhood
 from namelogic.errors import ParseError, UnsupportedFragmentError
@@ -384,6 +391,29 @@ def test_deep_chains_hash_compare_and_report_symbols(kind):
     assert agents_in(f) == frozenset()
 
 
+def _doubling_dag(base: Formula, levels: int) -> Formula:
+    """f_{k+1} = f_k & f_k: levels + 1 distinct nodes, 2^levels leaves as a tree."""
+    f = base
+    for _ in range(levels):
+        f = And(f, f)
+    return f
+
+
+def test_separately_built_dags_compare_and_look_each_other_up_promptly():
+    f = _doubling_dag(S("n", Prop("p")), 40)
+    g = _doubling_dag(S("n", Prop("p")), 40)
+    h = _doubling_dag(S("n", Prop("q")), 40)
+    start = time.perf_counter()
+    assert f is not g
+    assert f == g and g == f
+    assert {f: 0}[g] == 0 and {g: 1}[f] == 1
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert f != h and h != f  # unequal in the base proposition only
+    assert h not in {f: 0}
+    assert time.perf_counter() - start < 0.5
+
+
 # ---------------------------------------------------------------------------
 # Subformulas and signature
 
@@ -462,6 +492,25 @@ def test_closure_rejects_distributed_and_relativized():
         closure(D("n", p))
     with pytest.raises(UnsupportedFragmentError):
         closure(B("a", "n", p))
+
+
+@given(_formulas())
+def test_closure_numbers_the_reference_members(f):
+    try:
+        want = reference_closure(f)
+    except UnsupportedFragmentError as exc:
+        with pytest.raises(UnsupportedFragmentError) as got:
+            closure(f)
+        assert str(got.value) == str(exc)
+        return
+    cl = closure(f)
+    assert (cl.formulas, cl.names, cl.props) == want
+    assert len(cl.nodes) == len(cl.kids) == len(cl.formulas)  # one number each
+    number = {g: k for k, g in enumerate(cl.nodes)}
+    for k, (g, ks) in enumerate(zip(cl.nodes, cl.kids)):
+        assert all(j < k for j in ks)  # children first
+        assert ks == tuple(number[x] for x in g._kids())
+    assert cl.nodes[cl.root] == desugar(f)
 
 
 def test_closure_desugars_first():
