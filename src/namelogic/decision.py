@@ -35,12 +35,13 @@ constructed from those frozen sets directly, so no pair is hashed twice.
 
 Distributed knowledge has no effective route here.  Those queries go through
 the bounded oracle, which is also used to cross-validate unsat verdicts.  It
-evaluates its candidates as bit lanes: each block of candidates (every
-rows-and-valuation choice under one naming, or a block of random draws)
-becomes lane masks, and _run_lanes runs kripke's compiled program on all
-of them at once.  That is a second copy of kripke's truth clauses, kept
-equal to the truth core's one-model _run by a differential test; every hit
-is checked again through kripke.check.
+is one loop over tiers and lane blocks: each tier yields its candidates as
+bit lanes (every rows-and-valuation choice under one naming, or a block of
+random draws), and _run_lanes runs kripke's compiled program on all of a
+block's lanes at once.  That is a second copy of kripke's truth clauses,
+kept equal to the truth core's one-model _run by a differential test, so
+the lowest hit lane is decoded straight into a KripkeModel that is checked
+again through kripke.check and lenient validation.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, product, repeat
 from operator import and_, or_, xor
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import kripke
 from .errors import BudgetExceededError, LogicError
@@ -569,46 +570,6 @@ def valid(chi: Formula, *, max_closure: int = 64, max_atoms: int = 200_000) -> b
 # ---------------------------------------------------------------------------
 # Bounded brute-force oracle
 
-class _MaskModel(NamedTuple):
-    """A candidate model over at most a handful of states, as arrays:
-    rows[agent][state bit] -> successor mask, mu[(state bit, name)] -> tuple
-    of agent indices, val[prop] -> state mask.  The search evaluates
-    candidates as bit lanes (see _run_lanes, a second copy of kripke's
-    truth clauses kept honest by a differential test); the hit lane is
-    decoded into this form, becomes a KripkeModel and is checked again
-    through kripke.check."""
-
-    states: list[str]
-    agents: list[str]
-    names: list[str]
-    rows: list[list[int]]
-    mu: dict[tuple[int, str], tuple[int, ...]]
-    val: dict[str, int]
-
-    def to_kripke(self) -> KripkeModel:
-        pairs = lambda a: frozenset(
-            (self.states[w], self.states[v])
-            for w, row in enumerate(self.rows[a])
-            for v in _bit_indices(row)
-        )
-        return KripkeModel.make(
-            states=self.states,
-            agents=self.agents,
-            names=self.names,
-            relations={self.agents[a]: pairs(a) for a in range(len(self.agents))},
-            naming={
-                (self.states[w], n): frozenset(self.agents[a] for a in group)
-                for (w, n), group in self.mu.items()
-                if group
-            },
-            valuation={p: frozenset(self.states[w] for w in _bit_indices(m)) for p, m in self.val.items()},
-        )
-
-
-def _oracle_signature(chi: Formula):
-    return sorted(props_in(chi)), sorted(names_in(chi)), sorted(agents_in(chi))
-
-
 def _agent_pool(fixed: list[str], count: int) -> list[str]:
     pool = list(fixed)
     i = 0
@@ -637,45 +598,20 @@ def brute_force_sat(
     miss within bounds is never an unsatisfiability proof.  Every hit is
     re-verified through kripke.check before being returned.
     """
-    props, names, fixed_agents = _oracle_signature(chi)
-    if len(fixed_agents) > max_agents:
+    props, names, fixed = sorted(props_in(chi)), sorted(names_in(chi)), sorted(agents_in(chi))
+    if len(fixed) > max_agents:
         return None
     prog = kripke._compile(chi)
     for size in range(1, max_states + 1):
-        for n_agents in range(len(fixed_agents), max_agents + 1):
-            hit = _search_tier(
-                chi, prog, size, n_agents, props, names, fixed_agents,
-                exhaustive_budget, samples, seed,
-            )
-            if hit is not None:
-                return hit
+        for n_agents in range(len(fixed), max_agents + 1):
+            agents = _agent_pool(fixed, n_agents)
+            blocks = _tier_blocks(chi, size, n_agents, names, props, exhaustive_budget, samples, seed)
+            for ones, N, R, V in blocks:
+                truth = _run_lanes(prog, size, agents, ones, N, R, V)
+                hits = reduce(or_, truth, 0)
+                if hits:
+                    return _decode_hit(chi, agents, names, hits & -hits, truth, N, R, V)
     return None
-
-
-def _verify_hit(chi: Formula, found: int, mm: _MaskModel) -> tuple[KripkeModel, str]:
-    """The candidate mm as a KripkeModel, pointed at the first state of found."""
-    model = mm.to_kripke()
-    state = mm.states[next(_bit_indices(found))]
-    if not kripke.check(model, state, chi):
-        raise LogicError("oracle hit failed re-verification; evaluator bug")
-    if kripke.has_errors(kripke.validate_model(model, "lenient")):
-        raise LogicError("oracle produced an invalid model; generator bug")
-    return model, state
-
-
-def _search_tier(chi, prog, size, n_agents, props, names, fixed_agents,
-                 exhaustive_budget, samples, seed):
-    states = [f"x{i}" for i in range(size)]
-    agents = _agent_pool(fixed_agents, n_agents)
-    naming_cells = size * len(names)
-    raw = (
-        (2 ** n_agents) ** naming_cells
-        * (2 ** size) ** (size * n_agents)
-        * (2 ** size) ** len(props)
-    )
-    if raw <= exhaustive_budget:
-        return _tier_exhaustive(chi, prog, states, agents, names, props)
-    return _tier_sampled(chi, prog, states, agents, names, props, samples, seed)
 
 
 # Candidates as bit lanes: lane k of every mask below is candidate k of a
@@ -841,49 +777,53 @@ def _draw_block(rng, size, n_agents, names, props, count):
     return N, R, V
 
 
-def _first_hit(chi, prog, states, agents, names, props, ones, N, R, V):
-    """The verified model of the lowest lane where chi holds somewhere."""
-    truth = _run_lanes(prog, len(states), agents, ones, N, R, V)
-    hits = reduce(or_, truth, 0)
-    if not hits:
-        return None
-    k = (hits & -hits).bit_length() - 1
-    at = lambda masks: sum(((m >> k) & 1) << i for i, m in enumerate(masks))
-    mu = {cell: tuple(_bit_indices(at(group))) for cell, group in N.items()}
-    rows = [[at(row) for row in per] for per in R]
-    val = {p: at(V[p]) for p in props}
-    return _verify_hit(chi, at(truth), _MaskModel(states, agents, names, rows, mu, val))
+def _tier_blocks(chi, size, n_agents, names, props, exhaustive_budget, samples, seed):
+    """A tier's candidates as lane blocks (ones, N, R, V), in search order.
 
-
-def _tier_exhaustive(chi, prog, states, agents, names, props):
-    size = len(states)
-    n_agents = len(agents)
+    While the tier's raw configuration count is within exhaustive_budget,
+    each naming yields one block of every rows-and-valuation choice under
+    it; otherwise blocks of _BLOCK draws come from the tier's own rng, so
+    draws past a hit change nothing."""
     cells = [(w, n) for w in range(size) for n in names]
-    for groups in product(range(2 ** n_agents), repeat=len(cells)):
-        bearers = [0] * n_agents
-        for (w, _), g in zip(cells, groups):
-            for a in _bit_indices(g):
-                bearers[a] |= 1 << w
-        lanes, R, V = _naming_lanes(size, props, bearers)
-        ones = (1 << lanes) - 1
-        N = {cell: [ones * ((g >> a) & 1) for a in range(n_agents)]
-             for cell, g in zip(cells, groups)}
-        hit = _first_hit(chi, prog, states, agents, names, props, ones, N, R, V)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _tier_sampled(chi, prog, states, agents, names, props, samples, seed):
-    # the rng is the tier's own, so draws past a hit change nothing
-    rng = random.Random(f"{seed}/{len(states)}/{len(agents)}/{print_formula(chi)}")
+    # every naming, then every row of every agent and every valuation
+    raw = (2 ** n_agents) ** len(cells) * (2 ** size) ** (size * n_agents + len(props))
+    if raw <= exhaustive_budget:
+        for groups in product(range(2 ** n_agents), repeat=len(cells)):
+            bearers = [0] * n_agents
+            for (w, _), g in zip(cells, groups):
+                for a in _bit_indices(g):
+                    bearers[a] |= 1 << w
+            lanes, R, V = _naming_lanes(size, props, bearers)
+            ones = (1 << lanes) - 1
+            N = {cell: [ones * ((g >> a) & 1) for a in range(n_agents)]
+                 for cell, g in zip(cells, groups)}
+            yield ones, N, R, V
+        return
+    rng = random.Random(f"{seed}/{size}/{n_agents}/{print_formula(chi)}")
     for start in range(0, samples, _BLOCK):
         count = min(_BLOCK, samples - start)
-        N, R, V = _draw_block(rng, len(states), len(agents), names, props, count)
-        hit = _first_hit(chi, prog, states, agents, names, props, (1 << count) - 1, N, R, V)
-        if hit is not None:
-            return hit
-    return None
+        yield (1 << count) - 1, *_draw_block(rng, size, n_agents, names, props, count)
+
+
+def _decode_hit(chi, agents, names, lane, truth, N, R, V) -> tuple[KripkeModel, str]:
+    """The candidate of lane, a one-bit mask, as a KripkeModel pointed at
+    the first state where chi holds in it.  _run_lanes is a second copy of
+    kripke's truth clauses, so the model is checked again through
+    kripke.check and lenient validation."""
+    states = [f"x{i}" for i in range(len(truth))]
+    on = lambda masks: [states[v] for v, m in enumerate(masks) if m & lane]
+    relations = {a: [(w, v) for w, row in zip(states, R[i]) for v in on(row)]
+                 for i, a in enumerate(agents)}
+    naming = {(states[w], n): [a for a, bears in zip(agents, group) if bears & lane]
+              for (w, n), group in N.items()}
+    valuation = {p: on(masks) for p, masks in V.items()}
+    model = KripkeModel.make(states, agents, names, relations, naming, valuation)
+    state = on(truth)[0]
+    if not kripke.check(model, state, chi):
+        raise LogicError("oracle hit failed re-verification; evaluator bug")
+    if kripke.has_errors(kripke.validate_model(model, "lenient")):
+        raise LogicError("oracle produced an invalid model; generator bug")
+    return model, state
 
 
 def satisfiable_bounded(

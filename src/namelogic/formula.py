@@ -16,8 +16,9 @@ identifiers; ``true`` and ``false`` are reserved.
 
 Nodes are immutable ``__slots__`` objects compared by structure.  Each node
 computes its hash once, in ``__init__``, from its field tuple and its
-children's cached hashes, so the value is the one a frozen dataclass with the
-same fields would give, but a memo lookup no longer re-hashes the subtree.
+children's cached hashes, mixed with a constant of its class, so that nodes
+of different classes over the same fields (``E[n] f`` and ``S[n] f``) hash
+apart, and a memo lookup never re-hashes the subtree.
 ``==`` walks both formulas with an explicit stack and pushes each pair of
 nodes at most once, so neither hashing nor comparison recurses, and two
 equal DAGs built apart compare in time linear in their distinct pairs of
@@ -132,7 +133,7 @@ class Prop(Formula):
 
     def __init__(self, name: str):
         _set_prop_name(self, name)
-        _set_hash(self, hash((name,)))
+        _set_hash(self, hash((name,)) ^ self._salt)
 
 
 _set_prop_name = Prop.name.__set__
@@ -142,7 +143,7 @@ class _Constant(Formula):
     __slots__ = ()
 
     def __init__(self):
-        _set_hash(self, _NO_FIELDS_HASH)
+        _set_hash(self, _NO_FIELDS_HASH ^ self._salt)
 
 
 _NO_FIELDS_HASH = hash(())
@@ -162,7 +163,7 @@ class Not(Formula):
 
     def __init__(self, arg: Formula):
         _set_not_arg(self, arg)
-        _set_hash(self, hash((arg,)))
+        _set_hash(self, hash((arg,)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
@@ -178,7 +179,7 @@ class _Binary(Formula):
     def __init__(self, left: Formula, right: Formula):
         _set_left(self, left)
         _set_right(self, right)
-        _set_hash(self, hash((left, right)))
+        _set_hash(self, hash((left, right)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
@@ -211,7 +212,7 @@ class _Modal(Formula):
     def __init__(self, name: str, arg: Formula):
         _set_modal_name(self, name)
         _set_modal_arg(self, arg)
-        _set_hash(self, hash((name, arg)))
+        _set_hash(self, hash((name, arg)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
@@ -245,7 +246,7 @@ class B(Formula):
         _set_b_agent(self, agent)
         _set_b_name(self, name)
         _set_b_arg(self, arg)
-        _set_hash(self, hash((agent, name, arg)))
+        _set_hash(self, hash((agent, name, arg)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
@@ -255,6 +256,13 @@ _set_b_agent = B.agent.__set__
 _set_b_name = B.name.__set__
 _set_b_arg = B.arg.__set__
 
+
+# Each class's own constant, mixed into every node's hash: E[n] a and
+# S[n] a, And and Or over the same operands, true and false, would share a
+# hash otherwise, and every closure holds S[n] a beside E[n] a.
+for _salt, _cls in enumerate((Prop, Top, Bot, Not, And, Or, Implies, Iff, E, S, C, D, B), 1):
+    _cls._salt = _salt
+del _salt, _cls
 
 TRUE = Top()
 FALSE = Bot()

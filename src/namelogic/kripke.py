@@ -148,10 +148,12 @@ def _close_relation(pairs: set[Pair], ops: Iterable[str], states: frozenset[str]
 
 
 def _listed(value: Any, what: str) -> Any:
-    """value, unless it is a string where the document owes a list: iterating
-    "wv" would silently read the states w and v."""
-    if isinstance(value, str):
-        raise ModelFormatError(f"{what} must be a list, got the string {value!r}")
+    """value, unless it is a string or an object where the document owes a
+    list: iterating "wv" would silently read the states w and v, and
+    iterating {"w": 1} its keys."""
+    if isinstance(value, (str, dict)):
+        got = f"the string {value!r}" if isinstance(value, str) else "an object"
+        raise ModelFormatError(f"{what} must be a list, got {got}")
     return value
 
 
@@ -212,9 +214,9 @@ def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
         valuation = {
             p: _named(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
         }
-        _named(relations, "relations")
+        _named(relations.keys(), "relations")
         _named(chain.from_iterable(naming), "naming")
-        _named(valuation, "valuation")
+        _named(valuation.keys(), "valuation")
         return KripkeModel.make(states, agents, names, relations, naming, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due
@@ -799,9 +801,18 @@ def random_model(
     mode "general" samples arbitrary edges and then adds the reflexive loops
     the naming demands.  mode "epistemic" partitions, per agent, the states
     where the agent bears a name, yielding equivalence relations on fields.
+    A count or density that no model meets raises ValueError.
     """
     if mode not in ("general", "epistemic"):
         raise ValueError(f"unknown generation mode {mode!r}")
+    if states < 1:
+        raise ValueError(f"a model needs at least one state, got {states}")
+    for what, count in (("agents", agents), ("names", names), ("props", props)):
+        if isinstance(count, int) and count < 0:
+            raise ValueError(f"the number of {what} must not be negative, got {count}")
+    for what, density in (("edge", edge_density), ("naming", naming_density)):
+        if not 0 <= density <= 1:
+            raise ValueError(f"the {what} density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     state_ids = [f"w{i}" for i in range(states)]
     agent_ids = _ids(agents, _AGENT_IDS, "a")

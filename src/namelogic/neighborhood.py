@@ -113,7 +113,7 @@ def nbhd_from_dict(d: Mapping[str, Any]) -> NeighborhoodModel:
             p: _named(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
         }
         _named(chain.from_iterable(nu), "nu")
-        _named(valuation, "valuation")
+        _named(valuation.keys(), "valuation")
         m = NeighborhoodModel.make(states, names, nu, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due

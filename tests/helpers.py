@@ -542,6 +542,24 @@ def reference_candidate_index(size, agents, rows, mu):
     return kripke._Index((1 << size) - 1, {}, fam, by_agent, bearers, tuple(range(size)))
 
 
+def reference_candidate_model(states, agents, names, rows, mu, val):
+    """One bounded-oracle candidate as a KripkeModel, built from the same
+    arrays as reference_candidate_index (val[p] is p's state mask), with no
+    bit lanes involved."""
+    on = lambda mask: [w for i, w in enumerate(states) if (mask >> i) & 1]
+    return kripke.KripkeModel.make(
+        states=states,
+        agents=agents,
+        names=names,
+        relations={
+            agents[a]: [(x, y) for x, row in zip(states, per) for y in on(row)]
+            for a, per in enumerate(rows)
+        },
+        naming={(states[w], n): [agents[a] for a in group] for (w, n), group in mu.items()},
+        valuation={p: on(m) for p, m in val.items()},
+    )
+
+
 def reference_draw(rng, size, n_agents, names, props):
     """One sampled oracle candidate (mu, rows, val), drawn one at a time as
     the oracle did before it drew whole blocks of them as bit lanes."""

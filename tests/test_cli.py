@@ -164,13 +164,25 @@ _STRINGS_FOR_LISTS = [
     (_ALGEBRA, ("valuation", "p"), "w"),
     (_ALGEBRA, ("nu", "w", "n"), "wv"),
     (_ALGEBRA, ("nu", "w", "n"), ["wv"]),
+    # an object where a list is due
+    (_CHECK, ("states",), {"w": 1, "v": 2}),
+    (_CHECK, ("agents",), {"a": 1}),
+    (_CHECK, ("names",), {"n": 1}),
+    (_CHECK, ("closure",), {"reflexive": 1}),
+    (_CHECK, ("relations", "a"), [{"w": 0, "v": 0}]),
+    (_CHECK, ("naming", "w", "n"), {"a": 1}),
+    (_CHECK, ("valuation", "p"), {"w": 1}),
+    (_ALGEBRA, ("states",), {"w": 1, "v": 2}),
+    (_ALGEBRA, ("names",), {"n": 1}),
+    (_ALGEBRA, ("valuation", "p"), {"w": 1}),
 ]
 
 
 @pytest.mark.parametrize("command, path, value", _STRINGS_FOR_LISTS,
                          ids=[_variant_id(c) for c in _STRINGS_FOR_LISTS])
 def test_string_where_a_list_is_due_is_an_input_error(capsys, tmp_path, command, path, value):
-    # iterated, each of these strings would read as a list of one-letter items
+    # iterated, each of these strings would read as a list of its letters,
+    # and each object as a list of its keys
     code, captured = _run_on_variant(capsys, tmp_path, *command, path, value)
     assert code == 2
     assert captured.out == ""
@@ -548,6 +560,15 @@ def test_random_is_deterministic(capsys):
     _, first = run(capsys, "random", "--seed", "3")
     _, second = run(capsys, "random", "--seed", "3")
     assert first.out == second.out
+
+
+def test_random_refuses_impossible_counts(capsys):
+    for argv in (["--agents", "-1"], ["--names", "-2"], ["--props", "-1"],
+                 ["--states", "0"], ["--states", "-3"], ["--edge-density", "1.5"]):
+        code, captured = run(capsys, "random", *argv)
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_algebra_on_translated_figure(capsys, tmp_path):

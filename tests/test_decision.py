@@ -13,6 +13,7 @@ from helpers import (
     capped_corpus,
     random_formula,
     reference_candidate_index,
+    reference_candidate_model,
     reference_draw,
     reference_enumerate_atoms,
     reference_extension,
@@ -35,6 +36,7 @@ from namelogic import (
     S,
     agents_in,
     closure,
+    decision,
     formula,
     kripke,
     parse_formula,
@@ -46,7 +48,6 @@ from namelogic.decision import (
     _draw_block,
     _enumerate_atoms,
     _Layout,
-    _MaskModel,
     _naming_lanes,
     _run_lanes,
     _Solver,
@@ -200,6 +201,21 @@ def test_extract_model_guards_the_verdict():
         extract_model(sat("p & !p"))
     with pytest.raises(LogicError):
         extract_model(satisfiable_bounded(parse_formula("S[n] p & !p")))
+
+
+def test_oracle_hit_that_fails_its_check_raises(monkeypatch):
+    # lanes that claim every candidate satisfies a contradiction
+    monkeypatch.setattr(
+        decision, "_run_lanes", lambda prog, size, agents, ones, N, R, V: [ones] * size
+    )
+    with pytest.raises(LogicError, match="oracle hit failed re-verification"):
+        brute_force_sat(parse_formula("p & !p"))
+
+
+def test_sat_verdict_that_fails_its_check_raises(monkeypatch):
+    monkeypatch.setattr(decision.kripke, "check", lambda m, w, f: False)
+    with pytest.raises(LogicError, match="sat verdict failed re-verification"):
+        satisfiable(parse_formula("S[n] p"))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +479,7 @@ def _assert_lanes_match(chi, size, agents, names, props, candidates, truth):
         got.append(_lane(truth, k))
         want.append(found)
         if got[-1]:
-            model = _MaskModel(states, agents, names, rows, mu, val).to_kripke()
+            model = reference_candidate_model(states, agents, names, rows, mu, val)
             holds = {states[w] for w in range(size) if (got[-1] >> w) & 1}
             assert holds == reference_extension(model, chi)
     assert got == want, print_formula(chi)

@@ -356,7 +356,8 @@ def test_nodes_are_immutable(f):
 
 def test_equality_distinguishes_kind_and_fields():
     assert E("n", p) != S("n", p)
-    assert hash(E("n", p)) == hash(S("n", p))  # the dataclass hash ignores the class
+    assert hash(E("n", p)) != hash(S("n", p))  # the hash mixes in the class
+    assert hash(And(p, q)) != hash(Or(p, q)) and hash(TRUE) != hash(FALSE)
     assert E("n", p) != E("m", p)
     assert B("a", "n", p) != B("b", "n", p)
     assert And(p, q) != And(q, p)

@@ -360,6 +360,27 @@ def test_random_model_deterministic():
     assert random_model(seed=3) != random_model(seed=4)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"states": 0},
+    {"states": -3},
+    {"agents": -1},
+    {"names": -2},
+    {"props": -1},
+    {"edge_density": -0.1},
+    {"naming_density": 1.5},
+])
+def test_random_model_refuses_impossible_counts(kwargs):
+    # sliced defaults would give 7 agents for -1, and no state fails validation
+    with pytest.raises(ValueError):
+        random_model(**kwargs)
+
+
+def test_random_model_accepts_the_edge_counts():
+    m = random_model(states=1, agents=0, names=0, props=0, edge_density=1, naming_density=0)
+    assert len(m.states) == 1 and not m.agents and not m.names and not m.valuation
+    assert not has_errors(validate_model(m))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_random_model_validates(seed):
     assert not has_errors(validate_model(random_model(seed=seed)))
