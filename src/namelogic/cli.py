@@ -88,14 +88,17 @@ def cmd_bisim(args) -> int:
         if f is None:
             payload["distinguisher"] = None
         else:
-            # never print an unchecked separator; check it in the union,
-            # which declares the vocabularies of both models
+            # never print an unchecked separator: the text is read back,
+            # since a proposition named true prints as the constant, and
+            # checked in the union, which declares both vocabularies
+            text = print_formula(f)
+            g = parse_formula(text)
             u = kripke.disjoint_union([m1, m2])
-            here = kripke.check(u, f"0:{args.state1}", f).value
-            there = kripke.check(u, f"1:{args.state2}", f).value
+            here = kripke.check(u, f"0:{args.state1}", g).value
+            there = kripke.check(u, f"1:{args.state2}", g).value
             if not here or there:
-                raise LogicError("distinguishing formula failed re-verification")
-            payload["distinguisher"] = print_formula(f)
+                raise LogicError(f"distinguisher {text!r} does not separate the two points")
+            payload["distinguisher"] = text
     _emit(payload, args.pretty)
     return 0 if same else 1
 

@@ -37,11 +37,11 @@ Distributed knowledge has no effective route here.  Those queries go through
 the bounded oracle, which is also used to cross-validate unsat verdicts.  It
 is one loop over tiers and lane blocks: each tier yields its candidates as
 bit lanes (every rows-and-valuation choice under one naming, or a block of
-random draws), and _run_lanes runs kripke's compiled program on all of a
-block's lanes at once.  That is a second copy of kripke's truth clauses,
-kept equal to the truth core's one-model _run by a differential test, so
-the lowest hit lane is decoded straight into a KripkeModel that is checked
-again through kripke.check and lenient validation.
+random draws), and _run_lanes runs the query's numbering, formula._program,
+on all of a block's lanes at once.  That is a second copy of kripke's truth
+clauses, kept equal to the truth core's one-model _run by a differential
+test, so the lowest hit lane is decoded straight into a KripkeModel that is
+checked again through kripke.check and lenient validation.
 """
 
 from __future__ import annotations
@@ -64,12 +64,14 @@ from .formula import (
     D,
     E,
     Formula,
+    Iff,
     Implies,
     Not,
     Or,
     Prop,
     S,
     Top,
+    _program,
     _texts,
     agents_in,
     closure,
@@ -151,7 +153,7 @@ class _Layout:
 
     It reads the closure's numbering as it is: a member's operands are
     numbers already, and the query is the closure's root, so nothing is
-    numbered, desugared or compiled here.
+    numbered or desugared here.
 
     positives are the members that are not negations, ordered by subterm
     count and then text; an atom sets bit i when positives[i] holds.  A
@@ -601,7 +603,7 @@ def brute_force_sat(
     props, names, fixed = sorted(props_in(chi)), sorted(names_in(chi)), sorted(agents_in(chi))
     if len(fixed) > max_agents:
         return None
-    prog = kripke._compile(chi)
+    prog = _program(chi)
     for size in range(1, max_states + 1):
         for n_agents in range(len(fixed), max_agents + 1):
             agents = _agent_pool(fixed, n_agents)
@@ -640,35 +642,35 @@ def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
     states = range(size)
     out: list[list[int]] = []
     push = out.append
-    for ins in prog:
-        op = ins[0]
-        if op == kripke._PROP:
-            push(V[ins[1]])
-        elif op == kripke._AND:
-            push(list(map(and_, out[ins[1]], out[ins[2]])))
-        elif op == kripke._NOT:
-            push([ones ^ x for x in out[ins[1]]])
-        elif op == kripke._OR:
-            push(list(map(or_, out[ins[1]], out[ins[2]])))
-        elif op == kripke._IMPLIES:
-            push([(ones ^ x) | y for x, y in zip(out[ins[1]], out[ins[2]])])
-        elif op == kripke._IFF:
-            push([ones ^ x ^ y for x, y in zip(out[ins[1]], out[ins[2]])])
-        elif op == kripke._TOP:
+    for g, ks in zip(prog[0], prog[1]):
+        cls = g.__class__
+        if cls is Prop:
+            push(V[g.name])
+        elif cls is And:
+            push(list(map(and_, out[ks[0]], out[ks[1]])))
+        elif cls is Not:
+            push([ones ^ x for x in out[ks[0]]])
+        elif cls is Or:
+            push(list(map(or_, out[ks[0]], out[ks[1]])))
+        elif cls is Implies:
+            push([(ones ^ x) | y for x, y in zip(out[ks[0]], out[ks[1]])])
+        elif cls is Iff:
+            push([ones ^ x ^ y for x, y in zip(out[ks[0]], out[ks[1]])])
+        elif cls is Top:
             push([ones] * size)
-        elif op == kripke._BOT:
+        elif cls is Bot:
             push([0] * size)
-        elif op == kripke._E:  # no member of the group sees a bad state
-            n, bad = ins[1], [ones ^ x for x in out[ins[2]]]
+        elif cls is E:  # no member of the group sees a bad state
+            n, bad = g.name, [ones ^ x for x in out[ks[0]]]
             push([ones ^ reduce(or_, _members_seeing(N, R, w, n, bad), 0) for w in states])
-        elif op == kripke._S:  # some member of the group sees none
-            n, bad = ins[1], [ones ^ x for x in out[ins[2]]]
+        elif cls is S:  # some member of the group sees none
+            n, bad = g.name, [ones ^ x for x in out[ks[0]]]
             push([
                 reduce(or_, map(xor, N[(w, n)], _members_seeing(N, R, w, n, bad)), 0)
                 for w in states
             ])
-        elif op == kripke._D:  # a nonempty group, and what all members see is good
-            n, bad = ins[1], [ones ^ x for x in out[ins[2]]]
+        elif cls is D:  # a nonempty group, and what all members see is good
+            n, bad = g.name, [ones ^ x for x in out[ks[0]]]
             v = []
             for w in states:
                 pooled = [ones] * size
@@ -676,10 +678,10 @@ def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
                     pooled = [x & ((ones ^ bears) | e) for x, e in zip(pooled, R[a][w])]
                 v.append(reduce(or_, N[(w, n)], 0) & ~_sees(pooled, bad))
             push(v)
-        elif op == kripke._C:
+        elif cls is C:
             # a path of one or more name steps out of good, by backward
             # closure: a shortest one has at most size steps
-            n, bad = ins[1], [ones ^ x for x in out[ins[2]]]
+            n, bad = g.name, [ones ^ x for x in out[ks[0]]]
             step = []  # step[w][v]: the lanes with a name step from w to v
             for w in states:
                 row = [0] * size
@@ -695,7 +697,7 @@ def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
                 reach = grown
             push([ones ^ x for x in reach])
         else:  # B: the agent's successors where it bears the name are good
-            a, n, good = agents.index(ins[1]), ins[2], out[ins[3]]
+            a, n, good = agents.index(g.agent), g.name, out[ks[0]]
             bad = [N[(v, n)][a] & (ones ^ good[v]) for v in states]
             push([ones ^ _sees(R[a][w], bad) for w in states])
     return out[-1]

@@ -27,17 +27,19 @@ nodes, not in their paths.
 A formula is a DAG: equal subterms may be one shared node.  One walk,
 ``_numbering``, lists the distinct subterms of one or more roots children
 first, each with the numbers of its operands.  Printing, ``desugar``,
-``modal_depth``, ``subformulas`` and ``kripke._compile`` are folds over that
+``modal_depth``, ``subformulas`` and the truth core are folds over that
 list, so only the parser recurses, and each of them meets a shared subterm
 once.  ``closure`` is a numbering too: it numbers the desugared query, then
 appends the seeds and every member its rules add, each after its operands.
 The decision procedure's layout reads that numbering as it is, so a query
-is numbered twice, by ``desugar`` and by ``closure``.  The name,
-proposition and agent sets read by ``names_in``/``props_in``/``agents_in``
-are filled by ``kripke._compile``, in the pass that makes the node's truth
-program, and are kept on the node with it.  There is no intern table: a
-strong one would keep every parsed formula alive, and a weak one costs a
-weakref per node.
+is numbered twice, by ``desugar`` and by ``closure``.
+
+A formula asked about in a model is numbered once: ``_program`` keeps its
+numbering on the node, with the name, proposition and agent sets that
+``names_in``/``props_in``/``agents_in`` read.  ``kripke._run`` and the
+oracle's lane evaluator run that numbering as it is, dispatching on each
+node's class.  There is no intern table: a strong one would keep every
+parsed formula alive, and a weak one costs a weakref per node.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ from .errors import ParseError, UnsupportedFragmentError
 class Formula:
     """Base class for all formula nodes. Instances are immutable."""
 
-    # _names/_props/_agents/_prog stay unset until kripke._compile fills
-    # them
-    __slots__ = ("_hash", "_names", "_props", "_agents", "_prog")
+    # _prog stays unset until _program fills it
+    __slots__ = ("_hash", "_prog")
     __match_args__: tuple[str, ...] = ()
 
     def __hash__(self) -> int:
@@ -121,9 +122,6 @@ class Formula:
 # Slot setters: __setattr__ refuses every assignment, so constructors write
 # through the slot descriptors directly.
 _set_hash = Formula._hash.__set__
-_set_names = Formula._names.__set__
-_set_props = Formula._props.__set__
-_set_agents = Formula._agents.__set__
 _set_prog = Formula._prog.__set__
 
 
@@ -442,8 +440,8 @@ def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
     often it occurs.  The roots are numbered in the order given, each left
     operand before the right, and a single root comes last.
 
-    The printer, desugar, modal_depth, subformulas and kripke._compile
-    fold over this list, computing each node's value from its operands'
+    The printer, desugar, modal_depth, subformulas and _program fold
+    over this list, computing each node's value from its operands'
     values, so that none of them recurses; closure grows it."""
     slot: dict[Formula, int] = {}
     nodes: list[Formula] = []
@@ -538,28 +536,40 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Symbols and folds
 
-def _symbols(f: Formula) -> Formula:
-    """f, with its name, proposition and agent sets filled.
+def _program(f: Formula) -> tuple:
+    """f's numbering and symbols, (nodes, kids, names, props, agents),
+    made once and kept on f: kripke._run and the oracle's lane evaluator
+    run nodes and kids as they are, one node per step, and names_in,
+    props_in and agents_in read the sets.
 
-    kripke._compile fills them in the pass that numbers f for its program,
-    so a formula asked about in a model is numbered once for both."""
-    if not hasattr(f, "_agents"):
-        from .kripke import _compile  # kripke imports this module
-
-        _compile(f)
-    return f
+    nodes[-1] is an equal copy of f, not f itself: f would otherwise
+    reach itself through its own program, and no formula asked about
+    would be freed by reference counting."""
+    try:
+        return f._prog
+    except AttributeError:
+        pass
+    nodes, kids = _numbering(f)
+    names = frozenset(g.name for g in nodes if isinstance(g, (_Modal, B)))
+    props = frozenset(g.name for g in nodes if g.__class__ is Prop)
+    agents = frozenset(g.agent for g in nodes if g.__class__ is B)
+    cls, fields = f.__reduce__()
+    nodes[-1] = cls(*fields)
+    prog = (nodes, kids, names, props, agents)
+    _set_prog(f, prog)
+    return prog
 
 
 def names_in(f: Formula) -> frozenset[str]:
-    return _symbols(f)._names
+    return _program(f)[2]
 
 
 def props_in(f: Formula) -> frozenset[str]:
-    return _symbols(f)._props
+    return _program(f)[3]
 
 
 def agents_in(f: Formula) -> frozenset[str]:
-    return _symbols(f)._agents
+    return _program(f)[4]
 
 
 def modal_depth(f: Formula) -> int:

@@ -6,13 +6,13 @@ modalities quantify over the agents a name currently picks out, so who counts
 as "everyone named n" changes from state to state.
 
 Truth has one core, used by relational and neighborhood truth and frame
-validity: _compile turns a formula into a postorder program, an _Index holds
-a model's truth sets as int masks (per name and state, the successor masks
-of the agents the name picks out), and _run executes the program on an
-index with each truth clause written once.  The bounded oracle in decision
-runs the same programs on many candidate models at once, one candidate per
-bit lane: a second copy of the truth clauses, kept equal to _run by a
-differential test.
+validity: an _Index holds a model's truth sets as int masks (per name and
+state, the successor masks of the agents the name picks out), and _run
+folds a formula's numbering, formula._program, over an index with each
+truth clause written once.  The bounded oracle in decision runs the same
+numbering on many candidate models at once, one candidate per bit lane: a
+second copy of the truth clauses, kept equal to _run by a differential
+test.
 """
 
 from __future__ import annotations
@@ -40,11 +40,7 @@ from .formula import (
     Prop,
     S,
     Top,
-    _numbering,
-    _set_agents,
-    _set_names,
-    _set_prog,
-    _set_props,
+    _program,
     agents_in,
     names_in,
     props_in,
@@ -369,61 +365,6 @@ def _require_symbols(f: Formula, names=None, props=None, agents=None) -> None:
             raise UndeclaredSymbolError(f"undeclared {kind}: {sorted(missing)}")
 
 
-_PROP, _TOP, _BOT, _NOT, _AND, _OR, _IMPLIES, _IFF, _E, _S, _C, _D, _B = range(13)
-_OPCODES = {
-    Prop: _PROP, Top: _TOP, Bot: _BOT, Not: _NOT, And: _AND, Or: _OR, Implies: _IMPLIES,
-    Iff: _IFF, E: _E, S: _S, C: _C, D: _D, B: _B,
-}
-
-
-# the number of fields after the opcode in each opcode's instructions
-_ARITY = tuple(len(cls.__match_args__) for cls in sorted(_OPCODES, key=_OPCODES.__getitem__))
-
-
-def _compile(f: Formula) -> list[tuple]:
-    """f as a postorder program: one instruction per distinct subformula,
-    operands first, so instruction k computes slot k and the last computes
-    f.  An instruction is the opcode followed by the node's fields, with
-    each subformula replaced by its slot: (_E, name, operand slot).
-
-    The program is made once per node from formula._numbering, in the pass
-    that also fills the node's name, proposition and agent sets.  It is
-    kept on the node flattened into one tuple: a tuple per instruction
-    would take about twice the memory, and models keep the formulas they
-    were asked about alive."""
-    flat = getattr(f, "_prog", None)
-    prog: list[tuple] = []
-    if flat is not None:
-        i = 0
-        while i < len(flat):
-            j = i + 1 + _ARITY[flat[i]]
-            prog.append(flat[i:j])
-            i = j
-        return prog
-    names: set[str] = set()
-    props: set[str] = set()
-    agents: set[str] = set()
-    for g, ks in zip(*_numbering(f)):
-        op = _OPCODES[g.__class__]
-        if op == _PROP:
-            props.add(g.name)
-            prog.append((op, g.name))
-        elif op < _E:
-            prog.append((op, *ks))
-        elif op == _B:
-            agents.add(g.agent)
-            names.add(g.name)
-            prog.append((op, g.agent, g.name, *ks))
-        else:
-            names.add(g.name)
-            prog.append((op, g.name, *ks))
-    _set_prog(f, tuple(x for ins in prog for x in ins))
-    _set_names(f, frozenset(names))
-    _set_props(f, frozenset(props))
-    _set_agents(f, frozenset(agents))
-    return prog
-
-
 def _bit_indices(mask: int) -> Iterator[int]:
     """The indices of the set bits of mask, lowest first."""
     while mask:
@@ -482,55 +423,56 @@ class _Index:
         return reach
 
 
-def _run(prog: list[tuple], ix: _Index, val: Mapping[str, int]) -> list[int]:
-    """The mask of every slot of prog on ix, under the valuation val."""
+def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
+    """The mask of every node of a formula._program on ix, under the
+    valuation val."""
     full = ix.full
     out: list[int] = []
     push = out.append
-    for ins in prog:
-        op = ins[0]
-        if op == _PROP:
-            push(val.get(ins[1], 0))
-        elif op == _AND:
-            push(out[ins[1]] & out[ins[2]])
-        elif op == _NOT:
-            push(full & ~out[ins[1]])
-        elif op == _OR:
-            push(out[ins[1]] | out[ins[2]])
-        elif op == _IMPLIES:
-            push((full & ~out[ins[1]]) | out[ins[2]])
-        elif op == _IFF:
-            a, b = out[ins[1]], out[ins[2]]
+    for g, ks in zip(prog[0], prog[1]):
+        cls = g.__class__
+        if cls is Prop:
+            push(val.get(g.name, 0))
+        elif cls is And:
+            push(out[ks[0]] & out[ks[1]])
+        elif cls is Not:
+            push(full & ~out[ks[0]])
+        elif cls is Or:
+            push(out[ks[0]] | out[ks[1]])
+        elif cls is Implies:
+            push((full & ~out[ks[0]]) | out[ks[1]])
+        elif cls is Iff:
+            a, b = out[ks[0]], out[ks[1]]
             push((a & b) | (full & ~(a | b)))
-        elif op == _TOP:
+        elif cls is Top:
             push(full)
-        elif op == _BOT:
+        elif cls is Bot:
             push(0)
-        elif op == _E:  # every member of the family is good: so is their union
-            bad, v = ~out[ins[2]], full
-            for w, union, _ in ix.fam.get(ins[1], ()):
+        elif cls is E:  # every member of the family is good: so is their union
+            bad, v = ~out[ks[0]], full
+            for w, union, _ in ix.fam.get(g.name, ()):
                 if union & bad:
                     v ^= w
             push(v)
-        elif op == _S:  # some member of the family is good
-            bad, v = ~out[ins[2]], 0
-            for w, _, members in ix.fam.get(ins[1], ()):
+        elif cls is S:  # some member of the family is good
+            bad, v = ~out[ks[0]], 0
+            for w, _, members in ix.fam.get(g.name, ()):
                 for succ in members:
                     if not succ & bad:
                         v |= w
                         break
             push(v)
-        elif op == _D:  # the declared states in every member are good
-            bad, v = ~out[ins[2]], 0
-            for w, _, members in ix.fam.get(ins[1], ()):
+        elif cls is D:  # the declared states in every member are good
+            bad, v = ~out[ks[0]], 0
+            for w, _, members in ix.fam.get(g.name, ()):
                 if not reduce(and_, members, full) & bad:
                     v |= w
             push(v)
-        elif op == _C:
-            push(full & ~ix.escapes(ins[1], out[ins[2]]))
+        elif cls is C:
+            push(full & ~ix.escapes(g.name, out[ks[0]]))
         else:  # B: the agent's successors where it bears the name are good
-            bad, v = ~out[ins[3]] & ix.bearers.get((ins[1], ins[2]), 0), full
-            for w, succ in ix.rows.get(ins[1], {}).items():
+            bad, v = ~out[ks[0]] & ix.bearers.get((g.agent, g.name), 0), full
+            for w, succ in ix.rows.get(g.agent, {}).items():
                 if succ & bad:
                     v ^= w
             push(v)
@@ -605,12 +547,12 @@ def _truth(m, f: Formula, index) -> int:
     of a modal root's operand for the witness; no others."""
     memo = m._cache.setdefault("truth", {})
     if f not in memo:
-        prog = _compile(f)
+        prog = _program(f)
         ix = index(m)
         out = _run(prog, ix, ix.val)
         memo[f] = out[-1]
-        if prog[-1][0] >= _E:
-            memo[f.arg] = out[prog[-1][-1]]
+        if isinstance(f, (E, S, C, D, B)):
+            memo[f.arg] = out[prog[1][-1][0]]
     return memo[f]
 
 
@@ -701,7 +643,7 @@ def frame_valid(m: KripkeModel, f: Formula, max_bits: int = 16) -> bool:
             f"2^{bits} valuations (cap 2^{max_bits})"
         )
     _require_symbols(f, names=m.names, agents=m.agents)
-    prog = _compile(f)
+    prog = _program(f)
     ix = _kripke_index(m)
     # the declared states hold the low bits, so their subsets are 0..full
     for choice in product(range(ix.full + 1), repeat=len(props)):

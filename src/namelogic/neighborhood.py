@@ -15,6 +15,7 @@ model.  The complex-algebra laws run the same E/S clauses on every subset.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from functools import reduce
@@ -28,16 +29,12 @@ from .errors import (
     UndeclaredSymbolError,
     UnsupportedFragmentError,
 )
-from .formula import E, Formula, Prop, S
+from .formula import B, C, D, E, Formula, Prop, S, _program
 from .kripke import (
     Diagnostic,
     KripkeModel,
     Pair,
-    _B,
-    _C,
-    _D,
     _Index,
-    _compile,
     _known_keys,
     _listed,
     _named,
@@ -149,15 +146,12 @@ def nbhd_to_dict(m: NeighborhoodModel) -> dict:
 # ---------------------------------------------------------------------------
 # Truth (E/S fragment only)
 
-_UNSUPPORTED = {_C: "C", _D: "D", _B: "B"}
-
-
 def _assert_supported(f: Formula) -> None:
     # outermost first, as a walk of a tree meets them
-    for ins in reversed(_compile(f)):
-        if ins[0] in _UNSUPPORTED:
+    for g in reversed(_program(f)[0]):
+        if isinstance(g, (C, D, B)):
             raise UnsupportedFragmentError(
-                f"{_UNSUPPORTED[ins[0]]} has no neighborhood reading; only E and S do"
+                f"{g.__class__.__name__} has no neighborhood reading; only E and S do"
             )
 
 
@@ -208,9 +202,17 @@ def kripke_to_nbhd(m: KripkeModel) -> NeighborhoodModel:
     )
 
 
+# the characters that make a member of a state set print as a JSON string
+_QUOTED = frozenset(',{}"\\')
+
+
 def stateset_id(X: Iterable[str]) -> str:
-    """Canonical agent identifier for a successor set: "{v,w}"."""
-    return "{" + ",".join(sorted(X)) + "}"
+    """Canonical agent identifier for a successor set: "{v,w}".
+
+    A member holding a comma, a brace, a quote or a backslash is written as
+    its JSON string, so that distinct nonempty sets get distinct
+    identifiers: {"a,b"} is '{"a,b"}', {"a", "b"} is '{a,b}'."""
+    return "{" + ",".join(x if _QUOTED.isdisjoint(x) else json.dumps(x) for x in sorted(X)) + "}"
 
 
 def nbhd_to_kripke(m: NeighborhoodModel) -> KripkeModel:
@@ -293,7 +295,7 @@ def verify_algebra_equations(
     to_set = ix.states_of
     exhaustive = k <= exhaustive_cap
 
-    def as_operator(prog: list[tuple]):
+    def as_operator(prog: tuple):
         """The operator prog computes from its operand's mask; tabulated
         when laws 2 and 3 visit every subset."""
         apply = lambda mask: _run(prog, ix, {"x": mask})[-1]
@@ -302,8 +304,8 @@ def verify_algebra_equations(
         return apply
 
     for n in sorted(m.names):
-        e_at = as_operator(_compile(E(n, Prop("x"))))
-        s_at = as_operator(_compile(S(n, Prop("x"))))
+        e_at = as_operator(_program(E(n, Prop("x"))))
+        s_at = as_operator(_program(S(n, Prop("x"))))
         if e_at(full) != full:
             out.append(
                 Diagnostic("error", "eq-top", f"E[{n}] of the full set is not the full set")

@@ -8,9 +8,12 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import namelogic
 from namelogic import Not, parse_formula
@@ -408,6 +411,27 @@ def test_bisim_distinguisher_across_vocabularies(capsys, tmp_path, extra, richer
     assert check(union, "1:x", f).value is False
 
 
+def test_bisim_distinguisher_text_that_reads_back_otherwise_is_an_input_error(capsys, tmp_path):
+    # Not(Prop("true")) separates the points but prints as "!true", which
+    # parses as the negated constant and holds at neither point
+    paths = []
+    for k, holds in enumerate(([], ["w"])):
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps({
+            "states": ["w"], "agents": [], "names": [], "relations": {}, "naming": {},
+            "valuation": {"true": holds},
+        }))
+        paths.append(str(path))
+    code, captured = run(
+        capsys, "bisim",
+        "--model1", paths[0], "--state1", "w", "--model2", paths[1], "--state2", "w",
+        "--distinguish",
+    )
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'!true'" in captured.err
+
+
 def test_bisim_unknown_state_is_an_input_error(capsys):
     code, captured = run(
         capsys, "bisim",
@@ -456,6 +480,24 @@ def test_translate_round_trip_preserves_truth(capsys, tmp_path):
     m = model_from_dict(back)
     for text, state, expected in [("S[n] p", "w", True), ("E[n] p", "w", False)]:
         assert check(m, state, parse_formula(text)).value is expected
+
+
+def test_translate_keeps_comma_named_states_apart(capsys, tmp_path):
+    # E[n] p holds only at "a,b"; were {"a,b"} and {"a", "b"} one agent,
+    # it would hold at all three states
+    source = tmp_path / "comma.json"
+    source.write_text(json.dumps({
+        "states": ["a,b", "a", "b"],
+        "names": ["n"],
+        "nu": {"a,b": {"n": [["a,b"]]}, "a": {"n": [["a", "b"]]}, "b": {"n": [["a", "b"]]}},
+        "valuation": {"p": ["a,b"]},
+    }))
+    code, back = run_json(capsys, "translate", "--model", str(source), "--to", "kripke")
+    assert code == 0
+    m = model_from_dict(back)
+    assert sorted(m.agents) == ['{"a,b"}', "{a,b}"]
+    for text, holds in [("E[n] p", {"a,b"}), ("S[n] p", {"a,b"}), ("E[n] !p", {"a", "b"})]:
+        assert {w for w in m.states if check(m, w, parse_formula(text)).value} == holds
 
 
 def test_translate_rejects_non_reflexive_input(capsys, tmp_path):
@@ -676,3 +718,122 @@ def test_output_is_stable_across_interpreter_runs():
     ]
     assert runs[0].returncode == 0 and runs[1].returncode == 0, [child.stderr for child in runs]
     assert runs[0].stdout == runs[1].stdout
+
+
+# ---------------------------------------------------------------------------
+# The input contract: 0 yes, 1 no, 2 bad input, for any formula text and
+# any document
+
+_IDS = st.sampled_from(["w", "v", "a", "n", "p", "true", "a,b", ""])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | _IDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_IDS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _subsets(values, **kwargs):
+    return st.lists(st.sampled_from(values), unique=True, **kwargs)
+
+
+@st.composite
+def _damaged(draw, doc):
+    """doc, or doc with one entry replaced by any JSON value."""
+    key = draw(st.sampled_from([None, None, None, *doc, "extra"]))
+    if key is not None:
+        doc[key] = draw(_JSON)
+    return doc
+
+
+_STATES = ["w", "v", "a,b", ""]
+
+
+@st.composite
+def _kripke_doc(draw):
+    states = draw(_subsets(_STATES, min_size=1))
+    agents, names = ["a", "b"], ["n", "m"]
+    pairs = st.lists(st.lists(st.sampled_from(states), min_size=2, max_size=2), max_size=4)
+    return draw(_damaged({
+        "states": states,
+        "agents": agents,
+        "names": names,
+        "relations": {a: draw(pairs) for a in agents},
+        "naming": {w: {n: draw(_subsets(agents)) for n in names} for w in states},
+        "valuation": {p: draw(_subsets(states)) for p in ["p", "q", "true"]},
+    }))
+
+
+@st.composite
+def _nbhd_doc(draw):
+    states = draw(_subsets(_STATES, min_size=1))
+    names = ["n", "m"]
+    family = st.lists(_subsets(states), max_size=2)
+    return draw(_damaged({
+        "states": states,
+        "names": names,
+        "nu": {w: {n: draw(family) for n in names} for w in states},
+        "valuation": {p: draw(_subsets(states)) for p in ["p", "q", "true"]},
+    }))
+
+
+_FORMULA_TEXT = st.one_of(
+    st.recursive(
+        st.sampled_from(["p", "q", "true", "false"]),
+        lambda inner: st.one_of(
+            inner.map(lambda f: f"!({f})"),
+            st.tuples(st.sampled_from(["E[n]", "S[n]", "C[m]", "D[n]", "B[a;n]"]), inner)
+            .map(lambda t: f"{t[0]} ({t[1]})"),
+            st.tuples(inner, st.sampled_from(["&", "|", "->", "<->"]), inner)
+            .map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        ),
+        max_leaves=5,
+    ),
+    st.lists(st.sampled_from(["p", "true", "!", "&", "->", "(", ")", "E[n]", "E[", "]", "X"]),
+             max_size=8).map(" ".join),
+    st.text(alphabet="pqEnS[];!&|-<>() \n", max_size=12).filter(lambda text: text != "-"),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_input_keeps_the_exit_code_contract(tmp_path, data):
+    def doc(strategy, name):
+        text = json.dumps(data.draw(strategy))
+        cut = data.draw(st.sampled_from([None] * 7 + [len(text) // 2]))  # malformed JSON
+        path = tmp_path / name
+        path.write_text(text if cut is None else text[:cut])
+        return str(path)
+
+    formula = lambda: "--formula=" + data.draw(_FORMULA_TEXT)
+    state = lambda: data.draw(st.sampled_from(_STATES) | _IDS)
+    command = data.draw(st.sampled_from([
+        "check", "validate", "translate", "algebra", "bisim", "sat", "oracle", "valid",
+    ]))
+    if command == "check":
+        argv = ["check", "--model", doc(_kripke_doc(), "m.json"), "--state", state(), formula()]
+    elif command == "validate":
+        mode = data.draw(st.sampled_from(["lenient", "strict", "epistemic"]))
+        argv = ["validate", "--model", doc(_kripke_doc(), "m.json"), "--mode", mode]
+    elif command == "translate":
+        to = data.draw(st.sampled_from(["nbhd", "kripke"]))
+        source = doc(_kripke_doc() if to == "nbhd" else _nbhd_doc(), "m.json")
+        argv = ["translate", "--model", source, "--to", to]
+    elif command == "algebra":
+        argv = ["algebra", "--model", doc(_nbhd_doc(), "m.json")]
+    elif command == "bisim":
+        argv = ["bisim", "--model1", doc(_kripke_doc(), "m1.json"), "--state1", state(),
+                "--model2", doc(_kripke_doc(), "m2.json"), "--state2", state(), "--distinguish"]
+    elif command == "oracle":
+        argv = ["sat", "--oracle", "--bounds", "2,1", formula()]
+    else:  # sat, valid
+        argv = [command, formula()]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
+    else:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        json.loads(lines[0])

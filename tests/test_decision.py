@@ -471,7 +471,7 @@ def _assert_lanes_match(chi, size, agents, names, props, candidates, truth):
     """Every lane of truth, hit or not, equals one _run of the reference
     index of its candidate (mu, rows, val); each hit's states are
     reference_extension's."""
-    prog = kripke._compile(chi)
+    prog = formula._program(chi)
     states = [f"x{i}" for i in range(size)]
     got, want = [], []
     for k, (mu, rows, val) in enumerate(candidates):
@@ -508,7 +508,7 @@ def _exhaustive_lanes_match(chi, size, agents, names, props, groups):
     ones = (1 << lanes) - 1
     N = {cell: [ones * ((g >> a) & 1) for a in range(len(agents))]
          for cell, g in zip(cells, groups)}
-    truth = _run_lanes(kripke._compile(chi), size, agents, ones, N, R, V)
+    truth = _run_lanes(formula._program(chi), size, agents, ones, N, R, V)
     candidates = list(_naming_candidates(size, len(agents), props, mu))
     assert len(candidates) == lanes
     _assert_lanes_match(chi, size, agents, names, props, candidates, truth)
@@ -540,7 +540,7 @@ def test_sampled_lanes_match_one_candidate_at_a_time(case, seed):
         }
         assert [[_lane(row, k) for row in per] for per in R] == rows
         assert {p: _lane(V[p], k) for p in props} == val
-    truth = _run_lanes(kripke._compile(chi), 3, agents, ones, N, R, V)
+    truth = _run_lanes(formula._program(chi), 3, agents, ones, N, R, V)
     _assert_lanes_match(chi, 3, agents, names, props, candidates, truth)
 
 
@@ -783,7 +783,8 @@ def test_layout_numbers_each_query_at_most_twice(monkeypatch):
         raise AssertionError(f"compiled {print_formula(f)}")
 
     monkeypatch.setattr(formula, "_numbering", counted)
-    monkeypatch.setattr(kripke, "_compile", refused)
+    monkeypatch.setattr(formula, "_program", refused)
+    monkeypatch.setattr(decision, "_program", refused)
     for text in DECIDE_SAT_TEXTS + DECIDE_VALID_TEXTS:
         for chi in (parse_formula(text), Not(parse_formula(text))):
             numbered.clear()

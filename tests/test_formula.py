@@ -1,5 +1,6 @@
 import json
 import pickle
+import sys
 import time
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from namelogic.formula import (
     S,
     TRUE,
     Top,
+    _program,
     agents_in,
     closure,
     desugar,
@@ -335,11 +337,22 @@ def test_rebuilt_formula_is_equal_with_equal_hash(f):
 @given(_formulas())
 def test_compiled_program_is_kept_without_changing_the_node(f):
     before = (hash(f), repr(f), pickle.dumps(f))
-    prog = kripke._compile(f)
-    assert kripke._compile(f) == prog  # read back from the node
-    assert kripke._compile(_rebuild(f)) == prog
+    prog = _program(f)
+    assert _program(f) == prog  # read back from the node
+    assert _program(_rebuild(f)) == prog
     assert (hash(f), repr(f), pickle.dumps(f)) == before
     assert pickle.loads(pickle.dumps(f)) == f
+
+
+def test_kept_program_holds_no_reference_to_its_formula():
+    # a program that held its root would make a cycle, and no formula asked
+    # about would be freed by reference counting
+    f = parse_formula("E[n] (p & S[m] q) | B[a;n] C[n] !p")
+    before = sys.getrefcount(f)
+    prog = _program(f)
+    assert sys.getrefcount(f) == before
+    assert _program(f) is prog
+    assert prog[0][-1] == f
 
 
 @given(_formulas())

@@ -23,7 +23,7 @@ from namelogic import (
     UnsupportedFragmentError,
     parse_formula,
 )
-from namelogic.kripke import check, model_from_dict, random_model
+from namelogic.kripke import check, extension, model_from_dict, random_model
 from namelogic.neighborhood import (
     NeighborhoodModel,
     check_core_morphism,
@@ -120,6 +120,26 @@ def test_back_translation_partial_naming():
     assert agent == "{v,w}"
     assert k.named("w", "n") == frozenset({agent})
     assert k.named("v", "n") == frozenset()
+
+
+def test_back_translation_keeps_comma_named_states_apart():
+    # unquoted, "{a,b}" would name both {"a,b"} and {"a", "b"}, and the two
+    # neighborhoods would become one agent
+    assert stateset_id({"a,b"}) == '{"a,b"}'
+    assert stateset_id({"a", "b"}) == "{a,b}"
+    assert stateset_id({'x"', "y\\"}) == '{"x\\"","y\\\\"}'
+    m = NeighborhoodModel.make(
+        states=["a,b", "a", "b"],
+        names=["n"],
+        nu={("a,b", "n"): [["a,b"]], ("a", "n"): [["a", "b"]], ("b", "n"): [["a", "b"]]},
+        valuation={"p": ["a,b"]},
+    )
+    k = nbhd_to_kripke(m)
+    assert len(k.agents) == 2
+    assert extension_nbhd(m, parse_formula("E[n] p")) == {"a,b"}
+    for text in ("E[n] p", "S[n] p", "E[n] !p", "S[n] !p", "!E[n] S[n] p"):
+        f = parse_formula(text)
+        assert extension(k, f) == extension_nbhd(m, f), text
 
 
 def test_back_translation_requires_reflexivity():
