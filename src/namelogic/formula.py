@@ -38,8 +38,12 @@ A formula asked about in a model is numbered once: ``_program`` keeps its
 numbering on the node, with the name, proposition and agent sets that
 ``names_in``/``props_in``/``agents_in`` read.  ``kripke._run`` and the
 oracle's lane evaluator run that numbering as it is, dispatching on each
-node's class.  There is no intern table: a strong one would keep every
-parsed formula alive, and a weak one costs a weakref per node.
+node's class.  The parser numbers as it builds: a table that lives for one
+text maps each (class, fields, operand numbers) to its number, so equal
+subterms of one text are one node, and the parsed formula comes with its
+numbering kept, the same list ``_numbering`` would make.  There is no
+global intern table: a strong one would keep every parsed formula alive,
+and a weak one costs a weakref per node.
 """
 
 from __future__ import annotations
@@ -316,9 +320,31 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Each grammar method returns the
+    number of the subterm it read: node builds a node only for a subterm
+    not met before in this text, so equal subterms are one node, and the
+    nodes are listed children first, as _numbering lists them."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.slot: dict[tuple, int] = {}
+        self.nodes: list[Formula] = []
+        self.kids: list[tuple[int, ...]] = []
+
+    def node(self, cls: type, fields: tuple, ks: tuple[int, ...]) -> int:
+        key = (cls, fields, ks)
+        k = self.slot.get(key)
+        if k is None:
+            k = self.slot[key] = len(self.nodes)
+            if cls is Top or cls is Bot:
+                g = TRUE if cls is Top else FALSE
+            else:
+                nodes = self.nodes
+                g = cls(*fields, *[nodes[j] for j in ks])
+            self.nodes.append(g)
+            self.kids.append(ks)
+        return k
 
     def peek_kind(self) -> str:
         return self.tokens[self.pos][0]
@@ -336,51 +362,54 @@ class _Parser:
         return text
 
     def parse(self) -> Formula:
-        f = self.iff()
+        self.iff()
         kind, text, line, column = self.tokens[self.pos]
         if kind != "EOF":
             raise ParseError(f"unexpected {text!r}", line, column)
+        # the root is built last: no proper subterm equals it
+        f = self.nodes[-1]
+        _keep(self.nodes, self.kids)
         return f
 
-    def iff(self) -> Formula:
+    def iff(self) -> int:
         left = self.implies()
         if self.peek_kind() == "IFF":
             self.pos += 1
-            return Iff(left, self.iff())
+            return self.node(Iff, (), (left, self.iff()))
         return left
 
-    def implies(self) -> Formula:
+    def implies(self) -> int:
         left = self.disj()
         if self.peek_kind() == "IMPLIES":
             self.pos += 1
-            return Implies(left, self.implies())
+            return self.node(Implies, (), (left, self.implies()))
         return left
 
-    def disj(self) -> Formula:
-        f = self.conj()
+    def disj(self) -> int:
+        k = self.conj()
         while self.peek_kind() == "OR":
             self.pos += 1
-            f = Or(f, self.conj())
-        return f
+            k = self.node(Or, (), (k, self.conj()))
+        return k
 
-    def conj(self) -> Formula:
-        f = self.unary()
+    def conj(self) -> int:
+        k = self.unary()
         while self.peek_kind() == "AND":
             self.pos += 1
-            f = And(f, self.unary())
-        return f
+            k = self.node(And, (), (k, self.unary()))
+        return k
 
-    def unary(self) -> Formula:
+    def unary(self) -> int:
         kind, text, _, _ = self.tokens[self.pos]
         if kind == "NOT":
             self.pos += 1
-            return Not(self.unary())
+            return self.node(Not, (), (self.unary(),))
         if kind == "IDENT" and text in ("E", "S", "C", "D", "B"):
             if self.tokens[self.pos + 1][0] == "LBRACK":
                 return self.modality()
         return self.primary()
 
-    def modality(self) -> Formula:
+    def modality(self) -> int:
         head = self.advance()[1]
         self.expect("LBRACK", "'['")
         first = self.expect("IDENT", "identifier")
@@ -388,14 +417,14 @@ class _Parser:
             self.expect("SEMI", "';'")
             name = self.expect("IDENT", "identifier")
             self.expect("RBRACK", "']'")
-            return B(first, name, self.unary())
+            return self.node(B, (first, name), (self.unary(),))
         self.expect("RBRACK", "']'")
-        return _MODAL_HEADS[head](first, self.unary())
+        return self.node(_MODAL_HEADS[head], (first,), (self.unary(),))
 
-    def primary(self) -> Formula:
+    def primary(self) -> int:
         kind, text, line, column = self.advance()
         if kind == "CONST":
-            return TRUE if text == "true" else FALSE
+            return self.node(Top if text == "true" else Bot, (), ())
         if kind == "IDENT":
             if not text[0].islower():
                 raise ParseError(
@@ -403,17 +432,20 @@ class _Parser:
                     line,
                     column,
                 )
-            return Prop(text)
+            return self.node(Prop, (text,), ())
         if kind == "LPAREN":
-            f = self.iff()
+            k = self.iff()
             self.expect("RPAREN", "')'")
-            return f
+            return k
         got = text or "end of input"
         raise ParseError(f"expected a formula, got {got!r}", line, column)
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse concrete syntax into a formula. Raises ParseError with position."""
+    """Parse concrete syntax into a formula. Raises ParseError with position.
+
+    Equal subterms of the text are one node, and the formula comes with
+    its numbering kept, as _program would make it."""
     return _Parser(text).parse()
 
 
@@ -540,7 +572,8 @@ def _program(f: Formula) -> tuple:
     """f's numbering and symbols, (nodes, kids, names, props, agents),
     made once and kept on f: kripke._run and the oracle's lane evaluator
     run nodes and kids as they are, one node per step, and names_in,
-    props_in and agents_in read the sets.
+    props_in and agents_in read the sets.  A parsed formula has it from
+    the parser; a formula built in code is numbered on its first query.
 
     nodes[-1] is an equal copy of f, not f itself: f would otherwise
     reach itself through its own program, and no formula asked about
@@ -549,7 +582,13 @@ def _program(f: Formula) -> tuple:
         return f._prog
     except AttributeError:
         pass
-    nodes, kids = _numbering(f)
+    return _keep(*_numbering(f))
+
+
+def _keep(nodes: list[Formula], kids: list[tuple[int, ...]]) -> tuple:
+    """Keep the numbering of f = nodes[-1] on f as its program, with f
+    replaced by an equal copy, and return the program."""
+    f = nodes[-1]
     names = frozenset(g.name for g in nodes if isinstance(g, (_Modal, B)))
     props = frozenset(g.name for g in nodes if g.__class__ is Prop)
     agents = frozenset(g.agent for g in nodes if g.__class__ is B)

@@ -24,7 +24,7 @@ from itertools import chain, combinations, product, repeat
 from operator import and_, itemgetter, or_
 from typing import Any, Iterable, Iterator, Mapping
 
-from .errors import BudgetExceededError, ModelFormatError, UndeclaredSymbolError
+from .errors import BudgetExceededError, ModelFormatError, ParseError, UndeclaredSymbolError
 from .formula import (
     And,
     B,
@@ -43,6 +43,7 @@ from .formula import (
     _program,
     agents_in,
     names_in,
+    parse_formula,
     props_in,
 )
 
@@ -176,6 +177,19 @@ def _known_keys(d: Any, keys: frozenset[str], what: str) -> None:
             )
 
 
+def _propositions(keys: Iterable[str]) -> None:
+    """Refuse a valuation key that no formula text names.  Only a text that
+    parses to Prop(p) names p: true and false read as the constants, and
+    P, a,b, "" or " p" do not read as p."""
+    for p in keys:
+        try:
+            named = parse_formula(p) == Prop(p)
+        except (ParseError, RecursionError):  # RecursionError: a deeply nested key
+            named = False
+        if not named:
+            raise ModelFormatError(f"valuation: {p!r} is not a proposition a formula can name")
+
+
 _MODEL_KEYS = frozenset(
     {"states", "agents", "names", "relations", "naming", "valuation", "closure"}
 )
@@ -212,7 +226,7 @@ def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
         }
         _named(relations.keys(), "relations")
         _named(chain.from_iterable(naming), "naming")
-        _named(valuation.keys(), "valuation")
+        _propositions(_named(valuation.keys(), "valuation"))
         return KripkeModel.make(states, agents, names, relations, naming, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due

@@ -38,6 +38,7 @@ from .kripke import (
     _known_keys,
     _listed,
     _named,
+    _propositions,
     _require_symbols,
     _run,
     _truth,
@@ -110,7 +111,7 @@ def nbhd_from_dict(d: Mapping[str, Any]) -> NeighborhoodModel:
             p: _named(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
         }
         _named(chain.from_iterable(nu), "nu")
-        _named(valuation.keys(), "valuation")
+        _propositions(_named(valuation.keys(), "valuation"))
         m = NeighborhoodModel.make(states, names, nu, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due

@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import namelogic
-from namelogic import Not, parse_formula
+from namelogic import Not, cli, kripke, parse_formula
 from namelogic.cli import main
 from namelogic.kripke import (
+    KripkeModel,
     check,
     disjoint_union,
     has_errors,
@@ -411,25 +412,39 @@ def test_bisim_distinguisher_across_vocabularies(capsys, tmp_path, extra, richer
     assert check(union, "1:x", f).value is False
 
 
-def test_bisim_distinguisher_text_that_reads_back_otherwise_is_an_input_error(capsys, tmp_path):
+def test_bisim_distinguisher_text_that_reads_back_otherwise_is_an_input_error(capsys, monkeypatch):
     # Not(Prop("true")) separates the points but prints as "!true", which
-    # parses as the negated constant and holds at neither point
-    paths = []
-    for k, holds in enumerate(([], ["w"])):
-        path = tmp_path / f"m{k}.json"
-        path.write_text(json.dumps({
-            "states": ["w"], "agents": [], "names": [], "relations": {}, "naming": {},
-            "valuation": {"true": holds},
-        }))
-        paths.append(str(path))
+    # parses as the negated constant and holds at neither point.  The loaders
+    # refuse a proposition named true, so the two models are made in code and
+    # handed to the command in place of its two files.
+    models = {
+        path: KripkeModel.make(["w"], [], [], {}, {}, {"true": holds})
+        for path, holds in (("m0.json", []), ("m1.json", ["w"]))
+    }
+    monkeypatch.setattr(cli, "_load_json", lambda path: path)
+    monkeypatch.setattr(kripke, "model_from_dict", models.__getitem__)
     code, captured = run(
         capsys, "bisim",
-        "--model1", paths[0], "--state1", "w", "--model2", paths[1], "--state2", "w",
+        "--model1", "m0.json", "--state1", "w", "--model2", "m1.json", "--state2", "w",
         "--distinguish",
     )
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "'!true'" in captured.err
+
+
+@pytest.mark.parametrize("prop", ["true", "false", "P", "a,b", "", " p"])
+def test_model_with_a_proposition_no_formula_names_is_an_input_error(capsys, tmp_path, prop):
+    # check --formula true would otherwise read the constant, not the proposition
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "states": ["w"], "agents": [], "names": [], "relations": {}, "naming": {},
+        "valuation": {prop: []},
+    }))
+    code, captured = run(capsys, "check", "--model", str(path), "--state", "w", "--formula", "true")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and repr(prop) in captured.err
 
 
 def test_bisim_unknown_state_is_an_input_error(capsys):
@@ -746,6 +761,8 @@ def _damaged(draw, doc):
 
 
 _STATES = ["w", "v", "a,b", ""]
+# a proposition named true is refused at load, so it is only sometimes there
+_PROPS = st.sampled_from([["p", "q"], ["p", "q", "true"]])
 
 
 @st.composite
@@ -759,7 +776,7 @@ def _kripke_doc(draw):
         "names": names,
         "relations": {a: draw(pairs) for a in agents},
         "naming": {w: {n: draw(_subsets(agents)) for n in names} for w in states},
-        "valuation": {p: draw(_subsets(states)) for p in ["p", "q", "true"]},
+        "valuation": {p: draw(_subsets(states)) for p in draw(_PROPS)},
     }))
 
 
@@ -772,7 +789,7 @@ def _nbhd_doc(draw):
         "states": states,
         "names": names,
         "nu": {w: {n: draw(family) for n in names} for w in states},
-        "valuation": {p: draw(_subsets(states)) for p in ["p", "q", "true"]},
+        "valuation": {p: draw(_subsets(states)) for p in draw(_PROPS)},
     }))
 
 

@@ -34,6 +34,7 @@ from namelogic.formula import (
     S,
     TRUE,
     Top,
+    _numbering,
     _program,
     agents_in,
     closure,
@@ -356,6 +357,31 @@ def test_kept_program_holds_no_reference_to_its_formula():
 
 
 @given(_formulas())
+def test_parsed_formula_comes_with_its_numbering(f):
+    g = parse_formula(print_formula(f))
+    prog = g._prog  # kept by the parser, before any query
+    assert _program(g) is prog
+    nodes, kids = _numbering(f)
+    assert len(prog[0]) == len(nodes)
+    for x, y in zip(prog[0], nodes):
+        assert x == y and x.__class__ is y.__class__
+    assert prog[1] == kids
+    assert prog[2:] == _program(f)[2:]
+    assert all(x is not g for x in prog[0])
+    one: dict[Formula, Formula] = {}
+    for x in walk(g):  # equal subterms are one node
+        assert one.setdefault(x, x) is x
+
+
+def test_parser_shares_equal_subterms():
+    g = parse_formula("E[n] p & E[n] p")
+    assert g.left is g.right
+    g = parse_formula("(p -> q) | !(p -> q) & B[a;n] (p -> q)")
+    assert g.left is g.right.left.arg is g.right.right.arg
+    assert parse_formula("true & !true").left is TRUE
+
+
+@given(_formulas())
 def test_nodes_are_immutable(f):
     for g in walk(f):
         for field in type(g).__match_args__ + ("extra",):
@@ -403,6 +429,36 @@ def test_deep_chains_hash_compare_and_report_symbols(kind):
     assert props_in(f) == frozenset(expected_props)
     assert names_in(f) == (frozenset({"n0", "n1"}) if kind == "E" else frozenset())
     assert agents_in(f) == frozenset()
+
+
+def _check_workload_deep_input(kind: str) -> tuple[str, Formula]:
+    """A deep input of the benchmark's check workload that gets a verdict,
+    as text and built in code: a 900-level ! chain, a 240-level E chain over
+    two names, a 3000-term & chain."""
+    f = p
+    if kind == "not":
+        for _ in range(900):
+            f = Not(f)
+        return "!" * 900 + "p", f
+    if kind == "E":
+        for i in range(240):
+            f = E("nm"[i % 2], f)
+        return "".join(f"E[{'nm'[i % 2]}] " for i in reversed(range(240))) + "p", f
+    for i in range(1, 3000):
+        f = And(f, (p, q)[i % 2])
+    return " & ".join("pq"[i % 2] for i in range(3000)), f
+
+
+@pytest.mark.parametrize("kind", ["not", "E", "and"])
+def test_deep_inputs_of_the_check_workload_parse(kind):
+    # the parser recurses, so deeper !, E and parenthesised inputs do not
+    # parse yet; these ones must
+    text, g = _check_workload_deep_input(kind)
+    f = parse_formula(text)
+    assert f == g
+    ms = [kripke.model_from_dict(json.loads(FIGURE.read_text())) for _ in range(2)]
+    for w in sorted(ms[0].states):  # two models, so neither reads the other's memo
+        assert kripke.check(ms[0], w, f).value == kripke.check(ms[1], w, g).value
 
 
 def _doubling_dag(base: Formula, levels: int) -> Formula:

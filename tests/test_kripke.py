@@ -355,6 +355,24 @@ def test_model_format_errors():
             model_from_dict({**doc, key: value})
 
 
+# a proposition is named by a formula text only if the text parses back to it
+_UNNAMEABLE = ["true", "false", "P", "a,b", "", " p", "p ", "!p", "p & q", "(" * 3000 + "p"]
+
+
+@pytest.mark.parametrize("prop", _UNNAMEABLE)
+def test_model_from_dict_refuses_propositions_no_formula_names(prop):
+    doc = {"states": ["w"], "valuation": {"p": ["w"], prop: ["w"]}}
+    with pytest.raises(ModelFormatError, match="not a proposition"):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_accepts_every_proposition_a_formula_names():
+    props = ["p", "q_1", "x2", "true_", "falsey", "é"]
+    m = model_from_dict({"states": ["w"], "valuation": {x: ["w"] for x in props}})
+    for x in props:
+        assert check(m, "w", parse_formula(x)).value
+
+
 def test_random_model_deterministic():
     assert random_model(seed=3) == random_model(seed=3)
     assert random_model(seed=3) != random_model(seed=4)

@@ -266,6 +266,13 @@ def test_nbhd_from_dict_rejects_bad_documents():
             nbhd_from_dict({**doc, key: value})
 
 
+@pytest.mark.parametrize("prop", ["true", "false", "P", "a,b", "", " p"])
+def test_nbhd_from_dict_refuses_propositions_no_formula_names(prop):
+    doc = {"states": ["w"], "names": [], "nu": {}, "valuation": {prop: ["w"]}}
+    with pytest.raises(ModelFormatError, match="not a proposition"):
+        nbhd_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
