@@ -24,26 +24,32 @@ nodes at most once, so neither hashing nor comparison recurses, and two
 equal DAGs built apart compare in time linear in their distinct pairs of
 nodes, not in their paths.
 
-A formula is a DAG: equal subterms may be one shared node.  One walk,
-``_numbering``, lists the distinct subterms of one or more roots children
-first, each with the numbers of its operands.  Printing, ``desugar``,
-``modal_depth``, ``subformulas`` and the truth core are folds over that
-list, so only the parser recurses, and each of them meets a shared subterm
-once.  ``closure`` is a numbering too: it numbers the desugared query, then
-appends the seeds and every member its rules add, each after its operands.
-The decision procedure's layout reads that numbering as it is, so a query
-is numbered twice, by ``desugar`` and by ``closure``.
+A formula is a DAG: equal subterms may be one shared node.  A numbering
+lists the distinct subterms of one or more roots children first, each with
+the numbers of its operands, and one builder, ``_Table``, makes every
+numbering.  It knows a subterm by its class, its string fields and its
+operand numbers, so equal subterms get one number and no two formulas are
+ever compared: hash-consing (Filliatre & Conchon 2006) that lasts for one
+numbering.  The parser numbers a text as it builds it, so equal subterms
+of one text are one node, and the parsed formula comes with its numbering
+kept, the same list ``_numbering`` would make; ``_numbering`` numbers
+formulas built in code, reading each node once by its id.  Printing,
+``modal_depth`` and the truth core are folds over a numbering, so only the
+parser recurses, and each of them meets a shared subterm once; printing
+reads the numbering a formula carries, if it has one.  ``desugar`` writes
+its result into a table, building a node only for a subterm the table has
+not met, so equal subterms of the result are one node when those of its
+input are.  ``closure`` grows that same table by the seeds and every
+member its rules add, each after its operands, and the decision
+procedure's layout reads the numbering as it is, so a query is numbered
+once.
 
 A formula asked about in a model is numbered once: ``_program`` keeps its
 numbering on the node, with the name, proposition and agent sets that
 ``names_in``/``props_in``/``agents_in`` read.  ``kripke._run`` and the
 oracle's lane evaluator run that numbering as it is, dispatching on each
-node's class.  The parser numbers as it builds: a table that lives for one
-text maps each (class, fields, operand numbers) to its number, so equal
-subterms of one text are one node, and the parsed formula comes with its
-numbering kept, the same list ``_numbering`` would make.  There is no
-global intern table: a strong one would keep every parsed formula alive,
-and a weak one costs a weakref per node.
+node's class.  There is no global intern table: a strong one would keep
+every parsed formula alive, and a weak one costs a weakref per node.
 """
 
 from __future__ import annotations
@@ -122,6 +128,9 @@ class Formula:
     def _kids(self) -> tuple[Formula, ...]:
         return ()
 
+    def _fields(self) -> tuple[str, ...]:
+        return ()
+
 
 # Slot setters: __setattr__ refuses every assignment, so constructors write
 # through the slot descriptors directly.
@@ -136,6 +145,9 @@ class Prop(Formula):
     def __init__(self, name: str):
         _set_prop_name(self, name)
         _set_hash(self, hash((name,)) ^ self._salt)
+
+    def _fields(self) -> tuple[str, ...]:
+        return (self.name,)
 
 
 _set_prop_name = Prop.name.__set__
@@ -219,6 +231,9 @@ class _Modal(Formula):
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
 
+    def _fields(self) -> tuple[str, ...]:
+        return (self.name,)
+
 
 _set_modal_name = _Modal.name.__set__
 _set_modal_arg = _Modal.arg.__set__
@@ -252,6 +267,9 @@ class B(Formula):
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
+
+    def _fields(self) -> tuple[str, ...]:
+        return (self.agent, self.name)
 
 
 _set_b_agent = B.agent.__set__
@@ -321,30 +339,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 class _Parser:
     """Recursive descent over the tokens.  Each grammar method returns the
-    number of the subterm it read: node builds a node only for a subterm
-    not met before in this text, so equal subterms are one node, and the
-    nodes are listed children first, as _numbering lists them."""
+    number that the parser's _Table gives the subterm it read, so equal
+    subterms of the text are one node, listed children first, as
+    _numbering lists them."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.slot: dict[tuple, int] = {}
-        self.nodes: list[Formula] = []
-        self.kids: list[tuple[int, ...]] = []
-
-    def node(self, cls: type, fields: tuple, ks: tuple[int, ...]) -> int:
-        key = (cls, fields, ks)
-        k = self.slot.get(key)
-        if k is None:
-            k = self.slot[key] = len(self.nodes)
-            if cls is Top or cls is Bot:
-                g = TRUE if cls is Top else FALSE
-            else:
-                nodes = self.nodes
-                g = cls(*fields, *[nodes[j] for j in ks])
-            self.nodes.append(g)
-            self.kids.append(ks)
-        return k
+        self.table = _Table()
+        self.node = self.table.node
 
     def peek_kind(self) -> str:
         return self.tokens[self.pos][0]
@@ -367,8 +370,9 @@ class _Parser:
         if kind != "EOF":
             raise ParseError(f"unexpected {text!r}", line, column)
         # the root is built last: no proper subterm equals it
-        f = self.nodes[-1]
-        _keep(self.nodes, self.kids)
+        nodes = self.table.nodes
+        f = nodes[-1]
+        _keep(nodes, self.table.kids)
         return f
 
     def iff(self) -> int:
@@ -424,7 +428,8 @@ class _Parser:
     def primary(self) -> int:
         kind, text, line, column = self.advance()
         if kind == "CONST":
-            return self.node(Top if text == "true" else Bot, (), ())
+            g = TRUE if text == "true" else FALSE
+            return self.node(g.__class__, (), (), g)
         if kind == "IDENT":
             if not text[0].islower():
                 raise ParseError(
@@ -465,6 +470,63 @@ def walk(f: Formula) -> Iterator[Formula]:
         stack.extend(g._kids())
 
 
+class _Table:
+    """A numbering under construction: nodes[k] is the node numbered k and
+    kids[k] the numbers of its operands, left first, each number given
+    after its operands'.  A subterm is known by its class, its fields and
+    its operand numbers, so equal subterms get one number and no two
+    formulas are ever compared.  The table lives for one numbering; there
+    is no global one."""
+
+    __slots__ = ("nodes", "kids", "slot")
+
+    def __init__(self):
+        self.nodes: list[Formula] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.slot: dict[tuple, int] = {}
+
+    def node(self, cls: type, fields: tuple, ks: tuple[int, ...], g: Formula | None = None) -> int:
+        """The number of cls(*fields, *operands numbered ks).  On a miss
+        that node is numbered: g if given (it must be such a node), else
+        one built from the numbered operands."""
+        key = (cls, fields, ks)
+        k = self.slot.get(key)
+        if k is None:
+            nodes = self.nodes
+            k = self.slot[key] = len(nodes)
+            if g is None:
+                g = cls(*fields, *[nodes[j] for j in ks])
+            nodes.append(g)
+            self.kids.append(ks)
+        return k
+
+    def add(self, *roots: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
+        """Number the subterms of the roots, children first, each left
+        operand before the right and the roots in the order given, and
+        return nodes and kids.  A node read once is known by its id for the
+        rest of the walk, so a shared subterm is met once however often it
+        occurs."""
+        read: dict[int, int] = {}
+        node = self.node
+        stack = list(reversed(roots))
+        while stack:
+            g = stack[-1]
+            if id(g) in read:
+                stack.pop()
+                continue
+            ks = g._kids()
+            if ks:
+                pending = [x for x in ks if id(x) not in read]
+                if pending:
+                    pending.reverse()  # the left operand on top
+                    stack += pending
+                    continue
+                ks = tuple([read[id(x)] for x in ks])
+            stack.pop()
+            read[id(g)] = node(g.__class__, g._fields(), ks, g)
+        return self.nodes, self.kids
+
+
 def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
     """The distinct subterms of the roots, children first: nodes[k] is the
     node numbered k and kids[k] the numbers of its operands, left first.
@@ -472,31 +534,10 @@ def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
     often it occurs.  The roots are numbered in the order given, each left
     operand before the right, and a single root comes last.
 
-    The printer, desugar, modal_depth, subformulas and _program fold
-    over this list, computing each node's value from its operands'
-    values, so that none of them recurses; closure grows it."""
-    slot: dict[Formula, int] = {}
-    nodes: list[Formula] = []
-    kids: list[tuple[int, ...]] = []
-    stack = list(reversed(roots))
-    while stack:
-        g = stack[-1]
-        if g in slot:
-            stack.pop()
-            continue
-        ks = g._kids()
-        if ks:
-            pending = [x for x in ks if x not in slot]
-            if pending:
-                pending.reverse()  # the left operand on top
-                stack += pending
-                continue
-            ks = tuple([slot[x] for x in ks])
-        stack.pop()
-        slot[g] = len(nodes)
-        nodes.append(g)
-        kids.append(ks)
-    return nodes, kids
+    The printer, desugar, modal_depth and _program fold over this list,
+    computing each node's value from its operands' values, so that none of
+    them recurses."""
+    return _Table().add(*roots)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +603,9 @@ def print_formula(f: Formula) -> str:
     """Render a formula so that parse_formula(print_formula(f)) == f."""
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula: {f!r}")
-    return _texts(*_numbering(f), drop=True)[-1]
+    # a parsed formula, or one asked about in a model, carries its numbering
+    prog = getattr(f, "_prog", None) or _numbering(f)
+    return _texts(prog[0], prog[1], drop=True)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +635,7 @@ def _keep(nodes: list[Formula], kids: list[tuple[int, ...]]) -> tuple:
     names = frozenset(g.name for g in nodes if isinstance(g, (_Modal, B)))
     props = frozenset(g.name for g in nodes if g.__class__ is Prop)
     agents = frozenset(g.agent for g in nodes if g.__class__ is B)
-    cls, fields = f.__reduce__()
-    nodes[-1] = cls(*fields)
+    nodes[-1] = f.__class__(*f._fields(), *f._kids())
     prog = (nodes, kids, names, props, agents)
     _set_prog(f, prog)
     return prog
@@ -623,38 +665,42 @@ def modal_depth(f: Formula) -> int:
 def desugar(f: Formula) -> Formula:
     """Rewrite ->, |, <-> into the !/& core. Idempotent.
 
-    A node whose operands come out unchanged is returned as it is."""
+    The result is built in one _Table, so equal subterms of the result
+    are one node when those of f are, as in a parsed formula.  A node
+    whose operands come out unchanged is returned as it is, so desugar(g)
+    is g for g in the core."""
+    return _desugared(f).nodes[-1]
+
+
+def _desugared(f: Formula) -> _Table:
+    """A table numbering desugar(f), which it numbers last: every node the
+    table holds is a subterm of it."""
     nodes, kids = _numbering(f)
-    out: list[Formula] = []
+    table = _Table()
+    node = table.node
+
+    def implies(a: int, b: int) -> int:  # !(a & !b)
+        return node(Not, (), (node(And, (), (a, node(Not, (), (b,)))),))
+
+    out: list[int] = []
     for g, ks in zip(nodes, kids):
         cls = g.__class__
-        args = [out[k] for k in ks]
-        if cls is Or:
-            left, right = args
-            g = Not(And(Not(left), Not(right)))
+        args = tuple([out[k] for k in ks])
+        if cls is Or:  # !a -> b
+            out.append(implies(node(Not, (), args[:1]), args[1]))
         elif cls is Implies:
-            left, right = args
-            g = Not(And(left, Not(right)))
+            out.append(implies(*args))
         elif cls is Iff:
-            left, right = args
-            g = And(Not(And(left, Not(right))), Not(And(right, Not(left))))
-        elif all(a is nodes[k] for a, k in zip(args, ks)):
-            pass
-        elif cls is And:
-            g = And(*args)
-        elif cls is Not:
-            g = Not(*args)
-        elif cls is B:
-            g = B(g.agent, g.name, *args)
-        else:  # E, S, C, D
-            g = cls(g.name, *args)
-        out.append(g)
-    return out[-1]
+            out.append(node(And, (), (implies(*args), implies(args[1], args[0]))))
+        else:
+            same = all([table.nodes[a] is nodes[k] for a, k in zip(args, ks)])
+            out.append(node(cls, g._fields(), args, g if same else None))
+    return table
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """The reflexive-transitive subterm set of the desugared formula."""
-    return frozenset(_numbering(desugar(f))[0])
+    return frozenset(_desugared(f).nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +744,13 @@ def closure(chi: Formula) -> Closure:
     """Number the closure of chi over the !/&/E/S/C core.
 
     chi is desugared first; D and B are outside the supported fragment.
-    The numbering of the desugared chi grows by the seeds, then by each
-    member a rule adds.  Every added member is built from numbered nodes
-    and numbered after its operands, so the numbering stays children first.
+    desugar numbers the desugared chi in a _Table, and the same table
+    grows by the seeds, then by each member a rule adds.  Every added
+    member is numbered after its operands, so the numbering stays children
+    first, and a member already present keeps its number.
     """
-    nodes, kids = _numbering(desugar(chi))
+    table = _desugared(chi)
+    nodes, kids = table.nodes, table.kids
     for g in reversed(nodes):  # outermost first, as a walk of a tree meets them
         if isinstance(g, (D, B)):
             raise UnsupportedFragmentError(
@@ -711,33 +759,22 @@ def closure(chi: Formula) -> Closure:
     root = len(nodes) - 1
     names = frozenset(g.name for g in nodes if isinstance(g, _Modal))
     props = frozenset(g.name for g in nodes if g.__class__ is Prop)
-    slot = {g: k for k, g in enumerate(nodes)}
-
-    def add(g: Formula, ks: tuple[int, ...]) -> int:
-        k = slot.setdefault(g, len(nodes))
-        if k == len(nodes):
-            nodes.append(g)
-            kids.append(ks)
-        return k
-
+    node = table.node
     if names:
-        top, bot = add(TRUE, ()), add(FALSE, ())
+        top, bot = node(Top, (), (), TRUE), node(Bot, (), (), FALSE)
         for n in sorted(names):
-            add(S(n, nodes[top]), (top,))
-        for n in sorted(names):
-            add(E(n, nodes[bot]), (bot,))
+            node(S, (n,), (top,))
+            node(E, (n,), (bot,))
     k = 0
     while k < len(nodes):  # the members added here are read in turn
         g = nodes[k]
         cls = g.__class__
         if cls is not Not:
-            add(Not(g), (k,))
+            node(Not, (), (k,))
         if cls is E:
-            a = kids[k][0]
-            add(S(g.name, nodes[a]), (a,))
+            node(S, (g.name,), kids[k])
         elif cls is C:
-            a = kids[k][0]
-            add(E(g.name, nodes[a]), (a,))
-            add(E(g.name, g), (k,))
+            node(E, (g.name,), kids[k])
+            node(E, (g.name,), (k,))
         k += 1
     return Closure(tuple(nodes), tuple(kids), root, names, props)

@@ -689,7 +689,7 @@ def _child(*args, stdin=None):
     """Run the CLI in a fresh interpreter on the package this process imported."""
     package_root = str(Path(namelogic.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-m", "namelogic.cli", *args],
+        [sys.executable, "-B", "-m", "namelogic.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
@@ -721,7 +721,7 @@ def test_output_is_stable_across_interpreter_runs():
     # namelogic package this process imported, so it runs the same code
     # whether that comes from src/ or from an installed package.
     package_root = str(Path(namelogic.__file__).resolve().parent.parent)
-    argv = [sys.executable, "-m", "namelogic.cli", "sat", "--formula", "S[n] p & !E[n] p"]
+    argv = [sys.executable, "-B", "-m", "namelogic.cli", "sat", "--formula", "S[n] p & !E[n] p"]
     runs = [
         subprocess.run(
             argv,

@@ -769,9 +769,10 @@ def test_elimination_results_are_pinned():
     }
 
 
-def test_layout_numbers_each_query_at_most_twice(monkeypatch):
-    # desugar numbers the query and closure numbers the desugared query;
-    # the layout reads that numbering and builds no truth program
+def test_layout_numbers_each_query_once(monkeypatch):
+    # desugar numbers the query and writes the desugared query into the
+    # table that closure grows; the layout reads that numbering and builds
+    # no truth program
     numbered = []
     numbering = formula._numbering
 
@@ -789,7 +790,7 @@ def test_layout_numbers_each_query_at_most_twice(monkeypatch):
         for chi in (parse_formula(text), Not(parse_formula(text))):
             numbered.clear()
             _Layout(chi, 64)
-            assert 1 <= len(numbered) <= 2, text
+            assert len(numbered) == 1, text
 
 
 # ---------------------------------------------------------------------------

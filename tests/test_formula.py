@@ -224,7 +224,22 @@ def test_print_parse_roundtrip(f):
 @given(_formulas())
 def test_desugar_is_idempotent(f):
     core = desugar(f)
-    assert desugar(core) == core
+    assert desugar(core) is core  # a formula in the core comes back as is
+
+
+def test_desugared_conjuncts_are_one_node():
+    core = desugar(parse_formula("(p | q) & !(!p & !q)"))
+    assert core.left is core.right
+    core = desugar(And(Iff(p, q), E("n", Implies(p, q))))
+    assert core.left.left is core.right.arg
+
+
+@given(_formulas())
+def test_desugared_equal_subterms_are_one_node(f):
+    core = desugar(parse_formula(print_formula(f)))
+    one: dict[Formula, Formula] = {}
+    for x in walk(core):
+        assert one.setdefault(x, x) is x
 
 
 @given(_formulas())
@@ -259,6 +274,59 @@ def test_dag_shaped_formula_is_read_once_per_shared_subterm():
     assert kripke.extension(m, f) == kripke.extension(m, base)
     nb = neighborhood.kripke_to_nbhd(m)
     assert neighborhood.extension_nbhd(nb, f) == neighborhood.extension_nbhd(nb, base)
+
+
+def _twice_over(levels: int = 40) -> Formula:
+    """f_{k+1} = f_k & f_k over p -> S[n] q: 4 + levels distinct nodes,
+    built afresh on each call."""
+    f = Implies(Prop("p"), S("n", Prop("q")))
+    for _ in range(levels):
+        f = And(f, f)
+    return f
+
+
+class _Compared(Exception):
+    pass
+
+
+def _refused(self, other):
+    raise _Compared
+
+
+@given(_formulas())
+def test_numbering_never_compares_formulas(f):
+    # every numbering knows a subterm by its class, fields and operand
+    # numbers, so equal subterms built apart get one number uncompared; a
+    # failure reports no traceback, whose frames would print the DAG as a
+    # tree
+    a, b = _twice_over(), _twice_over()
+    g = _rebuild(f)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Formula, "__eq__", _refused)
+            nodes, _ = _numbering(a, b)
+            one_number = len(nodes) == 44 and nodes[-1] is a and all(x is not b for x in nodes)
+            one_each = len(_numbering(f, g)[0]) == len(_numbering(f)[0])
+            assert print_formula(S("n", And(Prop("p"), Prop("p")))) == "S[n] (p & p)"
+            text = print_formula(f)
+            assert print_formula(parse_formula(text)) == text == print_formula(g)
+            agree = []
+            for h in (a, f, g):
+                core = desugar(h)
+                size = len(_numbering(core)[0])
+                agree += [len(subformulas(h)) == size, len(_program(h)[0]) == len(_numbering(h)[0])]
+                try:
+                    cl = closure(h)
+                except UnsupportedFragmentError:
+                    continue
+                agree.append(len(_numbering(cl.nodes[cl.root], core)[0]) == size)
+            depth = modal_depth(a)
+    except _Compared:
+        pytest.fail("two formulas were compared", pytrace=False)
+    assert one_number  # a and b: 44 nodes in all
+    assert one_each
+    assert all(agree)
+    assert depth == 1
 
 
 _CHAIN = 10_000
