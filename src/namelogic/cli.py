@@ -11,7 +11,9 @@ import json
 import sys
 from typing import Any, Optional
 
-from . import decision, equivalence, kripke, neighborhood
+# Each command imports the subsystem it runs, so a child that runs one
+# command does not load the others.
+from . import kripke
 from .errors import LogicError
 from .formula import Not, parse_formula, print_formula
 
@@ -60,6 +62,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_sat(args) -> int:
+    from . import decision
+
     chi = _read_formula(args.formula)
     if args.oracle:
         max_states, max_agents = args.bounds or (3, 2)
@@ -73,12 +77,16 @@ def cmd_sat(args) -> int:
 
 
 def cmd_valid(args) -> int:
+    from . import decision
+
     res = decision.satisfiable(Not(_read_formula(args.formula)))
     _emit(res.to_dict(), args.pretty)
     return 0 if res.verdict == "unsat" else 1
 
 
 def cmd_bisim(args) -> int:
+    from . import equivalence
+
     m1 = kripke.model_from_dict(_load_json(args.model1))
     m2 = kripke.model_from_dict(_load_json(args.model2))
     same = equivalence.bisimilar(m1, args.state1, m2, args.state2)
@@ -104,6 +112,8 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from . import neighborhood
+
     data = _load_json(args.model)
     if args.to == "nbhd":
         nbhd = neighborhood.kripke_to_nbhd(kripke.model_from_dict(data))
@@ -137,6 +147,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_algebra(args) -> int:
+    from . import neighborhood
+
     m = neighborhood.nbhd_from_dict(_load_json(args.model))
     diags = neighborhood.verify_algebra_equations(m)
     ok = not kripke.has_errors(diags)

@@ -14,9 +14,13 @@ the class sets (ints) of the named agents' successor masks: bisimilarity
 keeps them all, since through an equivalence two successor sets match back
 and forth exactly when they reach the same classes, and modal equivalence
 the minimal ones and their union, all that E and S observe.
+greatest_bisimulation refines to the stable partition.  A question about
+one pair stops at the first round that separates it: bisimilar answers
+from that round's blocks without building a relation, and
 distinguishing_formula builds only the separating formula asked for
 (Cleaveland, "On automatically explaining bisimulation inequivalence",
-CAV 1990), so it returns one exactly when one exists.
+CAV 1990) from the rounds up to the split, so it returns one exactly when
+one exists.
 
 Bisimilarity is strictly finer than modal equivalence even on finite
 models: one side may carry an extra named agent whose successor set is a
@@ -222,9 +226,13 @@ def greatest_bisimulation(m1: KripkeModel, m2: KripkeModel) -> BisimRelation:
 
 
 def bisimilar(m1: KripkeModel, w1: str, m2: KripkeModel, w2: str) -> bool:
+    """Is (w1, w2) in greatest_bisimulation(m1, m2)?  Refinement stops at
+    the round that separates the two points, and no relation is built."""
     if w1 not in m1.states or w2 not in m2.states:
         raise UndeclaredSymbolError(f"undeclared state in ({w1!r}, {w2!r})")
-    return (w1, w2) in greatest_bisimulation(m1, m2).pairs
+    ix = _joint_index(m1, m2)
+    pair = ix.bit[(0, w1)] | ix.bit[(1, w2)]
+    return any(b.members & pair == pair for b in _refine(ix, False, pair)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +244,18 @@ class _Block(NamedTuple):
     signature: Any  # the atom profile in round 0; later set only if the parent split
 
 
-def _refine(ix: _Index, modal: bool) -> list[list[_Block]]:
-    """The rounds of partition refinement on the states of a joint index,
-    up to the stable partition: from the atom profiles, each round splits
-    blocks by their members' signatures over the previous round's classes,
-    and numbers blocks by parent block, then by first member.  A class set
-    is the OR of the class bits of a successor mask's states; a block of
-    one state is carried over without computing its signature."""
+def _refine(ix: _Index, modal: bool, pair: int = 0) -> list[list[_Block]]:
+    """The rounds of partition refinement on the states of a joint index:
+    from the atom profiles, each round splits blocks by their members'
+    signatures over the previous round's classes, and numbers blocks by
+    parent block, then by first member.  A class set is the OR of the
+    class bits of a successor mask's states; a block of one state is
+    carried over without computing its signature.
+
+    The rounds go up to the stable partition, or, given pair, the OR of
+    two state bits, up to the first round where no block holds both.
+    Round r does not depend on later rounds, so the rounds returned are
+    the first ones of the full refinement."""
     size, names = len(ix.order), sorted(ix.fam)
     fams = [[()] * len(names) for _ in range(size)]  # per state and name
     for k, n in enumerate(names):
@@ -253,7 +266,7 @@ def _refine(ix: _Index, modal: bool) -> list[list[_Block]]:
         atoms = frozenset(p for p, val in ix.val.items() if val >> i & 1)
         first[atoms] = first.get(atoms, 0) | 1 << i
     rounds = [[_Block(b, None, atoms) for atoms, b in first.items()]]
-    while True:
+    while not pair or any(block.members & pair == pair for block in rounds[-1]):
         classes = [(block.members, 1 << c) for c, block in enumerate(rounds[-1])]
         class_set = cache(lambda succ: reduce(or_, [c for b, c in classes if succ & b], 0))
         split: list[_Block] = []
@@ -271,8 +284,9 @@ def _refine(ix: _Index, modal: bool) -> list[list[_Block]]:
             else:
                 split.append(_Block(b, c, None))
         if len(split) == len(rounds[-1]):
-            return rounds
+            break
         rounds.append(split)
+    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +364,9 @@ def distinguishing_formula(
     if w1 not in m1.states or w2 not in m2.states:
         raise UndeclaredSymbolError(f"undeclared state in ({w1!r}, {w2!r})")
     ix = _joint_index(m1, m2)
-    rounds = _refine(ix, modal=True)
-    cx, cy = (next(c for c, b in enumerate(rounds[-1]) if b.members & ix.bit[s])
-              for s in ((0, w1), (1, w2)))
+    x, y = ix.bit[(0, w1)], ix.bit[(1, w2)]
+    rounds = _refine(ix, True, x | y)
+    cx, cy = (next(c for c, b in enumerate(rounds[-1]) if b.members & s) for s in (x, y))
     return None if cx == cy else _delta(rounds, sorted(ix.fam), cx, cy)
 
 

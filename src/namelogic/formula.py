@@ -119,8 +119,20 @@ class Formula:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        """Class(field=value, ...), with the operands spelled out.  The
+        texts are folded over the numbering, children first, so nothing
+        recurses, and once one is longer than _REPR_CAP, as a deep or much
+        shared formula's soon is, the repr is an abbreviation that says so."""
+        nodes, kids = (getattr(self, "_prog", None) or _numbering(self))[:2]
+        texts: list[str] = []
+        for g, ks in zip(nodes, kids):
+            values = [*map(repr, g._fields()), *[texts[k] for k in ks]]
+            fields = ", ".join([f"{a}={v}" for a, v in zip(g.__match_args__, values)])
+            texts.append(f"{g.__class__.__qualname__}({fields})")
+            if len(texts[-1]) > _REPR_CAP:
+                return (f"<{self.__class__.__qualname__}: repr abbreviated, longer than"
+                        f" {_REPR_CAP} characters, {len(nodes)} distinct nodes>")
+        return texts[-1]
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -131,6 +143,9 @@ class Formula:
     def _fields(self) -> tuple[str, ...]:
         return ()
 
+
+# The longest Formula.__repr__ written out in full, in characters.
+_REPR_CAP = 10_000
 
 # Slot setters: __setattr__ refuses every assignment, so constructors write
 # through the slot descriptors directly.

@@ -735,6 +735,23 @@ def test_output_is_stable_across_interpreter_runs():
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_importing_the_cli_loads_no_subsystem():
+    # each command imports the subsystem it runs, so a child running check
+    # or validate does not pay for decision, equivalence or neighborhood
+    package_root = str(Path(namelogic.__file__).resolve().parent.parent)
+    code = "import sys, namelogic.cli; print(*sorted(m for m in sys.modules if m.startswith('namelogic')))"
+    child = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = child.stdout.split()
+    assert "namelogic.cli" in loaded
+    assert not {"namelogic.decision", "namelogic.equivalence", "namelogic.neighborhood"} & set(loaded)
+
+
 # ---------------------------------------------------------------------------
 # The input contract: 0 yes, 1 no, 2 bad input, for any formula text and
 # any document

@@ -27,6 +27,7 @@ from namelogic import (
     parse_formula,
     print_formula,
 )
+from namelogic import equivalence
 from namelogic.equivalence import (
     BisimRelation,
     _refine,
@@ -358,6 +359,26 @@ def test_frame_validity_agrees_with_folded_frame(fig):
 _seeds = st.integers(0, 10**6)
 
 
+def _model_pair(rng, kind):
+    """A random model and a union with it, a generated submodel of it, or
+    an independent model, drawn from rng."""
+    def model():
+        return random_model(
+            states=rng.randint(1, 7),
+            names=rng.randint(1, 2),
+            props=rng.randint(1, 3),
+            mode=rng.choice(["general", "epistemic"]),
+            seed=rng.randrange(10**6),
+        )
+
+    m1 = model()
+    if kind == "union":
+        return m1, disjoint_union([m1, model()])
+    if kind == "submodel":
+        return m1, generated_submodel(m1, rng.choice(sorted(m1.states)))
+    return m1, model()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=_seeds)
 def test_greatest_bisimulation_certifies(seed):
@@ -372,29 +393,42 @@ def test_greatest_bisimulation_certifies(seed):
 @given(seed=_seeds, kind=st.sampled_from(["union", "submodel", "independent"]))
 def test_greatest_bisimulation_is_the_pairwise_deletion_fixpoint(seed, kind):
     # maximality: an empty or too small relation would still certify above
-    rng = random.Random(seed)
-
-    def model():
-        return random_model(
-            states=rng.randint(1, 7),
-            names=rng.randint(1, 2),
-            props=rng.randint(1, 3),
-            mode=rng.choice(["general", "epistemic"]),
-            seed=rng.randrange(10**6),
-        )
-
-    m1 = model()
-    if kind == "union":
-        m2 = disjoint_union([m1, model()])
-    elif kind == "submodel":
-        m2 = generated_submodel(m1, rng.choice(sorted(m1.states)))
-    else:
-        m2 = model()
+    m1, m2 = _model_pair(random.Random(seed), kind)
     big = greatest_bisimulation(m1, m2)
     assert big.pairs == reference_greatest_bisimulation(m1, m2)
     for w1 in m1.states:
         for w2 in m2.states:
             assert bisimilar(m1, w1, m2, w2) == ((w1, w2) in big.pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, kind=st.sampled_from(["union", "submodel", "independent"]))
+def test_bisimilar_is_membership_in_the_reference_relation(seed, kind):
+    # bisimilar answers from the rounds up to the split, with no relation
+    m1, m2 = _model_pair(random.Random(seed), kind)
+    relation = reference_greatest_bisimulation(m1, m2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivalence, "BisimRelation", None)
+        mp.setattr(equivalence, "greatest_bisimulation", None)
+        for w1 in m1.states:
+            for w2 in m2.states:
+                assert bisimilar(m1, w1, m2, w2) == ((w1, w2) in relation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, kind=st.sampled_from(["union", "submodel", "independent"]),
+       modal=st.booleans())
+def test_refinement_for_a_pair_is_a_prefix_of_the_full_one(seed, kind, modal):
+    # the rounds up to the first one that separates the pair, or all of them
+    m1, m2 = _model_pair(random.Random(seed), kind)
+    ix = _joint_index(m1, m2)
+    full = _refine(ix, modal)
+    for w1 in m1.states:
+        for w2 in m2.states:
+            pair = ix.bit[(0, w1)] | ix.bit[(1, w2)]
+            k = next((r + 1 for r, blocks in enumerate(full)
+                      if not any(b.members & pair == pair for b in blocks)), len(full))
+            assert _refine(ix, modal, pair) == full[:k]
 
 
 @settings(max_examples=15, deadline=None)
@@ -491,24 +525,7 @@ def _reference_texts(m1, m2):
 def test_mask_engine_matches_the_frozenset_reference(seed, kind):
     # every round of both partitions, and at every point the very text the
     # reference's all-pairs table holds
-    rng = random.Random(seed)
-
-    def model():
-        return random_model(
-            states=rng.randint(1, 7),
-            names=rng.randint(1, 2),
-            props=rng.randint(1, 3),
-            mode=rng.choice(["general", "epistemic"]),
-            seed=rng.randrange(10**6),
-        )
-
-    m1 = model()
-    if kind == "union":
-        m2 = disjoint_union([m1, model()])
-    elif kind == "submodel":
-        m2 = generated_submodel(m1, rng.choice(sorted(m1.states)))
-    else:
-        m2 = model()
+    m1, m2 = _model_pair(random.Random(seed), kind)
     assert _tagged_rounds(m1, m2, False) == _reference_rounds(m1, m2, reference_bisim_signature)
     assert _tagged_rounds(m1, m2, True) == _reference_rounds(m1, m2, reference_modal_signature)
     for (w1, w2), text in _reference_texts(m1, m2).items():

@@ -34,6 +34,7 @@ from namelogic.formula import (
     S,
     TRUE,
     Top,
+    _REPR_CAP,
     _numbering,
     _program,
     agents_in,
@@ -550,6 +551,52 @@ def test_separately_built_dags_compare_and_look_each_other_up_promptly():
     assert f != h and h != f  # unequal in the base proposition only
     assert h not in {f: 0}
     assert time.perf_counter() - start < 0.5
+
+
+def _reference_repr(f) -> str:
+    """The field-by-field repr, recursing through the operands."""
+    if not isinstance(f, Formula):
+        return repr(f)
+    fields = ", ".join(f"{a}={_reference_repr(getattr(f, a))}" for a in f.__match_args__)
+    return f"{type(f).__qualname__}({fields})"
+
+
+def test_repr_of_a_small_formula_is_spelled_out():
+    f = parse_formula("B[a;n] (S[n] p | !true) <-> E[m] false")
+    assert repr(f) == (
+        "Iff(left=B(agent='a', name='n', arg=Or(left=S(name='n', arg=Prop(name='p')),"
+        " right=Not(arg=Top()))), right=E(name='m', arg=Bot()))"
+    )
+
+
+@given(_formulas())
+def test_repr_is_the_field_by_field_text(f):
+    assert repr(f) == _reference_repr(f)
+
+
+def test_repr_is_written_out_up_to_its_cap():
+    # each Not(arg=...) adds 9 characters to the 14 of Prop(name='p')
+    levels = (_REPR_CAP - 14) // 9
+    f = p
+    for _ in range(levels):
+        f = Not(f)
+    assert repr(f) == "Not(arg=" * levels + "Prop(name='p')" + ")" * levels
+    assert repr(Not(f)).startswith("<Not: repr abbreviated, ")
+
+
+@pytest.mark.parametrize("shape", ["chain", "dag"])
+def test_repr_of_a_deep_or_shared_formula_is_abbreviated_promptly(shape):
+    if shape == "chain":
+        f, nodes = p, 10_001
+        for _ in range(10_000):
+            f = Not(f)
+    else:
+        f, nodes = _doubling_dag(S("n", Prop("p")), 40), 42
+    start = time.perf_counter()
+    text = repr(f)
+    assert time.perf_counter() - start < 2.0
+    assert text == (f"<{type(f).__qualname__}: repr abbreviated, longer than {_REPR_CAP}"
+                    f" characters, {nodes} distinct nodes>")
 
 
 # ---------------------------------------------------------------------------
