@@ -27,11 +27,10 @@ Extracted models record each witness agent's relation from the state that
 minted it.  That keeps models linear in the survivor count and changes no
 truth value: the everyone/someone/common operators only ever read an agent's
 relation from states where the agent bears the name, and each minted agent
-bears its name at its minting state only.  Agents minted at one state with
-the same live successor mask share one frozenset of pairs, built once: the
-mask's bits become a byte string that selects the state names with
-itertools.compress, so no Python step runs per edge.  The model is
-constructed from those frozen sets directly, so no pair is hashed twice.
+bears its name at its minting state only.  A witness agent's relation is
+one successor mask, its live extension, which is the form a KripkeModel
+holds: each distinct live mask is moved once from atom order into the
+model's state order, and no pair is built.
 
 Distributed knowledge has no effective route here.  Those queries go through
 the bounded oracle, which is also used to cross-validate unsat verdicts.  It
@@ -49,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, product, repeat
+from itertools import product
 from operator import and_, or_, xor
 from typing import Mapping, Optional, Sequence
 
@@ -354,10 +353,6 @@ def _enumerate_atoms(lay: _Layout, max_atoms: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Elimination to fixpoint
 
-# bin(mask)[:1:-1].encode().translate(_BIT_BYTES): one byte per bit of mask,
-# lowest first, 1 where the bit is set; a selector for itertools.compress
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
 class _Solver:
     def __init__(self, lay: _Layout, atoms: Sequence[int]):
         self.lay = lay
@@ -492,26 +487,20 @@ class _Solver:
             alive |= 1 << j
             state_of[j] = f"t{rank}"
 
-        # names_at[k]: the state of atom k, or None when it is dead; a mask's
-        # states are names_at filtered by the mask's bits, lowest first
-        names_at = [state_of.get(k) for k in range(len(self.atoms))]
-        relations: dict[str, frozenset] = {}
+        # rows use bit j for atom j; moves[j] is atom j's state bit, 0 if dead
+        order = sorted(state_of.values())
+        bit = {s: 1 << i for i, s in enumerate(order)}
+        moves = [bit[state_of[k]] if k in state_of else 0 for k in range(len(self.atoms))]
+        rows: dict[str, dict[int, int]] = {}
         naming: dict[tuple[str, str], frozenset[str]] = {}
         for j, w in state_of.items():
-            shared: dict[int, frozenset] = {}  # live successor mask -> its pairs
             for n in lay.names:
                 group = []
                 for label, ext in self.wit[j][n]:
                     agent = f"a({w},{n},{label})"
                     members = ext & alive
                     assert (members >> j) & 1, "witness agent must include its own state"
-                    pairs = shared.get(members)
-                    if pairs is None:
-                        bits = bin(members)[:1:-1].encode().translate(_BIT_BYTES)
-                        pairs = shared[members] = frozenset(
-                            zip(repeat(w), compress(names_at, bits))
-                        )
-                    relations[agent] = pairs
+                    rows[agent] = {1 << j: members}
                     group.append(agent)
                 if group:
                     naming[(w, n)] = frozenset(group)
@@ -519,15 +508,9 @@ class _Solver:
             p: frozenset(state_of[j] for j in state_of if (self.atoms[j] >> i) & 1)
             for p, i in lay.prop_bits.items()
         }
-        # built directly, as every container is already frozen: make would
-        # hash every pair again
-        model = KripkeModel(
-            states=frozenset(state_of.values()),
-            agents=frozenset(relations),
-            names=frozenset(lay.names),
-            relations=relations,
-            naming=naming,
-            valuation=valuation,
+        model = KripkeModel._of_rows(
+            frozenset(order), frozenset(rows), frozenset(lay.names), order,
+            kripke._renumber(rows, moves), naming, valuation,
         )
         return model, state_of[where[point]]
 
@@ -814,12 +797,15 @@ def _decode_hit(chi, agents, names, lane, truth, N, R, V) -> tuple[KripkeModel, 
     kripke.check and lenient validation."""
     states = [f"x{i}" for i in range(len(truth))]
     on = lambda masks: [states[v] for v, m in enumerate(masks) if m & lane]
-    relations = {a: [(w, v) for w, row in zip(states, R[i]) for v in on(row)]
-                 for i, a in enumerate(agents)}
-    naming = {(states[w], n): [a for a, bears in zip(agents, group) if bears & lane]
+    mask = lambda masks: sum(1 << v for v, m in enumerate(masks) if m & lane)
+    rows = {a: {1 << w: succ for w, row in enumerate(R[i]) if (succ := mask(row))}
+            for i, a in enumerate(agents)}
+    naming = {(states[w], n): frozenset(a for a, bears in zip(agents, group) if bears & lane)
               for (w, n), group in N.items()}
-    valuation = {p: on(masks) for p, masks in V.items()}
-    model = KripkeModel.make(states, agents, names, relations, naming, valuation)
+    valuation = {p: frozenset(on(masks)) for p, masks in V.items()}
+    model = KripkeModel._of_rows(
+        frozenset(states), frozenset(agents), frozenset(names), states, rows, naming, valuation
+    )
     state = on(truth)[0]
     if not kripke.check(model, state, chi):
         raise LogicError("oracle hit failed re-verification; evaluator bug")

@@ -5,23 +5,27 @@ agent, a naming map mu(state, name) -> set of agents, and a valuation.  The
 modalities quantify over the agents a name currently picks out, so who counts
 as "everyone named n" changes from state to state.
 
+A model holds each relation as the truth clauses read it, per agent a map
+from each source's state bit to its successor mask; the pair view,
+relations, is derived from those rows on demand.
+
 Truth has one core, used by relational and neighborhood truth and frame
-validity: an _Index holds a model's truth sets as int masks (per name and
-state, the successor masks of the agents the name picks out), and _run
-folds a formula's numbering, formula._program, over an index with each
-truth clause written once.  The bounded oracle in decision runs the same
-numbering on many candidate models at once, one candidate per bit lane: a
-second copy of the truth clauses, kept equal to _run by a differential
-test.
+validity: an _Index adds to a model's rows its truth sets as masks (per
+proposition, and per name and state the successor masks of the agents the
+name picks out), and _run folds a formula's numbering, formula._program,
+over an index with each truth clause written once.  The bounded oracle in
+decision runs the same numbering on many candidate models at once, one
+candidate per bit lane: a second copy of the truth clauses, kept equal to
+_run by a differential test.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property, reduce
 from itertools import chain, combinations, product, repeat
-from operator import and_, itemgetter, or_
+from operator import and_, attrgetter, or_
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import BudgetExceededError, ModelFormatError, ParseError, UndeclaredSymbolError
@@ -48,66 +52,66 @@ from .formula import (
 )
 
 _EMPTY: frozenset = frozenset()
+_NO_ROW: dict = {}
+_COMPARED = attrgetter("states", "agents", "names", "order", "rows", "naming", "valuation")
 
 Pair = tuple[str, str]
 
 
-@dataclass(frozen=True)
 class KripkeModel:
-    states: frozenset[str]
-    agents: frozenset[str]
-    names: frozenset[str]
-    relations: Mapping[str, frozenset[Pair]]
-    naming: Mapping[Pair, frozenset[str]]  # (state, name) -> agents
-    valuation: Mapping[str, frozenset[str]]
-    _cache: dict = field(init=False, repr=False, compare=False, default=None)
+    """A model with its relations as successor masks.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
+    order: the declared states sorted, then the undeclared ones the model
+    mentions sorted; state order[i] has bit 1 << i, as bit records.  rows:
+    agent -> {source bit: successor mask}, for every source, declared or
+    not.  Equality compares the relations through order and rows.
+    """
+
+    def __init__(self, states, agents, names, relations, naming, valuation):
+        """Freeze loose containers; naming maps (state, name) to agents."""
+        states = frozenset(states)
+        order = sorted(states)
+        bit = {s: 1 << i for i, s in enumerate(order)}
+        rows = {a: _row(pairs, bit, order) for a, pairs in relations.items()}
+        naming = {(w, n): frozenset(group) for (w, n), group in naming.items()}
+        valuation = {p: frozenset(ws) for p, ws in valuation.items()}
+        self._hold(states, frozenset(agents), frozenset(names), order, rows, naming, valuation)
 
     @classmethod
-    def make(
-        cls,
-        states: Iterable[str],
-        agents: Iterable[str],
-        names: Iterable[str],
-        relations: Mapping[str, Iterable[Iterable[str]]],
-        naming: Mapping[Any, Iterable[str]],
-        valuation: Mapping[str, Iterable[str]],
-    ) -> "KripkeModel":
-        """Normalize loose containers into a frozen model.
+    def _of_rows(cls, states, agents, names, order, rows, naming, valuation) -> "KripkeModel":
+        m = cls.__new__(cls)  # straight from rows over the state list order
+        m._hold(states, agents, names, order, rows, naming, valuation)
+        return m
 
-        naming keys may be (state, name) pairs or nested {state: {name: [...]}}.
-        """
-        flat_naming: dict[Pair, frozenset[str]] = {}
-        for key, val in naming.items():
-            if isinstance(key, tuple):
-                flat_naming[(key[0], key[1])] = frozenset(val)
-            else:
-                for name, group in val.items():
-                    flat_naming[(key, name)] = frozenset(group)
-        return cls(
-            states=frozenset(states),
-            agents=frozenset(agents),
-            names=frozenset(names),
-            relations={a: frozenset(map(tuple, pairs)) for a, pairs in relations.items()},
-            naming={k: v for k, v in flat_naming.items() if v},
-            valuation={p: frozenset(ws) for p, ws in valuation.items()},
+    def _hold(self, states, agents, names, order, rows, naming, valuation) -> None:
+        naming = {k: group for k, group in naming.items() if group}
+        extra = set(order).union((w for w, _ in naming), *valuation.values()).difference(states)
+        canonical = sorted(states) + sorted(extra)
+        if canonical != order:
+            bit = {s: 1 << i for i, s in enumerate(canonical)}
+            rows = _renumber(rows, [bit[s] for s in order])
+        self.__dict__.update(  # past __setattr__, which keeps the model frozen
+            states=states, agents=agents, names=names, naming=naming, valuation=valuation,
+            rows=rows, order=tuple(canonical), bit={s: 1 << i for i, s in enumerate(canonical)},
+            _cache={},
         )
 
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def relations(self) -> Mapping[str, frozenset[Pair]]:
+        """agent -> its edges as (source, target) pairs."""
+        return {a: frozenset(_edges(self.order, row)) for a, row in self.rows.items()}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _COMPARED(self) == _COMPARED(other)
+
     def successors(self, agent: str, state: str) -> frozenset[str]:
-        succ = self._cache.get("succ")
-        if succ is None:
-            succ = {}
-            for a, pairs in self.relations.items():
-                per_agent = succ.setdefault(a, {})
-                for x, y in pairs:
-                    per_agent.setdefault(x, set()).add(y)
-            succ = {
-                a: {x: frozenset(ys) for x, ys in per.items()} for a, per in succ.items()
-            }
-            self._cache["succ"] = succ
-        return succ.get(agent, {}).get(state, _EMPTY)
+        succ = self.rows.get(agent, _NO_ROW).get(self.bit.get(state), 0)
+        return frozenset(map(self.order.__getitem__, _bit_indices(succ)))
 
     def named(self, state: str, name: str) -> frozenset[str]:
         return self.naming.get((state, name), _EMPTY)
@@ -116,32 +120,72 @@ class KripkeModel:
         return state in self.valuation.get(prop, _EMPTY)
 
 
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _minted(s: str, bit: dict, order: list) -> int:
+    """The bit of s, which has none yet: the next free one."""
+    b = bit[s] = 1 << len(order)
+    order.append(s)
+    return b
+
+
+def _row(pairs: Iterable[Pair], bit: dict, order: list, what: str = "an edge") -> dict[int, int]:
+    """The successor masks of pairs (lists or tuples, as what names them);
+    a state without a bit is _minted one."""
+    row: dict[int, int] = {}
+    get = bit.get
+    for pair in pairs:
+        if isinstance(pair, (str, dict)):
+            _listed(pair, what)
+        x, y = pair
+        bx = get(x) or _minted(x, bit, order)
+        row[bx] = row.get(bx, 0) | (get(y) or _minted(y, bit, order))
+    return row
+
+
+def _edges(order, row: Mapping[int, int]) -> Iterator[Pair]:
+    """The (source, target) pairs of row over the state order order."""
+    for x, succ in row.items():
+        yield from zip(repeat(order[x.bit_length() - 1]), map(order.__getitem__, _bit_indices(succ)))
+
+
+def _renumber(rows: Mapping[str, Mapping[int, int]], moves: list[int]) -> dict:
+    """rows with the state of bit 1 << i moved to the bit moves[i], or
+    dropped with its edges where that is 0.  Each distinct mask moves once."""
+    masks = {mask for row in rows.values() for mask in chain(row, row.values())}
+    moved = {mask: reduce(or_, map(moves.__getitem__, _bit_indices(mask)), 0) for mask in masks}
+    return {a: {moved[x]: moved[succ] for x, succ in row.items() if moved[x] and moved[succ]}
+            for a, row in rows.items()}
+
+
 # ---------------------------------------------------------------------------
 # JSON wire format
 
-def _close_relation(pairs: set[Pair], ops: Iterable[str], states: frozenset[str]) -> set[Pair]:
+_CLOSURE_OPS = ("reflexive", "symmetric", "transitive")
+
+
+def _close_relation(row: dict[int, int], ops: Iterable[str], declared: int) -> None:
+    """Apply the ops to row in place; reflexive loops the bits below declared."""
     for op in ops:
         if op == "reflexive":
-            pairs |= {(s, s) for s in states}
+            for b in (1 << i for i in range(declared)):
+                row[b] = row.get(b, 0) | b
         elif op == "symmetric":
-            pairs |= {(y, x) for x, y in pairs}
-        elif op == "transitive":
-            # one search per source over the successor sets: x reaches
-            # whatever a path of one or more edges leads to
-            succ: dict[Any, set] = {}
-            for x, y in pairs:
-                succ.setdefault(x, set()).add(y)
-            for x, ys in succ.items():
-                reach = set(ys)
-                frontier = list(ys)
-                while frontier:
-                    new = succ.get(frontier.pop(), _EMPTY) - reach
-                    reach |= new
-                    frontier.extend(new)
-                pairs.update(zip(repeat(x), reach))
-        else:
-            raise ModelFormatError(f"unknown closure op {op!r}")
-    return pairs
+            for x, succ in list(row.items()):
+                for y in _bit_indices(succ):
+                    row[1 << y] = row.get(1 << y, 0) | x
+        else:  # transitive: Warshall's algorithm, one pass per intermediate state
+            for k in list(row):
+                via = row[k]
+                for x, succ in row.items():
+                    if succ & k:
+                        row[x] = succ | via
 
 
 def _listed(value: Any, what: str) -> Any:
@@ -207,16 +251,18 @@ def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
         agents = frozenset(_named(d.get("agents", []), "agents"))
         names = frozenset(_named(d.get("names", []), "names"))
         ops = list(_listed(d.get("closure", []), "closure"))
-        relations = {}
+        for op in ops:
+            if op not in _CLOSURE_OPS:
+                raise ModelFormatError(f"unknown closure op {op!r}")
+        order = sorted(states)
+        bit = {s: 1 << i for i, s in enumerate(order)}
+        rows = {}
         for a, pairs in d.get("relations", {}).items():
-            rel = set()
-            for pair in _listed(pairs, f"relation of {a!r}"):
-                x, y = _listed(pair, f"an edge of {a!r}")
-                rel.add((x, y))
-            # an endpoint among the declared states is a string already
-            if not states.issuperset(chain.from_iterable(rel)):
-                _named(chain.from_iterable(pairs), f"an edge of {a!r}")
-            relations[a] = _close_relation(rel, ops, states)
+            known, what = len(order), f"an edge of {a!r}"
+            rows[a] = _row(_listed(pairs, f"relation of {a!r}"), bit, order, what)
+            # a state first met on an edge must be a string, as declared ones are
+            _named(order[known:], what)
+            _close_relation(rows[a], ops, len(states))
         naming = {}
         for state, per_name in d.get("naming", {}).items():
             for name, group in per_name.items():
@@ -224,10 +270,12 @@ def model_from_dict(d: Mapping[str, Any]) -> KripkeModel:
         valuation = {
             p: _named(ws, f"valuation of {p!r}") for p, ws in d.get("valuation", {}).items()
         }
-        _named(relations.keys(), "relations")
+        _named(rows.keys(), "relations")
         _named(chain.from_iterable(naming), "naming")
         _propositions(_named(valuation.keys(), "valuation"))
-        return KripkeModel.make(states, agents, names, relations, naming, valuation)
+        valuation = {p: frozenset(ws) for p, ws in valuation.items()}
+        naming = {k: frozenset(group) for k, group in naming.items()}
+        return KripkeModel._of_rows(states, agents, names, order, rows, naming, valuation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # AttributeError: a list or string where a mapping is due
         raise ModelFormatError(f"malformed model document: {exc}") from exc
@@ -242,7 +290,7 @@ def model_to_dict(m: KripkeModel) -> dict:
         "states": sorted(m.states),
         "agents": sorted(m.agents),
         "names": sorted(m.names),
-        "relations": {a: sorted(map(list, pairs)) for a, pairs in sorted(m.relations.items())},
+        "relations": {a: sorted(map(list, _edges(m.order, m.rows[a]))) for a in sorted(m.rows)},
         "naming": naming,
         "valuation": {p: sorted(ws) for p, ws in sorted(m.valuation.items())},
     }
@@ -276,16 +324,19 @@ def validate_model(m: KripkeModel, mode: str = "lenient") -> list[Diagnostic]:
     err = lambda code, msg: out.append(Diagnostic("error", code, msg))
     warn = lambda code, msg: out.append(Diagnostic("warning", code, msg))
 
-    # Every agent's edges are checked by set lookups, a C-level step per
-    # edge; only the offending edges are sorted, to report them in order.
+    # Every agent's row is tested as masks; only the offending edges are
+    # expanded, and sorted to report them in order.
+    full, order, rows = (1 << len(m.states)) - 1, m.order, m.rows
     if not m.states:
         err("empty-states", "model has no states")
-    for a in sorted(m.relations):
+    for a in sorted(rows):
         if a not in m.agents:
             err("undeclared-agent", f"relation for undeclared agent {a!r}")
-        rel = m.relations[a]
-        if not m.states.issuperset(chain.from_iterable(rel)):
-            for x, y in sorted(p for p in rel if p[0] not in m.states or p[1] not in m.states):
+        row = rows[a]
+        if (reduce(or_, row, 0) | reduce(or_, row.values(), 0)) & ~full:
+            # every edge of a stray source leaves, and the stray targets of the others
+            stray = {x: succ if x & ~full else succ & ~full for x, succ in row.items()}
+            for x, y in sorted(_edges(order, stray)):
                 err("undeclared-state", f"edge ({x!r}, {y!r}) of agent {a!r} leaves the state set")
     for (state, name), group in sorted(m.naming.items()):
         if state not in m.states:
@@ -305,40 +356,35 @@ def validate_model(m: KripkeModel, mode: str = "lenient") -> list[Diagnostic]:
     bearers = {
         (state, a) for (state, _), group in m.naming.items() for a in group
     }
-    bears_at: dict[str, set[str]] = {}  # agent -> the states where it bears a name
+    bears_at: dict[str, int] = {}  # agent -> the states where it bears a name
     for state, a in sorted(bearers):
-        bears_at.setdefault(a, set()).add(state)
-        if (state, state) not in m.relations.get(a, _EMPTY):
+        w = m.bit[state]
+        bears_at[a] = bears_at.get(a, 0) | w
+        if not rows.get(a, _NO_ROW).get(w, 0) & w:
             err(
                 "missing-reflexive-loop",
                 f"agent {a!r} bears a name at {state!r} but ({state!r}, {state!r}) is not in its relation",
             )
     report = err if mode == "strict" else warn
-    for a in sorted(m.relations):
-        rel, bears = m.relations[a], bears_at.get(a, _EMPTY)
-        if not bears.issuperset(map(itemgetter(0), rel)):
-            for x, _ in sorted(p for p in rel if p[0] not in bears):
+    for a in sorted(rows):
+        bears = bears_at.get(a, 0)
+        # one diagnostic per edge, as the edges sort
+        for x, succ in sorted((order[x.bit_length() - 1], succ)
+                              for x, succ in rows[a].items() if not x & bears):
+            for _ in range(succ.bit_count()):
                 report(
                     "edge-from-unnamed-source",
                     f"agent {a!r} has an edge at {x!r} where it bears no name",
                 )
     if mode == "epistemic":
-        for a in sorted(m.relations):
-            rel = m.relations[a]
-            succ: dict[str, set[str]] = {}
-            for x, y in rel:
-                succ.setdefault(x, set()).add(y)
-            # Symmetric, so that the field is the sources, and reflexive
-            # there.  Then transitive exactly when every edge joins two
-            # states with the same successor set: number the distinct sets
-            # once, and compare two numbers per edge.
-            ok = all((y, x) in rel for x, y in rel)
-            ok = ok and all(x in ys for x, ys in succ.items())
-            if ok:
-                ids: dict[frozenset, int] = {}
-                cls = {x: ids.setdefault(frozenset(ys), len(ids)) for x, ys in succ.items()}
-                ok = all(cls[x] == cls[y] for x, y in rel)
-            if not ok:
+        for a in sorted(rows):
+            # An equivalence on its field exactly when the sources that share
+            # a successor mask make up that mask: then each source lies in
+            # its own mask, and each edge joins two sources with one mask.
+            sources: dict[int, int] = {}  # successor mask -> its sources
+            for x, succ in rows[a].items():
+                sources[succ] = sources.get(succ, 0) | x
+            if any(succ != xs for succ, xs in sources.items()):
                 err(
                     "not-equivalence-on-field",
                     f"relation of agent {a!r} is not an equivalence on its field",
@@ -379,14 +425,6 @@ def _require_symbols(f: Formula, names=None, props=None, agents=None) -> None:
             raise UndeclaredSymbolError(f"undeclared {kind}: {sorted(missing)}")
 
 
-def _bit_indices(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _Index:
     """A model's truth sets as int masks, one bit per state.
 
@@ -394,10 +432,10 @@ class _Index:
     declare (on an edge, in the valuation, at a naming entry): they get bits
     above full, so a proposition can hold there, and p & p with it, while
     negation and the modalities range over full only.
+    rows: the model's own, for B; the index adds to them
     val: proposition -> mask.
     fam: name -> [(state bit, union, successor masks of the agents the name
     picks out there)], for the declared states where it picks out someone.
-    rows: agent -> {declared state bit: successor mask}, for B.
     bearers: (agent, name) -> the states where the agent bears the name.
     order: states by bit ((model, state) pairs in a _joint_index).
     """
@@ -486,10 +524,10 @@ def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
             push(full & ~ix.escapes(g.name, out[ks[0]]))
         else:  # B: the agent's successors where it bears the name are good
             bad, v = ~out[ks[0]] & ix.bearers.get((g.agent, g.name), 0), full
-            for w, succ in ix.rows.get(g.agent, {}).items():
+            for w, succ in ix.rows.get(g.agent, _NO_ROW).items():
                 if succ & bad:
                     v ^= w
-            push(v)
+            push(v & full)  # a source outside full toggled a bit there
     return out
 
 
@@ -497,34 +535,18 @@ def _kripke_index(m: KripkeModel) -> _Index:
     ix = m._cache.get("index")
     if ix is not None:
         return ix
-    # declared states take the low bits in sorted order; any other state the
-    # model mentions takes the next free bit when it is first met
-    order = sorted(m.states)
-    bit = {s: 1 << i for i, s in enumerate(order)}
-
-    def bit_of(s: str) -> int:
-        if s not in bit:
-            bit[s] = 1 << len(order)
-            order.append(s)
-        return bit[s]
-
-    rows: dict[str, dict[int, int]] = {}
-    for a, pairs in m.relations.items():
-        row: dict[str, int] = {}
-        for x, y in pairs:
-            row[x] = row.get(x, 0) | (bit[y] if y in bit else bit_of(y))
-        rows[a] = {bit[x]: succ for x, succ in row.items() if x in m.states}
+    bit, rows = m.bit, m.rows
     fam: dict[str, list] = {}
     bearers: dict[Pair, int] = {}
     for (w, n), group in m.naming.items():
-        bw = bit_of(w)
+        bw = bit[w]
         for a in group:
             bearers[(a, n)] = bearers.get((a, n), 0) | bw
         if group and w in m.states:
-            members = tuple(rows.get(a, {}).get(bw, 0) for a in group)
+            members = tuple(rows.get(a, _NO_ROW).get(bw, 0) for a in group)
             fam.setdefault(n, []).append((bw, reduce(or_, members), members))
-    val = {p: reduce(or_, map(bit_of, ws), 0) for p, ws in m.valuation.items()}
-    ix = m._cache["index"] = _Index((1 << len(m.states)) - 1, val, fam, rows, bearers, order)
+    val = {p: reduce(or_, map(bit.__getitem__, ws), 0) for p, ws in m.valuation.items()}
+    ix = m._cache["index"] = _Index((1 << len(m.states)) - 1, val, fam, rows, bearers, m.order)
     return ix
 
 
@@ -577,7 +599,7 @@ def extension(m: KripkeModel, f: Formula) -> frozenset[str]:
 
 
 def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool) -> Any:
-    succ = lambda a, x: ix.rows.get(a, {}).get(ix.bit[x], 0)
+    succ = lambda a, x: ix.rows.get(a, _NO_ROW).get(ix.bit[x], 0)
     match f:
         case S(name, arg) if value:
             good = _truth(m, arg, _kripke_index)
@@ -670,26 +692,19 @@ def generated_submodel(m: KripkeModel, w: str) -> KripkeModel:
     """Restrict m to the states reachable from w via any agent, w included."""
     if w not in m.states:
         raise UndeclaredSymbolError(f"undeclared state {w!r}")
-    reach = {w}
-    frontier = [w]
+    reach, frontier, rows = 0, m.bit[w], [m.rows.get(a, _NO_ROW) for a in m.agents]
     while frontier:
-        x = frontier.pop()
-        for a in m.agents:
-            for y in m.successors(a, x):
-                if y not in reach:
-                    reach.add(y)
-                    frontier.append(y)
-    keep = frozenset(reach)
-    return KripkeModel(
-        states=keep,
-        agents=m.agents,
-        names=m.names,
-        relations={
-            a: frozenset((x, y) for x, y in pairs if x in keep and y in keep)
-            for a, pairs in m.relations.items()
-        },
-        naming={k: v for k, v in m.naming.items() if k[0] in keep},
-        valuation={p: ws & keep for p, ws in m.valuation.items()},
+        reach |= frontier
+        frontier = reduce(or_, (row.get(1 << i, 0) for i in _bit_indices(frontier) for row in rows), 0)
+        frontier &= ~reach
+    keep = frozenset(map(m.order.__getitem__, _bit_indices(reach)))
+    order = sorted(keep)
+    bit = {s: 1 << i for i, s in enumerate(order)}
+    return KripkeModel._of_rows(
+        keep, m.agents, m.names, order,
+        _renumber(m.rows, [bit.get(s, 0) for s in m.order]),
+        {k: v for k, v in m.naming.items() if k[0] in keep},
+        {p: ws & keep for p, ws in m.valuation.items()},
     )
 
 
@@ -702,7 +717,8 @@ def disjoint_union(models: Iterable[KripkeModel]) -> KripkeModel:
     states: set[str] = set()
     agents: set[str] = set()
     names: set[str] = set()
-    relations: dict[str, frozenset[Pair]] = {}
+    order: list[str] = []  # each model's states above the previous ones'
+    rows: dict[str, dict[int, int]] = {}
     naming: dict[Pair, frozenset[str]] = {}
     valuation: dict[str, set[str]] = {}
     for i, m in enumerate(models):
@@ -710,19 +726,17 @@ def disjoint_union(models: Iterable[KripkeModel]) -> KripkeModel:
         states |= {tag(s) for s in m.states}
         agents |= {tag(a) for a in m.agents}
         names |= m.names
-        for a, pairs in m.relations.items():
-            relations[tag(a)] = frozenset((tag(x), tag(y)) for x, y in pairs)
+        shift = len(order)
+        order += map(tag, m.order)
+        for a, row in m.rows.items():
+            rows[tag(a)] = {x << shift: succ << shift for x, succ in row.items()}
         for (s, n), group in m.naming.items():
             naming[(tag(s), n)] = frozenset(tag(a) for a in group)
         for p, ws in m.valuation.items():
             valuation.setdefault(p, set()).update(tag(s) for s in ws)
-    return KripkeModel(
-        states=frozenset(states),
-        agents=frozenset(agents),
-        names=frozenset(names),
-        relations=relations,
-        naming=naming,
-        valuation={p: frozenset(ws) for p, ws in valuation.items()},
+    return KripkeModel._of_rows(
+        frozenset(states), frozenset(agents), frozenset(names), order, rows, naming,
+        {p: frozenset(ws) for p, ws in valuation.items()},
     )
 
 

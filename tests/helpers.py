@@ -547,7 +547,7 @@ def reference_candidate_model(states, agents, names, rows, mu, val):
     arrays as reference_candidate_index (val[p] is p's state mask), with no
     bit lanes involved."""
     on = lambda mask: [w for i, w in enumerate(states) if (mask >> i) & 1]
-    return kripke.KripkeModel.make(
+    return kripke.KripkeModel(
         states=states,
         agents=agents,
         names=names,
@@ -630,8 +630,8 @@ def reference_enumerate_atoms(lay, max_atoms):
 def reference_close_relation(pairs, ops, states):
     """The closure ops applied in order to the pair set, the transitive one
     as a fixpoint that joins every pair with every pair until nothing new
-    appears: the definition that kripke._close_relation's per-source
-    searches must match."""
+    appears: the definition that kripke._close_relation's passes over
+    successor masks must match."""
     pairs = set(pairs)
     for op in ops:
         if op == "reflexive":

@@ -262,7 +262,7 @@ def test_criterion_5_translation_equivalence(capfd):
 
 
 def _single_state(state: str, agent: str, holds_p: bool) -> KripkeModel:
-    return KripkeModel.make(
+    return KripkeModel(
         states=[state],
         agents=[agent],
         names=["n"],
@@ -448,7 +448,7 @@ def _frame_with_broken_loop(seed: int) -> KripkeModel:
     naming[(w0, "n")] = {a0}
     relations = {a: set(pairs) for a, pairs in m.relations.items()}
     relations.setdefault(a0, set()).discard((w0, w0))
-    return KripkeModel.make(
+    return KripkeModel(
         states=m.states,
         agents=m.agents,
         names=m.names,

@@ -418,7 +418,7 @@ def test_bisim_distinguisher_text_that_reads_back_otherwise_is_an_input_error(ca
     # refuse a proposition named true, so the two models are made in code and
     # handed to the command in place of its two files.
     models = {
-        path: KripkeModel.make(["w"], [], [], {}, {}, {"true": holds})
+        path: KripkeModel(["w"], [], [], {}, {}, {"true": holds})
         for path, holds in (("m0.json", []), ("m1.json", ["w"]))
     }
     monkeypatch.setattr(cli, "_load_json", lambda path: path)
@@ -545,6 +545,17 @@ def test_validate_modes_and_exit_codes(capsys):
 
     code, payload = run_json(capsys, "validate", "--model", FIGURE, "--mode", "epistemic")
     assert code == 0 and payload["ok"] is True
+
+
+@pytest.mark.parametrize("op", ["bogus", 5])
+def test_validate_refuses_an_unknown_closure_op(capsys, tmp_path, op):
+    # the document has no relations for the op to close
+    model = tmp_path / "doc.json"
+    model.write_text(json.dumps({"states": ["w"], "closure": [op]}))
+    code, captured = run(capsys, "validate", "--model", str(model))
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def _write(tmp_path, doc) -> str:

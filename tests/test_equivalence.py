@@ -59,7 +59,7 @@ def fig():
 
 
 def _single_state(state: str, agent: str) -> KripkeModel:
-    return KripkeModel.make(
+    return KripkeModel(
         states=[state],
         agents=[agent],
         names=["n"],
@@ -83,7 +83,7 @@ def test_identity_morphism_ok(fig):
 
 def test_morphism_there_violation():
     src = _single_state("x", "a")
-    dst = KripkeModel.make(
+    dst = KripkeModel(
         states=["z"], agents=["a"], names=["n"], relations={"a": [["z", "z"]]},
         naming={}, valuation={"p": []},
     )
@@ -94,7 +94,7 @@ def test_morphism_there_violation():
 
 
 def test_morphism_back_violation():
-    src = KripkeModel.make(
+    src = KripkeModel(
         states=["x"], agents=["a"], names=["n"], relations={"a": [["x", "x"]]},
         naming={}, valuation={},
     )
@@ -175,7 +175,7 @@ def test_functional_bisimulation_is_morphism(fig):
 
 def test_empty_name_pairing_violates_back():
     named = _single_state("x", "a")
-    bare = KripkeModel.make(
+    bare = KripkeModel(
         states=["y"], agents=["a"], names=["n"], relations={"a": [["y", "y"]]},
         naming={}, valuation={"p": []},
     )
@@ -242,7 +242,7 @@ def test_distinguisher_atoms(fig):
 
 def test_distinguisher_empty_name():
     named = _single_state("x", "a")
-    bare = KripkeModel.make(
+    bare = KripkeModel(
         states=["y"], agents=["a"], names=["n"], relations={"a": [["y", "y"]]},
         naming={}, valuation={"p": []},
     )
@@ -252,7 +252,7 @@ def test_distinguisher_empty_name():
 
 
 def _depth_two_pair():
-    deep = KripkeModel.make(
+    deep = KripkeModel(
         states=["x0", "x1"],
         agents=["a"],
         names=["n"],
@@ -260,7 +260,7 @@ def _depth_two_pair():
         naming={("x0", "n"): ["a"], ("x1", "n"): ["a"]},
         valuation={"p": []},
     )
-    shallow = KripkeModel.make(
+    shallow = KripkeModel(
         states=["y0", "y1"],
         agents=["a"],
         names=["n"],
@@ -299,7 +299,7 @@ def _extra_agent_pair():
         names=["n"],
         valuation={"p": ["w", "u1"], "q": ["w", "u2"]},
     )
-    left = KripkeModel.make(
+    left = KripkeModel(
         agents=["a", "b", "c"],
         relations={
             "a": [["w", "w"], ["w", "u1"]],
@@ -309,7 +309,7 @@ def _extra_agent_pair():
         naming={("w", "n"): ["a", "b", "c"]},
         **base,
     )
-    right = KripkeModel.make(
+    right = KripkeModel(
         agents=["a", "b"],
         relations={
             "a": [["w", "w"], ["w", "u1"]],
@@ -541,7 +541,7 @@ def _watched_chain(k: int) -> KripkeModel:
     # split, so blocks split that did not split the round before
     xs = [f"x{i}" for i in range(k)]
     ys = [f"y{i}" for i in range(k - 1)]
-    return KripkeModel.make(
+    return KripkeModel(
         states=xs + ys,
         agents=["a"],
         names=["n"],

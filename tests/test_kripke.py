@@ -5,9 +5,11 @@ validation tests; its expected verdicts were worked out by hand from the
 definitions and are frozen here.
 """
 
+import functools
 import hashlib
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,8 @@ from namelogic import (
 from namelogic.kripke import (
     KripkeModel,
     _close_relation,
+    _edges,
+    _row,
     check,
     disjoint_union,
     distributed_by_subsets,
@@ -57,7 +61,10 @@ from namelogic.kripke import (
     random_model,
     validate_model,
 )
-from namelogic.neighborhood import extension_nbhd, kripke_to_nbhd
+from namelogic import kripke
+from namelogic.decision import brute_force_sat, satisfiable, valid
+from namelogic.equivalence import bisimilar, distinguishing_formula
+from namelogic.neighborhood import extension_nbhd, kripke_to_nbhd, nbhd_to_kripke
 
 FIGURE = Path(__file__).resolve().parent.parent / "figure1.json"
 
@@ -135,7 +142,7 @@ def test_validation_unknown_mode(fig):
 
 
 def test_missing_loop_is_error_in_every_mode():
-    m = KripkeModel.make(
+    m = KripkeModel(
         states=["x", "y"],
         agents=["a"],
         names=["n"],
@@ -149,7 +156,7 @@ def test_missing_loop_is_error_in_every_mode():
 
 
 def test_validation_referential_integrity():
-    m = KripkeModel.make(
+    m = KripkeModel(
         states=["x"],
         agents=["a"],
         names=["n"],
@@ -177,14 +184,19 @@ _STATE_POOL = ("w0", "w1", "w2", "w3", "w4")
 def test_closure_ops_match_the_fixpoint(pairs, ops, states):
     # x is never declared: reflexivity skips it, symmetry and transitivity
     # do not
-    assert _close_relation(set(pairs), ops, states) == reference_close_relation(pairs, ops, states)
+    order = sorted(states)
+    bit = {s: 1 << i for i, s in enumerate(order)}
+    row = _row(pairs, bit, order)
+    _close_relation(row, ops, len(states))
+    assert set(_edges(order, row)) == reference_close_relation(pairs, ops, states)
 
 
 @st.composite
-def _validation_models(draw):
-    """Models that may leave agents, states and names undeclared, carry stray
-    edges, miss reflexive loops, act from unnamed sources and hold
-    relations that are, or are one toggled edge away from, equivalences."""
+def _validation_fields(draw):
+    """The six fields of models that may leave agents, states and names
+    undeclared, carry stray edges, miss reflexive loops, act from unnamed
+    sources and hold relations that are, or are one toggled edge away from,
+    equivalences."""
     states = draw(st.frozensets(st.sampled_from(_STATE_POOL)))
     agents = draw(st.frozensets(st.sampled_from("abc"), min_size=1))
     names = draw(st.frozensets(st.sampled_from("nm"), min_size=1))
@@ -193,7 +205,7 @@ def _validation_models(draw):
     agent_pool = sorted(agents | {"z"} if stray else agents)
     name_pool = sorted(names | {"k"} if stray else names)
     if not state_pool:
-        return KripkeModel(states, agents, names, {}, {}, {})
+        return states, agents, names, {}, {}, {}
     state = st.sampled_from(state_pool)
     edges = st.frozensets(st.tuples(state, state), max_size=3)
     relations = {}
@@ -215,7 +227,11 @@ def _validation_models(draw):
             for a in group:
                 relations[a] = relations.get(a, frozenset()) | {(w, w)}
     valuation = draw(st.dictionaries(st.sampled_from("pq"), st.frozensets(state), max_size=2))
-    return KripkeModel(states, agents, names, relations, naming, valuation)
+    return states, agents, names, relations, naming, valuation
+
+
+def _validation_models():
+    return _validation_fields().map(lambda fields: KripkeModel(*fields))
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,7 +250,7 @@ def test_extensions_frozen(fig):
 
 
 def test_memo_shares_equal_truth_sets():
-    m = KripkeModel.make(
+    m = KripkeModel(
         states=["w", "v"], agents=[], names=[], relations={}, naming={},
         # x lies outside the state set, as validate_model would report
         valuation={"p": ["w", "x"], "q": ["w"], "r": ["w", "v"]},
@@ -308,7 +324,7 @@ def test_frame_validity_budget(fig):
 
 
 def test_generated_submodel():
-    m = KripkeModel.make(
+    m = KripkeModel(
         states=["x", "y", "z"],
         agents=["a"],
         names=["n"],
@@ -339,6 +355,76 @@ def test_round_trip_dict(fig):
     assert model_from_dict(model_to_dict(m)) == m
 
 
+def _rebuilt(m: KripkeModel) -> KripkeModel:
+    """m built again through KripkeModel(...) from its pair view."""
+    return KripkeModel(m.states, m.agents, m.names, m.relations, m.naming, m.valuation)
+
+
+@functools.cache
+def _models_built_from_rows():
+    """Models that the decision procedure, the bounded oracle and the
+    neighborhood translation build from masks, with no pair in between."""
+    sat = satisfiable(parse_formula("S[n] p & !E[n] p & C[m] (q | S[n] !p)"))
+    hit, _ = brute_force_sat(parse_formula("!(D[n] p -> E[n] p)"), 2, 2)
+    nbhd = nbhd_to_kripke(kripke_to_nbhd(random_model(states=5, seed=3)))
+    return sat.model, hit, nbhd
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=_validation_fields(),
+       ops=st.lists(st.sampled_from(["reflexive", "symmetric", "transitive"]), max_size=3))
+def test_every_constructor_agrees_with_its_pairs(fields, ops):
+    states, agents, names, relations, naming, valuation = fields
+    m = KripkeModel(*fields)
+    assert m.relations == {a: frozenset(pairs) for a, pairs in relations.items()}
+    assert model_from_dict(model_to_dict(m)) == m
+    for a in agents | relations.keys() | {"z"}:
+        for w in set(m.order) | {"x", "y"}:
+            expected = {y for x, y in m.relations.get(a, ()) if x == w}
+            assert m.successors(a, w) == expected
+    # the loader closes each relation over masks, the reference over pairs
+    doc = model_to_dict(m)
+    doc["closure"] = ops
+    closed = model_from_dict(doc).relations
+    assert closed == {a: reference_close_relation(pairs, ops, states)
+                      for a, pairs in relations.items()}
+    derived = [disjoint_union([m, m]), *_models_built_from_rows()]
+    derived += [generated_submodel(m, w) for w in sorted(states)[:1]]
+    for d in derived:
+        assert model_to_dict(_rebuilt(d)) == model_to_dict(d)
+        assert _rebuilt(d) == d
+
+
+def test_query_paths_derive_no_pairs(monkeypatch, fig):
+    # loaded and extracted models answer every query from their masks: no
+    # sat, valid, oracle, check, validate or bisim path asks for the pairs
+    def refuse(*_):
+        raise AssertionError("a query path derived a pair set")
+
+    monkeypatch.setattr(kripke, "_edges", refuse)
+    monkeypatch.setattr(KripkeModel, "relations", property(refuse))
+    # the two heavy anchors of the benchmark's decide workload: extraction,
+    # re-verification through check and lenient validation
+    for text in (
+        "C[m] !S[n] (E[m] q & E[n] S[m] q | (S[m] p | !!E[m] p & (p <-> p) & (!p | q)))",
+        "C[n] C[m] (C[m] (q | false & q) -> S[m] C[n] true)",
+    ):
+        assert satisfiable(parse_formula(text)).verdict == "sat"
+    assert valid(parse_formula("S[n] q -> q"))
+    assert not valid(parse_formula("p -> E[n] p"))
+    assert brute_force_sat(parse_formula("!(D[n] p -> E[n] p)"), 2, 2) is not None
+    m = model_from_dict(json.loads(FIGURE.read_text()))
+    for text in ("S[n] p", "E[n] p", "C[m] !q", "D[n] p", "B[a;n] p"):
+        f = parse_formula(text)
+        assert check(m, "w", f).value is ("w" in extension(m, f))
+    for mode in ("lenient", "strict", "epistemic"):
+        validate_model(m, mode)
+    m1, m2 = random_model(states=6, seed=1), random_model(states=6, seed=2)
+    for w1, w2 in product(sorted(m1.states)[:2], sorted(m2.states)[:2]):
+        if not bisimilar(m1, w1, m2, w2):
+            distinguishing_formula(m1, w1, m2, w2)
+
+
 def test_model_format_errors():
     with pytest.raises(ModelFormatError):
         model_from_dict({"relations": {}})
@@ -346,6 +432,10 @@ def test_model_format_errors():
         model_from_dict(
             {"states": ["x"], "closure": ["euclidean"], "relations": {"a": []}}
         )
+    # an unknown closure op is refused with no relation to close
+    for op in ("bogus", 5):
+        with pytest.raises(ModelFormatError, match="unknown closure op"):
+            model_from_dict({"states": ["w"], "closure": [op]})
     # a JSON key is always a string, but a document built in Python need not be
     doc = {"states": ["w"], "agents": ["a"], "names": ["n"], "relations": {"a": [["w", "w"]]},
            "naming": {"w": {"n": ["a"]}}, "valuation": {"p": ["w"]}}
@@ -412,7 +502,7 @@ def test_random_model_epistemic_validates(seed):
 
 def test_empty_name_semantics():
     # y bears no name: universal readings are vacuous, existential ones fail
-    m = KripkeModel.make(
+    m = KripkeModel(
         states=["x", "y"],
         agents=["a"],
         names=["n"],
@@ -554,7 +644,7 @@ def _loose_models(draw):
         for n in ("n", "m")
     }
     valuation = {p: draw(st.lists(edge_ends, unique=True)) for p in ("p", "q")}
-    return KripkeModel.make(
+    return KripkeModel(
         states=states, agents=["a", "b"], names=["n", "m"],
         relations=relations, naming=naming, valuation=valuation,
     )
@@ -575,7 +665,7 @@ def test_truth_matches_the_literal_definitions(m, f):
 
 def test_dangling_states_keep_their_truth():
     # an edge, a valuation entry and a naming entry at the undeclared z
-    m = KripkeModel.make(
+    m = KripkeModel(
         states=["w"], agents=["a"], names=["n"],
         relations={"a": [["w", "w"], ["w", "z"], ["z", "w"]]},
         naming={("w", "n"): ["a"], ("z", "n"): ["a"]},
