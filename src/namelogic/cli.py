@@ -14,7 +14,7 @@ from typing import Any, Optional
 # Each command imports the subsystem it runs, so a child that runs one
 # command does not load the others.
 from . import kripke
-from .errors import LogicError
+from .errors import LogicError, ModelFormatError
 from .formula import Not, parse_formula, print_formula
 
 
@@ -26,14 +26,6 @@ def _emit(payload: Any, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _jsonify(value: Any) -> Any:
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonify(v) for v in value)
-    if isinstance(value, (tuple, list)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
 def _read_formula(flag: str):
     text = sys.stdin.read() if flag == "-" else flag
     return parse_formula(text)
@@ -41,7 +33,10 @@ def _read_formula(flag: str):
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses into nested arrays and objects
+            raise ModelFormatError(f"{path}: the JSON document nests too deeply") from None
 
 
 def _diag_payload(diags) -> list[dict]:
@@ -57,7 +52,7 @@ def cmd_check(args) -> int:
     if args.state not in m.states:
         raise LogicError(f"state {args.state!r} is not in the model")
     res = kripke.check(m, args.state, _read_formula(args.formula))
-    _emit({"value": res.value, "witness": _jsonify(res.witness)}, args.pretty)
+    _emit({"value": res.value, "witness": res.witness}, args.pretty)
     return 0 if res.value else 1
 
 
@@ -235,10 +230,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except (LogicError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the parser recurses
-        print("error: formula nests too deeply", file=sys.stderr)
         return 2
 
 

@@ -30,12 +30,14 @@ the numbers of its operands, and one builder, ``_Table``, makes every
 numbering.  It knows a subterm by its class, its string fields and its
 operand numbers, so equal subterms get one number and no two formulas are
 ever compared: hash-consing (Filliatre & Conchon 2006) that lasts for one
-numbering.  The parser numbers a text as it builds it, so equal subterms
-of one text are one node, and the parsed formula comes with its numbering
-kept, the same list ``_numbering`` would make; ``_numbering`` numbers
-formulas built in code, reading each node once by its id.  Printing,
-``modal_depth`` and the truth core are folds over a numbering, so only the
-parser recurses, and each of them meets a shared subterm once; printing
+numbering.  The parser is one loop over the tokens, its pending operators
+and operands on explicit stacks, and numbers a text as it builds it, so
+equal subterms of one text are one node, and the parsed formula comes
+with its numbering kept, the same list ``_numbering`` would make;
+``_numbering`` numbers formulas built in code, reading each node once by
+its id.  Printing, ``modal_depth`` and the truth core are folds over a
+numbering, and each meets a shared subterm once; nothing here recurses,
+so no depth of nesting is too deep to read, print or evaluate.  Printing
 reads the numbering a formula carries, if it has one.  ``desugar`` writes
 its result into a table, building a node only for a subterm the table has
 not met, so equal subterms of the result are one node when those of its
@@ -57,6 +59,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterator
 
 from .errors import ParseError, UnsupportedFragmentError
@@ -302,171 +305,152 @@ del _salt, _cls
 TRUE = Top()
 FALSE = Bot()
 
-_MODAL_HEADS = {"E": E, "S": S, "C": C, "D": D}
-
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-# A token is (kind, text, line, column).  Each match is a run of whitespace
-# other than a line break (str.isspace), then one of: a line break,
-# punctuation, a run of word characters (str.isalnum or "_"), or any other
-# non-space character.  Only whitespace at the very end goes unmatched.
-_TOKEN = re.compile(r"([^\S\n]*)(?:(\n)|(<->|->|[&|!()\[\];])|(\w+)|(\S))")
+# The tokens: punctuation, a run of word characters (str.isalnum or "_"),
+# or any other non-space character.  Whitespace (str.isspace) is skipped
+# between them, and only "\n" starts a new line.
+_TOKEN = re.compile(r"<->|->|[&|!()\[\];]|\w+|\S")
+_PUNCT = frozenset(["<->", "->", "&", "|", "!", "(", ")", "[", "]", ";"])
 
-_PUNCT = {
-    "<->": "IFF",
-    "->": "IMPLIES",
-    "&": "AND",
-    "|": "OR",
-    "!": "NOT",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    ";": "SEMI",
+# The parser's pending operators, (level, class, fields), innermost last.
+# A connective's level runs from 0 (<->) to 3 (&); a prefix operator's is
+# _UNARY; an open parenthesis, or the text as a whole, is a _GROUP.
+_UNARY = 4
+_GROUP = (-1, None, ())
+_NOT = (_UNARY, Not, ())
+
+# Each connective's operator, and its bind: a new connective first applies
+# the pending ones whose level is above its bind, so & and | associate to
+# the left, -> and <-> to the right.
+_BINARY = {
+    "<->": (0, (0, Iff, ())),
+    "->": (1, (1, Implies, ())),
+    "|": (1, (2, Or, ())),
+    "&": (2, (3, And, ())),
 }
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, line_start, pos = 1, 0, 0
-    for space, newline, punct, word, other in _TOKEN.findall(text):
-        pos += len(space)
-        if newline:
-            pos += 1
-            line += 1
-            line_start = pos
-            continue
-        column = pos - line_start + 1
-        if punct:
-            tokens.append((_PUNCT[punct], punct, line, column))
-            pos += len(punct)
-        elif word and (word[0].isalpha() or word[0] == "_"):
-            kind = "CONST" if word in ("true", "false") else "IDENT"
-            tokens.append((kind, word, line, column))
-            pos += len(word)
-        else:  # any other character, or a word starting with a digit
-            raise ParseError(f"unknown token {(word or other)[0]!r}", line, column)
-    tokens.append(("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+_HEADS = {"E": E, "S": S, "C": C, "D": D, "B": B}
 
 
-class _Parser:
-    """Recursive descent over the tokens.  Each grammar method returns the
-    number that the parser's _Table gives the subterm it read, so equal
-    subterms of the text are one node, listed children first, as
-    _numbering lists them."""
+def _is_word(t: str) -> bool:
+    c = t[:1]
+    return c.isalpha() or c == "_"
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.table = _Table()
-        self.node = self.table.node
 
-    def peek_kind(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def advance(self) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> str:
-        got_kind, text, line, column = self.advance()
-        if got_kind != kind:
-            got = text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", line, column)
-        return text
-
-    def parse(self) -> Formula:
-        self.iff()
-        kind, text, line, column = self.tokens[self.pos]
-        if kind != "EOF":
-            raise ParseError(f"unexpected {text!r}", line, column)
-        # the root is built last: no proper subterm equals it
-        nodes = self.table.nodes
-        f = nodes[-1]
-        _keep(nodes, self.table.kids)
-        return f
-
-    def iff(self) -> int:
-        left = self.implies()
-        if self.peek_kind() == "IFF":
-            self.pos += 1
-            return self.node(Iff, (), (left, self.iff()))
-        return left
-
-    def implies(self) -> int:
-        left = self.disj()
-        if self.peek_kind() == "IMPLIES":
-            self.pos += 1
-            return self.node(Implies, (), (left, self.implies()))
-        return left
-
-    def disj(self) -> int:
-        k = self.conj()
-        while self.peek_kind() == "OR":
-            self.pos += 1
-            k = self.node(Or, (), (k, self.conj()))
-        return k
-
-    def conj(self) -> int:
-        k = self.unary()
-        while self.peek_kind() == "AND":
-            self.pos += 1
-            k = self.node(And, (), (k, self.unary()))
-        return k
-
-    def unary(self) -> int:
-        kind, text, _, _ = self.tokens[self.pos]
-        if kind == "NOT":
-            self.pos += 1
-            return self.node(Not, (), (self.unary(),))
-        if kind == "IDENT" and text in ("E", "S", "C", "D", "B"):
-            if self.tokens[self.pos + 1][0] == "LBRACK":
-                return self.modality()
-        return self.primary()
-
-    def modality(self) -> int:
-        head = self.advance()[1]
-        self.expect("LBRACK", "'['")
-        first = self.expect("IDENT", "identifier")
-        if head == "B":
-            self.expect("SEMI", "';'")
-            name = self.expect("IDENT", "identifier")
-            self.expect("RBRACK", "']'")
-            return self.node(B, (first, name), (self.unary(),))
-        self.expect("RBRACK", "']'")
-        return self.node(_MODAL_HEADS[head], (first,), (self.unary(),))
-
-    def primary(self) -> int:
-        kind, text, line, column = self.advance()
-        if kind == "CONST":
-            g = TRUE if text == "true" else FALSE
-            return self.node(g.__class__, (), (), g)
-        if kind == "IDENT":
-            if not text[0].islower():
-                raise ParseError(
-                    f"propositions are lowercase identifiers, got {text!r}",
-                    line,
-                    column,
-                )
-            return self.node(Prop, (text,), ())
-        if kind == "LPAREN":
-            k = self.iff()
-            self.expect("RPAREN", "')'")
-            return k
-        got = text or "end of input"
-        raise ParseError(f"expected a formula, got {got!r}", line, column)
+def _is_identifier(t: str) -> bool:
+    return _is_word(t) and t != "true" and t != "false"
 
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into a formula. Raises ParseError with position.
 
-    Equal subterms of the text are one node, and the formula comes with
-    its numbering kept, as _program would make it."""
-    return _Parser(text).parse()
+    One loop reads the tokens by precedence climbing: the left operands of
+    the pending connectives sit on one stack, and the connectives, prefix
+    operators and open parentheses on another, so no depth of nesting
+    makes it recurse.  A prefix operator applies when its operand is
+    complete, and a connective once its right operand is followed by a
+    connective that binds no tighter, a closing parenthesis or the end.
+    Each node is numbered in a _Table as it is built, after its operands,
+    so equal subterms of the text are one node, and the formula comes with
+    its numbering kept, the list _numbering would make."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of input
+    table = _Table()
+    node = table.node
+    ops: list[tuple] = [_GROUP]
+    lefts: list[int] = []
+    depth = 0  # open parentheses
+    i = 0
+    while True:
+        # an operand: prefix operators, then an atom or an open parenthesis
+        t = tokens[i]
+        i += 1
+        if t == "!":
+            ops.append(_NOT)
+            continue
+        if t == "(":
+            ops.append(_GROUP)
+            depth += 1
+            continue
+        c = t[:1]
+        if not (c.isalpha() or c == "_"):
+            raise _error(text, tokens, i - 1, "expected a formula, got {}")
+        cls = _HEADS.get(t)
+        if cls is not None and tokens[i] == "[":
+            first = tokens[i + 1]
+            if not _is_identifier(first):
+                raise _error(text, tokens, i + 1, "expected identifier, got {}")
+            if cls is B:
+                if tokens[i + 2] != ";":
+                    raise _error(text, tokens, i + 2, "expected ';', got {}")
+                if not _is_identifier(tokens[i + 3]):
+                    raise _error(text, tokens, i + 3, "expected identifier, got {}")
+                fields, i = (first, tokens[i + 3]), i + 4
+            else:
+                fields, i = (first,), i + 2
+            if tokens[i] != "]":
+                raise _error(text, tokens, i, "expected ']', got {}")
+            ops.append((_UNARY, cls, fields))
+            i += 1
+            continue
+        if t == "true":
+            k = node(Top, (), (), TRUE)
+        elif t == "false":
+            k = node(Bot, (), (), FALSE)
+        elif c.islower():
+            k = node(Prop, (t,), ())
+        else:
+            raise _error(text, tokens, i - 1, "propositions are lowercase identifiers, got {}")
+        while True:
+            # the operand k is complete: apply the prefix operators on it
+            while ops[-1][0] == _UNARY:
+                _, cls, fields = ops.pop()
+                k = node(cls, fields, (k,))
+            t = tokens[i]
+            i += 1
+            binary = _BINARY.get(t)
+            if binary is not None:
+                bind, op = binary
+                while ops[-1][0] > bind:
+                    k = node(ops.pop()[1], (), (lefts.pop(), k))
+                lefts.append(k)
+                ops.append(op)
+                break
+            if t != (")" if depth else ""):
+                message = "expected ')', got {}" if depth else "unexpected {}"
+                raise _error(text, tokens, i - 1, message)
+            # the innermost group closes
+            while ops[-1] is not _GROUP:
+                k = node(ops.pop()[1], (), (lefts.pop(), k))
+            if not depth:
+                # the root is built last: no proper subterm equals it
+                nodes = table.nodes
+                f = nodes[-1]
+                _keep(nodes, table.kids)
+                return f
+            ops.pop()
+            depth -= 1
+
+
+def _error(text: str, tokens: list[str], i: int, message: str) -> ParseError:
+    """The ParseError for tokens[i], message formatted with its repr.  If a
+    token from i on is not one of the language's, it is the error for the
+    first such token instead, as a tokenizer run ahead of the parser would
+    raise it.  Line and column come from scanning the text again."""
+    for j in range(i, len(tokens) - 1):
+        t = tokens[j]
+        if not (_is_word(t) or t in _PUNCT):
+            i, message = j, f"unknown token {t[0]!r}"
+            break
+    else:
+        message = message.format(repr(tokens[i] or "end of input"))
+    match = next(islice(_TOKEN.finditer(text), i, None), None)
+    pos = len(text) if match is None else match.start()
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def _propositions(keys: Iterable[str]) -> None:
     for p in keys:
         try:
             named = parse_formula(p) == Prop(p)
-        except (ParseError, RecursionError):  # RecursionError: a deeply nested key
+        except ParseError:
             named = False
         if not named:
             raise ModelFormatError(f"valuation: {p!r} is not a proposition a formula can name")

@@ -709,22 +709,36 @@ def _child(*args, stdin=None):
 
 
 @pytest.mark.parametrize(
-    "text", ["!" * 3000 + "p", "(" * 300 + "p" + ")" * 300], ids=["not-chain", "parentheses"]
+    "text",
+    [" & ".join(["p"] * 3000), "!" * 3000 + "p", "(" * 300 + "p" + ")" * 300, "E[n] " * 3000 + "p"],
+    ids=["conjunction", "not-chain", "parentheses", "E-chain"],
 )
-def test_too_deep_formula_is_an_input_error(text):
-    child = _child("check", "--model", FIGURE, "--state", "w", "--formula", "-", stdin=text)
-    assert child.returncode == 2, child.stderr
-    assert child.stdout == ""
-    assert child.stderr == "error: formula nests too deeply\n"
-
-
-def test_long_conjunction_gets_a_verdict():
-    text = " & ".join(["p"] * 3000)
+def test_long_conjunction_gets_a_verdict(text):
     child = _child("check", "--model", FIGURE, "--state", "w", "--formula", "-", stdin=text)
     assert child.returncode in (0, 1), child.stderr
     assert "Traceback" not in child.stderr
     assert child.stdout.count("\n") == 1
     assert json.loads(child.stdout)["value"] is (child.returncode == 0)
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_deeply_nested_json_is_a_document_error(tmp_path, command):
+    # the JSON decoder recurses; a document it cannot read is bad input
+    # named as such, not a formula error
+    nested = "[" * 100_000 + "]" * 100_000
+    if command == "validate":
+        path, text = tmp_path / "deep.json", nested
+    else:
+        path = tmp_path / "deep-valuation.json"
+        doc = json.loads(Path(FIGURE).read_text())
+        doc["valuation"]["p"] = "DEEP"
+        text = json.dumps(doc).replace('"DEEP"', nested)
+    path.write_text(text)
+    args = ["--model", str(path)] + (["--state", "w", "--formula", "p"] if command == "check" else [])
+    child = _child(command, *args)
+    assert child.returncode == 2, child.stderr
+    assert child.stdout == ""
+    assert child.stderr == f"error: {path}: the JSON document nests too deeply\n"
 
 
 def test_output_is_stable_across_interpreter_runs():

@@ -160,6 +160,22 @@ PINNED_PARSES = [
     ("\u3000p\xa0&\u2028q", "p & q"),
     ("\u00f1 & q_1", "\u00f1 & q_1"),
     ("E[n] \u00f6 <-> B[a;n] \u043f\u0440", "E[n] \u00f6 <-> B[a;n] \u043f\u0440"),
+    # the edges of the parser's operator stack, recorded from the recursive
+    # descent parser that the explicit-stack one replaced
+    ("((p)", ("expected ')', got 'end of input'", 1, 5)),
+    ("(p))", ("unexpected ')'", 1, 4)),
+    ("!)", ("expected a formula, got ')'", 1, 2)),
+    ("E[n] )", ("expected a formula, got ')'", 1, 6)),
+    ("(p q)", ("expected ')', got 'q'", 1, 4)),
+    ("p !q", ("unexpected '!'", 1, 3)),
+    ("E[true] p", ("expected identifier, got 'true'", 1, 3)),
+    ("B[a;true] p", ("expected identifier, got 'true'", 1, 5)),
+    ("E[n] E p", ("propositions are lowercase identifiers, got 'E'", 1, 6)),
+    ("((p -> q) & r", ("expected ')', got 'end of input'", 1, 14)),
+    ("a | b & c -> d <-> e", "a | b & c -> d <-> e"),
+    ("!E[n] (p -> q) -> r", "!E[n] (p -> q) -> r"),
+    ("(a -> b) -> c", "(a -> b) -> c"),
+    ("((((p))))", "p"),
 ]
 
 
@@ -362,6 +378,7 @@ def test_constructed_deep_chains_are_read_without_recursion(kind):
     m = kripke.model_from_dict(json.loads(FIGURE.read_text()))
     f, text, (depth, size, same) = _constructed_chain(kind)
     assert print_formula(f) == text
+    assert parse_formula(text) == f
     assert modal_depth(f) == depth
     core = desugar(f)
     assert len(subformulas(f)) == size
@@ -500,34 +517,35 @@ def test_deep_chains_hash_compare_and_report_symbols(kind):
     assert agents_in(f) == frozenset()
 
 
-def _check_workload_deep_input(kind: str) -> tuple[str, Formula]:
-    """A deep input of the benchmark's check workload that gets a verdict,
-    as text and built in code: a 900-level ! chain, a 240-level E chain over
-    two names, a 3000-term & chain."""
+def _check_workload_deep_input(kind: str, levels: int) -> tuple[str, Formula]:
+    """A deep input of the benchmark's check workload, as text and built in
+    code: a conjunction inside that many parentheses, a ! chain, an E chain
+    over two names, or a & chain of levels + 1 terms."""
     f = p
+    if kind == "paren":
+        return "(" * levels + "p & q" + ")" * levels, And(p, q)
     if kind == "not":
-        for _ in range(900):
+        for _ in range(levels):
             f = Not(f)
-        return "!" * 900 + "p", f
+        return "!" * levels + "p", f
     if kind == "E":
-        for i in range(240):
+        for i in range(levels):
             f = E("nm"[i % 2], f)
-        return "".join(f"E[{'nm'[i % 2]}] " for i in reversed(range(240))) + "p", f
-    for i in range(1, 3000):
+        return "".join(f"E[{'nm'[i % 2]}] " for i in reversed(range(levels))) + "p", f
+    for i in range(1, levels + 1):
         f = And(f, (p, q)[i % 2])
-    return " & ".join("pq"[i % 2] for i in range(3000)), f
+    return " & ".join("pq"[i % 2] for i in range(levels + 1)), f
 
 
-@pytest.mark.parametrize("kind", ["not", "E", "and"])
+@pytest.mark.parametrize("kind", ["paren", "not", "E", "and"])
 def test_deep_inputs_of_the_check_workload_parse(kind):
-    # the parser recurses, so deeper !, E and parenthesised inputs do not
-    # parse yet; these ones must
-    text, g = _check_workload_deep_input(kind)
-    f = parse_formula(text)
-    assert f == g
     ms = [kripke.model_from_dict(json.loads(FIGURE.read_text())) for _ in range(2)]
-    for w in sorted(ms[0].states):  # two models, so neither reads the other's memo
-        assert kripke.check(ms[0], w, f).value == kripke.check(ms[1], w, g).value
+    for levels in (240, 900, 3000):
+        text, g = _check_workload_deep_input(kind, levels)
+        f = parse_formula(text)
+        assert f == g
+        for w in sorted(ms[0].states):  # two models, so neither reads the other's memo
+            assert kripke.check(ms[0], w, f).value == kripke.check(ms[1], w, g).value
 
 
 def _doubling_dag(base: Formula, levels: int) -> Formula:
