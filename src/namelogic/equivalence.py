@@ -8,12 +8,14 @@ E/S fragment.
 
 Bisimilarity and E/S modal equivalence come from one partition refinement
 engine, _refine, on the int masks of the two models' truth-core indexes
-side by side (kripke._joint_index), without building their disjoint union.
-From the atom profiles it splits blocks by a one-step signature, per name
-the class sets (ints) of the named agents' successor masks: bisimilarity
-keeps them all, since through an equivalence two successor sets match back
-and forth exactly when they reach the same classes, and modal equivalence
-the minimal ones and their union, all that E and S observe.
+side by side, without building their disjoint union: _layout lists, per
+state, the successor masks of the agents each name picks out there.  Round
+0 splits the states by the proposition masks; each later round splits
+blocks by a one-step signature, per name the class sets (ints) of the
+named agents' successor masks: bisimilarity keeps them all, since through
+an equivalence two successor sets match back and forth exactly when they
+reach the same classes, and modal equivalence the minimal ones and their
+union, all that E and S observe.
 greatest_bisimulation refines to the stable partition.  A question about
 one pair stops at the first round that separates it: bisimilar answers
 from that round's blocks without building a relation, and
@@ -33,13 +35,14 @@ themselves, not the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
+from itertools import product
 from operator import or_
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import UndeclaredSymbolError
 from .formula import And, E, FALSE, Formula, Not, Or, Prop, S, TRUE
-from .kripke import KripkeModel, _Index, _bit_indices, _joint_index, check
+from .kripke import KripkeModel, _bit_indices, _kripke_index, check
 
 Pair = tuple[str, str]
 
@@ -217,11 +220,11 @@ def check_bisimulation(
 def greatest_bisimulation(m1: KripkeModel, m2: KripkeModel) -> BisimRelation:
     """Largest relation passing check_bisimulation: the pairs across the two
     sides of a block of the coarsest stable partition of their states."""
-    ix = _joint_index(m1, m2)
-    pairs: list[Pair] = []
-    for block in _refine(ix, modal=False)[-1]:
-        points = ix.states_of(block.members)
-        pairs += [(w, w2) for k, w in points if k == 0 for k2, w2 in points if k2 == 1]
+    shift, pairs = len(m1.states), []  # m2's states sit above m1's
+    for block in _refine(_layout(m1, m2), modal=False)[-1]:
+        left, right = block.members & (1 << shift) - 1, block.members >> shift
+        pairs += product(map(m1.order.__getitem__, _bit_indices(left)),
+                         map(m2.order.__getitem__, _bit_indices(right)))
     return BisimRelation(frozenset(pairs))
 
 
@@ -230,9 +233,8 @@ def bisimilar(m1: KripkeModel, w1: str, m2: KripkeModel, w2: str) -> bool:
     the round that separates the two points, and no relation is built."""
     if w1 not in m1.states or w2 not in m2.states:
         raise UndeclaredSymbolError(f"undeclared state in ({w1!r}, {w2!r})")
-    ix = _joint_index(m1, m2)
-    pair = ix.bit[(0, w1)] | ix.bit[(1, w2)]
-    return any(b.members & pair == pair for b in _refine(ix, False, pair)[-1])
+    pair = m1.bit[w1] | m2.bit[w2] << len(m1.states)
+    return any(b.members & pair == pair for b in _refine(_layout(m1, m2), False, pair)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -244,39 +246,86 @@ class _Block(NamedTuple):
     signature: Any  # the atom profile in round 0; later set only if the parent split
 
 
-def _refine(ix: _Index, modal: bool, pair: int = 0) -> list[list[_Block]]:
-    """The rounds of partition refinement on the states of a joint index:
-    from the atom profiles, each round splits blocks by their members'
-    signatures over the previous round's classes, and numbers blocks by
-    parent block, then by first member.  A class set is the OR of the
-    class bits of a successor mask's states; a block of one state is
-    carried over without computing its signature.
+class _Layout(NamedTuple):
+    names: list[str]  # the names either family uses, sorted: the signatures' order
+    val: dict[str, int]  # proposition -> its joint mask
+    fams: list[list[tuple[int, tuple[int, ...]]]]  # per state: (name number, successor masks)
+
+
+def _layout(m1: KripkeModel, m2: KripkeModel) -> _Layout:
+    """The declared states of m1 and m2 side by side: state w of m1 keeps
+    its bit m1.bit[w], and w of m2 takes m2.bit[w] << len(m1.states), the
+    sorted order of their tagged disjoint union.  A state lists, by name
+    number, the successor masks of the agents each name picks out there.
+    Raises on a named agent's successor that its model does not declare;
+    what an undeclared state carries is left out."""
+    ix1, ix2, shift = _kripke_index(m1), _kripke_index(m2), len(m1.states)
+    names = sorted(ix1.fam.keys() | ix2.fam.keys())
+    number = {n: k for k, n in enumerate(names)}
+    fams: list[list] = [[] for _ in range(shift + len(m2.states))]
+    for ix, s in ((ix1, 0), (ix2, shift)):
+        for n, entries in ix.fam.items():
+            for w, union, members in entries:
+                if union & ~ix.full:
+                    x, y = ix.order[w.bit_length() - 1], min(ix.states_of(union & ~ix.full))
+                    raise UndeclaredSymbolError(f"undeclared {y!r} is an {n!r} successor of {x!r}")
+                if s:
+                    members = tuple(succ << s for succ in members)
+                fams[w.bit_length() - 1 + s].append((number[n], members))
+    val = {p: (ix1.val.get(p, 0) & ix1.full) | (ix2.val.get(p, 0) & ix2.full) << shift
+           for p in ix1.val.keys() | ix2.val.keys()}
+    return _Layout(names, val, fams)
+
+
+def _refine(layout: _Layout, modal: bool, pair: int = 0) -> list[list[_Block]]:
+    """The rounds of partition refinement on the states of a layout.
+    Round 0 splits all states by each proposition's mask, one atom profile
+    per block; each later round splits blocks by their members' signatures
+    over the previous round's classes, and numbers blocks by parent block,
+    then by first member.  A state's signature holds, per name, the class
+    sets of its successor masks: a class set is the OR of the class bits of
+    a mask's states, read from a state -> class bit table filled once per
+    round.  A block of one state is carried over without computing its
+    signature.
 
     The rounds go up to the stable partition, or, given pair, the OR of
     two state bits, up to the first round where no block holds both.
     Round r does not depend on later rounds, so the rounds returned are
     the first ones of the full refinement."""
-    size, names = len(ix.order), sorted(ix.fam)
-    fams = [[()] * len(names) for _ in range(size)]  # per state and name
-    for k, n in enumerate(names):
-        for w, _, members in ix.fam[n]:
-            fams[w.bit_length() - 1][k] = members
-    first: dict[frozenset[str], int] = {}  # profile -> members, by first member
-    for i in range(size):
-        atoms = frozenset(p for p, val in ix.val.items() if val >> i & 1)
-        first[atoms] = first.get(atoms, 0) | 1 << i
-    rounds = [[_Block(b, None, atoms) for atoms, b in first.items()]]
+    names, val, fams = layout
+    full = (1 << len(fams)) - 1
+    blocks = [full] if full else []
+    for mask in val.values():
+        blocks = [part for b in blocks for part in (b & mask, b & ~mask) if part]
+    blocks.sort(key=lambda b: b & -b)
+    rounds = [[_Block(b, None, frozenset(p for p, mask in val.items() if b & mask))
+               for b in blocks]]
+    absent = (frozenset(), 0) if modal else frozenset()
+    cls = [0] * len(fams)  # state -> the bit of its class
     while not pair or any(block.members & pair == pair for block in rounds[-1]):
-        classes = [(block.members, 1 << c) for c, block in enumerate(rounds[-1])]
-        class_set = cache(lambda succ: reduce(or_, [c for b, c in classes if succ & b], 0))
+        for c, block in enumerate(rounds[-1]):
+            for i in _bit_indices(block.members):
+                cls[i] = 1 << c
+        class_sets: dict[int, int] = {}  # successor mask -> its class set
         split: list[_Block] = []
         for c, (b, _, _) in enumerate(rounds[-1]):
             groups: dict[Any, int] = {}
             for i in _bit_indices(b) if b & (b - 1) else ():
-                sig = tuple(frozenset(map(class_set, members)) for members in fams[i])
-                if modal:  # E and S observe only the minimal sets and the union
-                    sig = tuple((frozenset(P for P in f if not any(Q & P == Q != P for Q in f)),
-                                 reduce(or_, f, 0)) for f in sig)
+                sig = [absent] * len(names)
+                for k, members in fams[i]:
+                    for succ in members:
+                        if succ not in class_sets:
+                            got, rest = 0, succ
+                            while rest:
+                                low = rest & -rest
+                                got |= cls[low.bit_length() - 1]
+                                rest ^= low
+                            class_sets[succ] = got
+                    f = frozenset(map(class_sets.__getitem__, members))
+                    # E and S observe only the minimal sets and the union
+                    sig[k] = (frozenset(P for P in f if not any(Q & P == Q != P for Q in f)),
+                              reduce(or_, f, 0)) if modal else f
+                sig = tuple(sig)
                 groups[sig] = groups.get(sig, 0) | 1 << i
             if len(groups) > 1:
                 parts = sorted(groups.items(), key=lambda kv: kv[1] & -kv[1])
@@ -363,11 +412,10 @@ def distinguishing_formula(
     or None when the two points satisfy exactly the same such formulas."""
     if w1 not in m1.states or w2 not in m2.states:
         raise UndeclaredSymbolError(f"undeclared state in ({w1!r}, {w2!r})")
-    ix = _joint_index(m1, m2)
-    x, y = ix.bit[(0, w1)], ix.bit[(1, w2)]
-    rounds = _refine(ix, True, x | y)
+    layout, x, y = _layout(m1, m2), m1.bit[w1], m2.bit[w2] << len(m1.states)
+    rounds = _refine(layout, True, x | y)
     cx, cy = (next(c for c, b in enumerate(rounds[-1]) if b.members & s) for s in (x, y))
-    return None if cx == cy else _delta(rounds, sorted(ix.fam), cx, cy)
+    return None if cx == cy else _delta(rounds, layout.names, cx, cy)
 
 
 def modal_equiv_corpus(

@@ -437,7 +437,7 @@ class _Index:
     fam: name -> [(state bit, union, successor masks of the agents the name
     picks out there)], for the declared states where it picks out someone.
     bearers: (agent, name) -> the states where the agent bears the name.
-    order: states by bit ((model, state) pairs in a _joint_index).
+    order: states by bit.
     """
 
     __slots__ = ("full", "val", "fam", "rows", "bearers", "order", "bit", "_pred")
@@ -548,32 +548,6 @@ def _kripke_index(m: KripkeModel) -> _Index:
     val = {p: reduce(or_, map(bit.__getitem__, ws), 0) for p, ws in m.valuation.items()}
     ix = m._cache["index"] = _Index((1 << len(m.states)) - 1, val, fam, rows, bearers, m.order)
     return ix
-
-
-def _joint_index(m1: KripkeModel, m2: KripkeModel) -> _Index:
-    """The declared states of m1 and m2 side by side, as one index whose
-    state (k, w) is w of model k: m1's states take the low bits in sorted
-    order, then m2's, the sorted order of their tagged disjoint union.  It
-    carries val and fam only, and raises on a named agent's successor that
-    its model does not declare; what an undeclared state carries is left
-    out."""
-    order: list = []
-    val: dict[str, int] = {}
-    fam: dict[str, list] = {}
-    for k, m in enumerate((m1, m2)):
-        ix, shift = _kripke_index(m), len(order)
-        order += [(k, w) for w in ix.order[: len(m.states)]]
-        for p, mask in ix.val.items():
-            val[p] = val.get(p, 0) | (mask & ix.full) << shift
-        for n, entries in ix.fam.items():
-            for w, union, members in entries:
-                if union & ~ix.full:
-                    x, y = ix.order[w.bit_length() - 1], min(ix.states_of(union & ~ix.full))
-                    raise UndeclaredSymbolError(f"undeclared {y!r} is an {n!r} successor of {x!r}")
-                fam.setdefault(n, []).append(
-                    (w << shift, union << shift, tuple(succ << shift for succ in members))
-                )
-    return _Index((1 << len(order)) - 1, val, fam, {}, {}, order)
 
 
 def _truth(m, f: Formula, index) -> int:

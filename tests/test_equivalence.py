@@ -30,6 +30,7 @@ from namelogic import (
 from namelogic import equivalence
 from namelogic.equivalence import (
     BisimRelation,
+    _layout,
     _refine,
     bisimilar,
     check_bisimulation,
@@ -40,7 +41,7 @@ from namelogic.equivalence import (
 )
 from namelogic.kripke import (
     KripkeModel,
-    _joint_index,
+    _bit_indices,
     check,
     disjoint_union,
     frame_valid,
@@ -421,14 +422,14 @@ def test_bisimilar_is_membership_in_the_reference_relation(seed, kind):
 def test_refinement_for_a_pair_is_a_prefix_of_the_full_one(seed, kind, modal):
     # the rounds up to the first one that separates the pair, or all of them
     m1, m2 = _model_pair(random.Random(seed), kind)
-    ix = _joint_index(m1, m2)
-    full = _refine(ix, modal)
+    layout = _layout(m1, m2)
+    full = _refine(layout, modal)
     for w1 in m1.states:
         for w2 in m2.states:
-            pair = ix.bit[(0, w1)] | ix.bit[(1, w2)]
+            pair = m1.bit[w1] | m2.bit[w2] << len(m1.states)
             k = next((r + 1 for r, blocks in enumerate(full)
                       if not any(b.members & pair == pair for b in blocks)), len(full))
-            assert _refine(ix, modal, pair) == full[:k]
+            assert _refine(layout, modal, pair) == full[:k]
 
 
 @settings(max_examples=15, deadline=None)
@@ -495,11 +496,12 @@ def test_distinguisher_texts_are_pinned():
 def _tagged_rounds(m1, m2, modal):
     """_refine's rounds as (members, parent) per block, with the members
     named as the states of the tagged disjoint union."""
-    ix = _joint_index(m1, m2)
+    tagged = [f"0:{w}" for w in m1.order[: len(m1.states)]]
+    tagged += [f"1:{w}" for w in m2.order[: len(m2.states)]]
     return [
-        [(sorted(f"{k}:{w}" for k, w in ix.states_of(block.members)), block.parent)
+        [(sorted(map(tagged.__getitem__, _bit_indices(block.members))), block.parent)
          for block in blocks]
-        for blocks in _refine(ix, modal)
+        for blocks in _refine(_layout(m1, m2), modal)
     ]
 
 
@@ -568,6 +570,53 @@ def test_splits_that_cross_several_rounds():
                 assert f is None
             else:
                 assert check(m, w1, f).value and not check(m, w2, f).value
+
+
+def _round_zero_pairs():
+    # round 0 splits all states by each proposition's mask: a proposition
+    # true everywhere or nowhere splits nothing, and one true only at an
+    # undeclared state is false at every declared one
+    chain = {"a": [["w0", "w1"], ["w1", "w2"], ["w2", "w2"]]}
+    props = KripkeModel(
+        states=["w0", "w1", "w2"], agents=["a"], names=["n"], relations=chain,
+        naming={("w0", "n"): ["a"], ("w1", "n"): ["a"]},
+        valuation={"all": ["w0", "w1", "w2"], "none": [], "ghost": ["z"], "p": ["w1", "w2"]},
+    )
+    other = KripkeModel(
+        states=["v0", "v1"], agents=["b"], names=["n"], relations={"b": [["v0", "v1"]]},
+        naming={("v0", "n"): ["b"]}, valuation={"all": ["v0", "v1"], "p": ["v1"]},
+    )
+    nameless = KripkeModel(
+        states=["u0", "u1", "u2"], agents=[], names=[], relations={}, naming={},
+        valuation={"p": ["u0", "u2"]},
+    )
+    one_sided = KripkeModel(  # names only m, which props never uses
+        states=["x0", "x1"], agents=["c"], names=["m"], relations={"c": [["x0", "x0"]]},
+        naming={("x0", "m"): ["c"]}, valuation={"all": ["x0", "x1"], "p": ["x1"]},
+    )
+    return [(props, other), (props, props), (nameless, nameless), (nameless, props),
+            (one_sided, props)]
+
+
+def test_round_zero_splits_by_proposition_masks():
+    for m1, m2 in _round_zero_pairs():
+        u = disjoint_union([m1, m2])
+        for modal, signature in ((False, reference_bisim_signature),
+                                 (True, reference_modal_signature)):
+            reference = reference_refine(u, signature)
+            assert [b.signature for b in _refine(_layout(m1, m2), modal)[0]] == [
+                atoms for _, _, atoms in reference[0]]
+            assert _tagged_rounds(m1, m2, modal) == _reference_rounds(m1, m2, signature)
+        big = greatest_bisimulation(m1, m2)
+        assert big.pairs == reference_greatest_bisimulation(m1, m2)
+        for w1 in sorted(m1.states):
+            for w2 in sorted(m2.states):
+                assert bisimilar(m1, w1, m2, w2) == ((w1, w2) in big)
+                f = distinguishing_formula(m1, w1, m2, w2)
+                if (w1, w2) in big:
+                    assert f is None
+                elif f is not None:
+                    assert check(u, f"0:{w1}", f).value and not check(u, f"1:{w2}", f).value
 
 
 # ---------------------------------------------------------------------------
