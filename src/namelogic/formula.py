@@ -15,10 +15,12 @@ argument.  ``->`` and ``<->`` associate to the right.  Atoms are lowercase
 identifiers; ``true`` and ``false`` are reserved.
 
 Nodes are immutable ``__slots__`` objects compared by structure.  Each node
-computes its hash once, in ``__init__``, from its field tuple and its
-children's cached hashes, mixed with a constant of its class, so that nodes
-of different classes over the same fields (``E[n] f`` and ``S[n] f``) hash
-apart, and a memo lookup never re-hashes the subtree.
+computes its hash once, in ``__init__``: the hash of the tuple of its
+string fields and its operands' ``_hash`` ints, read off their slots, mixed
+with a constant of its class, so that nodes of different classes over the
+same fields (``E[n] f`` and ``S[n] f``) hash apart.  Building a node calls
+no Python-level ``__hash__``, and a memo lookup never re-hashes the
+subtree.
 ``==`` walks both formulas with an explicit stack and pushes each pair of
 nodes at most once, so neither hashing nor comparison recurses, and two
 equal DAGs built apart compare in time linear in their distinct pairs of
@@ -48,9 +50,10 @@ once.
 
 A formula asked about in a model is numbered once: ``_program`` keeps its
 numbering on the node, with the name, proposition and agent sets that
-``names_in``/``props_in``/``agents_in`` read.  ``kripke._run`` and the
-oracle's lane evaluator run that numbering as it is, dispatching on each
-node's class.  There is no global intern table: a strong one would keep
+``names_in``/``props_in``/``agents_in`` read and the classes of its modal
+subterms, all read off the numbering's keys in one pass.  ``kripke._run``
+and the oracle's lane evaluator run that numbering as it is, dispatching
+on each node's class.  There is no global intern table: a strong one would keep
 every parsed formula alive, and a weak one costs a weakref per node.
 """
 
@@ -195,7 +198,7 @@ class Not(Formula):
 
     def __init__(self, arg: Formula):
         _set_not_arg(self, arg)
-        _set_hash(self, hash((arg,)) ^ self._salt)
+        _set_hash(self, hash((arg._hash,)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
@@ -211,7 +214,7 @@ class _Binary(Formula):
     def __init__(self, left: Formula, right: Formula):
         _set_left(self, left)
         _set_right(self, right)
-        _set_hash(self, hash((left, right)) ^ self._salt)
+        _set_hash(self, hash((left._hash, right._hash)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
@@ -244,7 +247,7 @@ class _Modal(Formula):
     def __init__(self, name: str, arg: Formula):
         _set_modal_name(self, name)
         _set_modal_arg(self, arg)
-        _set_hash(self, hash((name, arg)) ^ self._salt)
+        _set_hash(self, hash((name, arg._hash)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
@@ -281,7 +284,7 @@ class B(Formula):
         _set_b_agent(self, agent)
         _set_b_name(self, name)
         _set_b_arg(self, arg)
-        _set_hash(self, hash((agent, name, arg)) ^ self._salt)
+        _set_hash(self, hash((agent, name, arg._hash)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
         return (self.arg,)
@@ -381,7 +384,8 @@ def parse_formula(text: str) -> Formula:
         cls = _HEADS.get(t)
         if cls is not None and tokens[i] == "[":
             first = tokens[i + 1]
-            if not _is_identifier(first):
+            c = first[:1]  # _is_identifier(first), inlined
+            if not (c.isalpha() or c == "_") or first == "true" or first == "false":
                 raise _error(text, tokens, i + 1, "expected identifier, got {}")
             if cls is B:
                 if tokens[i + 2] != ";":
@@ -427,9 +431,8 @@ def parse_formula(text: str) -> Formula:
                 k = node(ops.pop()[1], (), (lefts.pop(), k))
             if not depth:
                 # the root is built last: no proper subterm equals it
-                nodes = table.nodes
-                f = nodes[-1]
-                _keep(nodes, table.kids)
+                f = table.nodes[-1]
+                _keep(table)
                 return f
             ops.pop()
             depth -= 1
@@ -493,8 +496,13 @@ class _Table:
         if k is None:
             nodes = self.nodes
             k = self.slot[key] = len(nodes)
-            if g is None:
-                g = cls(*fields, *[nodes[j] for j in ks])
+            if g is None:  # only a binary connective has two operands, and no fields
+                if len(ks) == 2:
+                    g = cls(nodes[ks[0]], nodes[ks[1]])
+                elif ks:
+                    g = cls(*fields, nodes[ks[0]])
+                else:
+                    g = cls(*fields)
             nodes.append(g)
             self.kids.append(ks)
         return k
@@ -611,11 +619,12 @@ def print_formula(f: Formula) -> str:
 # Symbols and folds
 
 def _program(f: Formula) -> tuple:
-    """f's numbering and symbols, (nodes, kids, names, props, agents),
-    made once and kept on f: kripke._run and the oracle's lane evaluator
-    run nodes and kids as they are, one node per step, and names_in,
-    props_in and agents_in read the sets.  A parsed formula has it from
-    the parser; a formula built in code is numbered on its first query.
+    """f's numbering and symbols, (nodes, kids, names, props, agents,
+    heads), made once and kept on f: kripke._run and the oracle's lane
+    evaluator run nodes and kids as they are, one node per step, and
+    names_in, props_in and agents_in read the sets; heads holds the classes
+    of f's modal subterms.  A parsed formula has it from the parser; a
+    formula built in code is numbered on its first query.
 
     nodes[-1] is an equal copy of f, not f itself: f would otherwise
     reach itself through its own program, and no formula asked about
@@ -624,18 +633,32 @@ def _program(f: Formula) -> tuple:
         return f._prog
     except AttributeError:
         pass
-    return _keep(*_numbering(f))
+    table = _Table()
+    table.add(f)
+    return _keep(table)
 
 
-def _keep(nodes: list[Formula], kids: list[tuple[int, ...]]) -> tuple:
-    """Keep the numbering of f = nodes[-1] on f as its program, with f
-    replaced by an equal copy, and return the program."""
+def _keep(table: _Table) -> tuple:
+    """Keep the numbering of f, the node the table numbered last, on f as
+    its program, with f replaced by an equal copy, and return the program.
+    The symbols are read off the table's keys, in one pass: a subterm's
+    string fields are its name, its proposition, or B's agent and name."""
+    names, props, agents, heads = set(), set(), set(), set()
+    for cls, fields, _ in table.slot:
+        if fields:
+            if cls is Prop:
+                props.add(fields[0])
+            elif cls is B:
+                agents.add(fields[0])
+                names.add(fields[1])
+                heads.add(B)
+            else:
+                names.add(fields[0])
+                heads.add(cls)
+    nodes = table.nodes
     f = nodes[-1]
-    names = frozenset(g.name for g in nodes if isinstance(g, (_Modal, B)))
-    props = frozenset(g.name for g in nodes if g.__class__ is Prop)
-    agents = frozenset(g.agent for g in nodes if g.__class__ is B)
     nodes[-1] = f.__class__(*f._fields(), *f._kids())
-    prog = (nodes, kids, names, props, agents)
+    prog = (nodes, table.kids, frozenset(names), frozenset(props), frozenset(agents), frozenset(heads))
     _set_prog(f, prog)
     return prog
 

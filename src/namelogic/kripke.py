@@ -453,15 +453,17 @@ class _Index:
 
     def escapes(self, name: str, good: int) -> int:
         """The declared states with a path of one or more name steps out of
-        good: one backward closure from the states that are not good."""
+        good: one backward closure from the states that are not good.  The
+        predecessors are keyed by a state's index, not by its bit: hashing
+        a bit costs as much as the model is wide."""
         if name not in self._pred:
-            pred: dict[int, int] = {}  # state bit -> its predecessors
+            pred: dict[int, int] = {}  # state index -> its predecessors
+            targets = 0
             for w, union, _ in self.fam.get(name, ()):
-                while union:
-                    low = union & -union
-                    union ^= low
-                    pred[low] = pred.get(low, 0) | w
-            self._pred[name] = pred, reduce(or_, pred, 0)
+                targets |= union
+                for i in _bit_indices(union):
+                    pred[i] = pred.get(i, 0) | w
+            self._pred[name] = pred, targets
         pred, targets = self._pred[name]
         reach, frontier = 0, targets & ~good
         while frontier:
@@ -469,7 +471,7 @@ class _Index:
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
-                new |= pred.get(low, 0)
+                new |= pred.get(low.bit_length() - 1, 0)
             frontier = new & ~reach
             reach |= new
         return reach
@@ -550,53 +552,60 @@ def _kripke_index(m: KripkeModel) -> _Index:
     return ix
 
 
-def _truth(m, f: Formula, index) -> int:
-    """The mask of f in m, a Kripke or neighborhood model, through index(m).
+def _truth(m, f: Formula, index) -> tuple[int, int]:
+    """The masks of f and of its operand in m, a Kripke or neighborhood
+    model, through index(m); the operand's is 0 unless f is modal.
 
-    Each model keeps the masks of the root formulas it was asked about, and
-    of a modal root's operand for the witness; no others."""
+    Each model keeps this pair for every root formula it was asked about,
+    under the root alone: the operand's mask rides beside the root's for
+    _witness, and is never a key.  So a formula equal to one asked before,
+    the same text parsed again, costs one lookup, whose one __eq__ walks
+    the two roots' DAGs, and its operand is neither compared nor
+    numbered."""
     memo = m._cache.setdefault("truth", {})
-    if f not in memo:
+    masks = memo.get(f)
+    if masks is None:
         prog = _program(f)
         ix = index(m)
         out = _run(prog, ix, ix.val)
-        memo[f] = out[-1]
-        if isinstance(f, (E, S, C, D, B)):
-            memo[f.arg] = out[prog[1][-1][0]]
-    return memo[f]
+        operand = out[prog[1][-1][0]] if isinstance(f, (E, S, C, D, B)) else 0
+        masks = memo[f] = (out[-1], operand)
+    return masks
 
 
 def extension(m: KripkeModel, f: Formula) -> frozenset[str]:
     """All states of m at which f holds."""
     _require_symbols(f, m.names, m.valuation.keys(), m.agents)
-    return _kripke_index(m).states_of(_truth(m, f, _kripke_index))
+    return _kripke_index(m).states_of(_truth(m, f, _kripke_index)[0])
 
 
-def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool) -> Any:
+def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool, good: int) -> Any:
+    """The witness of f's value at w, where good is the mask of f's
+    operand: the agent of a true S, the group of a true D, an agent and a
+    bad successor of a false E, and a path to a bad state of a false C."""
     succ = lambda a, x: ix.rows.get(a, _NO_ROW).get(ix.bit[x], 0)
     match f:
-        case S(name, arg) if value:
-            good = _truth(m, arg, _kripke_index)
+        case S(name, _) if value:
             for a in sorted(m.named(w, name)):
                 if not succ(a, w) & ~good:
                     return a
         case D(name, _) if value:
             return tuple(sorted(m.named(w, name)))
-        case E(name, arg) if not value:
-            good = _truth(m, arg, _kripke_index)
+        case E(name, _) if not value:
             for a in sorted(m.named(w, name)):
                 bad = succ(a, w) & ~good
                 if bad:
                     return (a, min(ix.states_of(bad)))
-        case C(name, arg) if not value:
-            good = _truth(m, arg, _kripke_index)
-            step = {x: union for x, union, _ in ix.fam.get(name, ())}
+        case C(name, _) if not value:
+            # breadth first from w; each state's name step is keyed by the
+            # state, not by its bit, which is as wide as the model
+            order = ix.order
+            step = {order[x.bit_length() - 1]: union for x, union, _ in ix.fam.get(name, ())}
             parent: dict[str, str] = {}
-            order = [w]
+            queue = [w]
             seen = {w}
-            while order:
-                x = order.pop(0)
-                for y in sorted(ix.states_of(step.get(ix.bit[x], 0))):
+            for x in queue:  # the states appended meanwhile are read in turn
+                for y in sorted(ix.states_of(step.get(x, 0))):
                     if not good & ix.bit[y]:
                         path = [x]
                         while path[-1] != w:
@@ -605,7 +614,7 @@ def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool) -> Any
                     if y not in seen:
                         seen.add(y)
                         parent[y] = x
-                        order.append(y)
+                        queue.append(y)
     return None
 
 
@@ -615,8 +624,9 @@ def check(m: KripkeModel, w: str, f: Formula) -> TruthResult:
         raise UndeclaredSymbolError(f"undeclared state {w!r}")
     _require_symbols(f, m.names, m.valuation.keys(), m.agents)
     ix = _kripke_index(m)
-    value = bool(_truth(m, f, _kripke_index) & ix.bit[w])
-    return TruthResult(value, _witness(m, ix, w, f, value))
+    mask, operand = _truth(m, f, _kripke_index)
+    value = bool(mask & ix.bit[w])
+    return TruthResult(value, _witness(m, ix, w, f, value, operand))
 
 
 def distributed_by_subsets(m: KripkeModel, w: str, name: str, f: Formula):

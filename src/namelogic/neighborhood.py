@@ -45,6 +45,7 @@ from .kripke import (
 )
 
 _EMPTY: frozenset = frozenset()
+_UNSUPPORTED = (C, D, B)
 Family = frozenset[frozenset[str]]
 
 
@@ -148,9 +149,12 @@ def nbhd_to_dict(m: NeighborhoodModel) -> dict:
 # Truth (E/S fragment only)
 
 def _assert_supported(f: Formula) -> None:
+    prog = _program(f)
+    if prog[5].isdisjoint(_UNSUPPORTED):  # the modal heads f holds
+        return
     # outermost first, as a walk of a tree meets them
-    for g in reversed(_program(f)[0]):
-        if isinstance(g, (C, D, B)):
+    for g in reversed(prog[0]):
+        if isinstance(g, _UNSUPPORTED):
             raise UnsupportedFragmentError(
                 f"{g.__class__.__name__} has no neighborhood reading; only E and S do"
             )
@@ -178,7 +182,7 @@ def _nbhd_index(m: NeighborhoodModel) -> _Index:
 def extension_nbhd(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
     _assert_supported(f)
     _require_symbols(f, names=m.names, props=m.valuation.keys())
-    return _nbhd_index(m).states_of(_truth(m, f, _nbhd_index))
+    return _nbhd_index(m).states_of(_truth(m, f, _nbhd_index)[0])
 
 
 def check_nbhd(m: NeighborhoodModel, w: str, f: Formula) -> bool:

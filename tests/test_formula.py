@@ -548,6 +548,31 @@ def test_deep_inputs_of_the_check_workload_parse(kind):
             assert kripke.check(ms[0], w, f).value == kripke.check(ms[1], w, g).value
 
 
+def _hash_refused(self):
+    raise _Compared
+
+
+@pytest.mark.parametrize("kind", ["paren", "not", "E", "and"])
+def test_parsing_never_hashes_or_compares_formulas(kind):
+    # a node hashes its operands' cached hashes and the table knows a
+    # subterm by its key, so a parse calls neither Formula.__hash__ nor
+    # Formula.__eq__; a failure reports no traceback, whose frames would
+    # print the formulas
+    text, _ = _check_workload_deep_input(kind, 3000)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Formula, "__hash__", _hash_refused)
+            mp.setattr(Formula, "__eq__", _refused)
+            f = parse_formula(text)
+            g = parse_formula("B[a;n] (p & E[m] !q) -> S[n] C[m] D[n] true | false <-> p")
+            symbols = (names_in(f), props_in(f), names_in(g), agents_in(g))
+    except _Compared:
+        pytest.fail("a parse hashed or compared a formula", pytrace=False)
+    assert symbols[0] == (frozenset("nm") if kind == "E" else frozenset())
+    assert symbols[1] == (frozenset("p") if kind in ("not", "E") else frozenset("pq"))
+    assert symbols[2:] == (frozenset("nm"), frozenset("a"))
+
+
 def _doubling_dag(base: Formula, levels: int) -> Formula:
     """f_{k+1} = f_k & f_k: levels + 1 distinct nodes, 2^levels leaves as a tree."""
     f = base

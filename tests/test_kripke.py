@@ -9,6 +9,7 @@ import functools
 import hashlib
 import json
 import random
+import time
 from itertools import product
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from namelogic import (
     D,
     E,
     FALSE,
+    Formula,
     Iff,
     Implies,
     ModelFormatError,
@@ -290,6 +292,69 @@ def test_witness_common_failure_path(fig):
     for x, y in zip(res.witness, res.witness[1:]):
         assert any(y in fig.successors(a, x) for a in fig.named(x, "m"))
     assert res.witness[-1] not in extension(fig, parse_formula("!q"))
+
+
+def test_common_knowledge_witness_on_a_long_chain_is_prompt():
+    # the witness walks x0 -> x1 -> ... one state a step; a step looked up
+    # by a state's bit would hash an int as wide as the model
+    n = 20_000
+    xs = [f"x{i}" for i in range(n)]
+    m = KripkeModel(
+        states=xs, agents=["a"], names=["n"], relations={"a": list(zip(xs, xs[1:]))},
+        naming={(x, "n"): ["a"] for x in xs}, valuation={"p": xs[:-1]},
+    )
+    start = time.perf_counter()
+    res = check(m, "x0", parse_formula("C[n] p"))
+    elapsed = time.perf_counter() - start
+    assert not res.value
+    assert res.witness == tuple(xs)
+    # every hop follows the agent the name picks out at the source
+    for x, y in zip(res.witness, res.witness[1:]):
+        assert m.named(x, "n") == {"a"} and m.rows["a"][m.bit[x]] & m.bit[y]
+    assert not m.holds("p", res.witness[-1])
+    assert elapsed < 6, f"check took {elapsed:.2f} s"
+
+
+# a false E, a true S, a false C and a true D on the figure, each with a witness
+WITNESSED = [("w", "E[n] p"), ("w", "S[n] p"), ("v", "C[m] !q"), ("w", "D[n] p")]
+
+
+@pytest.mark.parametrize("state,text", WITNESSED)
+def test_a_text_parsed_again_gets_the_same_witness(state, text):
+    m = model_from_dict(json.loads(FIGURE.read_text()))  # a memo of its own
+    f, g = parse_formula(text), parse_formula(text)
+    first, second = check(m, state, f), check(m, state, g)
+    assert first.witness is not None
+    assert (second.value, second.witness) == (first.value, first.witness)
+    # the operand's mask rode beside the root's: g's operand was never numbered
+    assert not hasattr(g.arg, "_prog")
+
+
+def test_a_repeated_query_compares_once_per_truth_lookup(monkeypatch):
+    m = model_from_dict(json.loads(FIGURE.read_text()))
+    deep = "".join(f"E[{'nm'[i % 2]}] " for i in range(3000)) + "p"
+    texts = [text for _, text in WITNESSED] + [deep, "!" * 3000 + "p", "p & q | !p"]
+    for text in texts:
+        check(m, "w", parse_formula(text))
+    calls = {"eq": 0, "truth": 0}
+    eq, truth = Formula.__eq__, kripke._truth
+
+    def counted_eq(self, other):
+        calls["eq"] += 1
+        return eq(self, other)
+
+    def counted_truth(*args):
+        calls["truth"] += 1
+        return truth(*args)
+
+    monkeypatch.setattr(Formula, "__eq__", counted_eq)
+    monkeypatch.setattr(kripke, "_truth", counted_truth)
+    for text in texts:  # each an equal formula, not the same object
+        f = parse_formula(text)
+        check(m, "v", f)
+        extension(m, f)
+    assert calls["eq"] <= calls["truth"]
+    assert calls["truth"] == 2 * len(texts)  # the witness reads no operand's truth
 
 
 def test_truthresult_behaves_like_bool(fig):

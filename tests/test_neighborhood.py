@@ -89,6 +89,14 @@ def test_unsupported_modalities(fig_nbhd):
             check_nbhd(fig_nbhd, "w", parse_formula(text))
 
 
+def test_unsupported_modality_named_is_the_outermost(fig_nbhd):
+    # formulas without C, D or B skip the walk; one with them is walked
+    # outermost first, so the C is named, not the D inside it
+    with pytest.raises(UnsupportedFragmentError) as err:
+        check_nbhd(fig_nbhd, "w", parse_formula("S[n] p & E[m] C[n] (q | D[m] p)"))
+    assert str(err.value) == "C has no neighborhood reading; only E and S do"
+
+
 def test_undeclared_symbols(fig_nbhd):
     with pytest.raises(UndeclaredSymbolError):
         check_nbhd(fig_nbhd, "nowhere", Prop("p"))
