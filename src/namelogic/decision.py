@@ -173,13 +173,14 @@ class _Layout:
         self.closure_size = len(cl)
         self.names = tuple(sorted(cl.names))
 
-        # Members as the closure numbers them, children first: kids[k]
-        # holds the operand numbers of nodes[k], sub[k] its subterm numbers
-        # as a mask, text[k] its print_formula text.
-        nodes, kids = cl.nodes, cl.kids
-        text = _texts(nodes, kids)
+        # Members as the closure numbers them, children first: keys[k] is
+        # the key of nodes[k], whose last item holds its operand numbers,
+        # sub[k] its subterm numbers as a mask, text[k] its print_formula
+        # text.
+        nodes, keys = cl.nodes, cl.keys
+        text = _texts(keys)
         sub: list[int] = []
-        for k, ks in enumerate(kids):
+        for k, (_, _, ks) in enumerate(keys):
             mask = 1 << k
             for c in ks:
                 mask |= sub[c]
@@ -193,7 +194,7 @@ class _Layout:
         lit: list[tuple[int, bool]] = []
         for k, g in enumerate(nodes):
             if isinstance(g, Not):
-                i, want = lit[kids[k][0]]
+                i, want = lit[keys[k][2][0]]
                 lit.append((i, not want))
             else:
                 lit.append((rank[k], True))
@@ -204,7 +205,7 @@ class _Layout:
 
         # the positive index of the member cls(name, operand number), and
         # the numbers of true and false, members whenever a name occurs
-        heads = {(type(g), g.name, kids[k][0]): rank[k]
+        heads = {(type(g), g.name, keys[k][2][0]): rank[k]
                  for k, g in enumerate(nodes) if isinstance(g, (E, S, C))}
         const = {g.__class__: k for k, g in enumerate(nodes) if isinstance(g, (Top, Bot))}
 
@@ -215,24 +216,25 @@ class _Layout:
         c_to_e: dict[int, tuple[int, int]] = {}
         kinds: list[tuple] = []
         for i, k in enumerate(order):
+            ks = keys[k][2]
             match nodes[k]:
                 case Top():
                     kinds.append(("const", True))
                 case Bot():
                     kinds.append(("const", False))
                 case And():
-                    kinds.append(("and", lit[kids[k][0]], lit[kids[k][1]]))
+                    kinds.append(("and", lit[ks[0]], lit[ks[1]]))
                 case E(n):
-                    a = kids[k][0]
+                    a = ks[0]
                     self.e_of[n].append((i, lit[a]))
                     e_to_s[i] = heads[(S, n, a)]
                     kinds.append(("free",))
                 case S(n):
-                    a = kids[k][0]
+                    a = ks[0]
                     self.s_of[n].append((i, lit[a], text[a]))
                     kinds.append(("free",))
                 case C(n):
-                    a = kids[k][0]
+                    a = ks[0]
                     self.c_of[n].append((i, lit[a]))
                     c_to_e[i] = (heads[(E, n, a)], heads[(E, n, k)])
                     kinds.append(("free",))
@@ -625,10 +627,9 @@ def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
     states = range(size)
     out: list[list[int]] = []
     push = out.append
-    for g, ks in zip(prog[0], prog[1]):
-        cls = g.__class__
+    for cls, fields, ks in prog[0]:
         if cls is Prop:
-            push(V[g.name])
+            push(V[fields[0]])
         elif cls is And:
             push(list(map(and_, out[ks[0]], out[ks[1]])))
         elif cls is Not:
@@ -644,16 +645,16 @@ def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
         elif cls is Bot:
             push([0] * size)
         elif cls is E:  # no member of the group sees a bad state
-            n, bad = g.name, [ones ^ x for x in out[ks[0]]]
+            n, bad = fields[0], [ones ^ x for x in out[ks[0]]]
             push([ones ^ reduce(or_, _members_seeing(N, R, w, n, bad), 0) for w in states])
         elif cls is S:  # some member of the group sees none
-            n, bad = g.name, [ones ^ x for x in out[ks[0]]]
+            n, bad = fields[0], [ones ^ x for x in out[ks[0]]]
             push([
                 reduce(or_, map(xor, N[(w, n)], _members_seeing(N, R, w, n, bad)), 0)
                 for w in states
             ])
         elif cls is D:  # a nonempty group, and what all members see is good
-            n, bad = g.name, [ones ^ x for x in out[ks[0]]]
+            n, bad = fields[0], [ones ^ x for x in out[ks[0]]]
             v = []
             for w in states:
                 pooled = [ones] * size
@@ -664,7 +665,7 @@ def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
         elif cls is C:
             # a path of one or more name steps out of good, by backward
             # closure: a shortest one has at most size steps
-            n, bad = g.name, [ones ^ x for x in out[ks[0]]]
+            n, bad = fields[0], [ones ^ x for x in out[ks[0]]]
             step = []  # step[w][v]: the lanes with a name step from w to v
             for w in states:
                 row = [0] * size
@@ -680,7 +681,7 @@ def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
                 reach = grown
             push([ones ^ x for x in reach])
         else:  # B: the agent's successors where it bears the name are good
-            a, n, good = agents.index(g.agent), g.name, out[ks[0]]
+            a, n, good = agents.index(fields[0]), fields[1], out[ks[0]]
             bad = [N[(v, n)][a] & (ones ^ good[v]) for v in states]
             push([ones ^ _sees(R[a][w], bad) for w in states])
     return out[-1]

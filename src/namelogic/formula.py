@@ -14,47 +14,49 @@ unary operators ``!`` and the modalities, which bind their immediate
 argument.  ``->`` and ``<->`` associate to the right.  Atoms are lowercase
 identifiers; ``true`` and ``false`` are reserved.
 
-Nodes are immutable ``__slots__`` objects compared by structure.  Each node
-computes its hash once, in ``__init__``: the hash of the tuple of its
-string fields and its operands' ``_hash`` ints, read off their slots, mixed
-with a constant of its class, so that nodes of different classes over the
-same fields (``E[n] f`` and ``S[n] f``) hash apart.  Building a node calls
-no Python-level ``__hash__``, and a memo lookup never re-hashes the
-subtree.
-``==`` walks both formulas with an explicit stack and pushes each pair of
-nodes at most once, so neither hashing nor comparison recurses, and two
-equal DAGs built apart compare in time linear in their distinct pairs of
-nodes, not in their paths.
+Nodes are immutable ``__slots__`` objects.  Each node computes its hash
+once, in ``__init__``: the hash of the tuple of its string fields and its
+operands' ``_hash`` ints, read off their slots, mixed with a constant of its
+class, so that nodes of different classes over the same fields (``E[n] f``
+and ``S[n] f``) hash apart.  Building a node calls no Python-level
+``__hash__``, and a memo lookup never re-hashes the subtree.
 
 A formula is a DAG: equal subterms may be one shared node.  A numbering
-lists the distinct subterms of one or more roots children first, each with
-the numbers of its operands, and one builder, ``_Table``, makes every
-numbering.  It knows a subterm by its class, its string fields and its
-operand numbers, so equal subterms get one number and no two formulas are
-ever compared: hash-consing (Filliatre & Conchon 2006) that lasts for one
-numbering.  The parser is one loop over the tokens, its pending operators
-and operands on explicit stacks, and numbers a text as it builds it, so
-equal subterms of one text are one node, and the parsed formula comes
-with its numbering kept, the same list ``_numbering`` would make;
-``_numbering`` numbers formulas built in code, reading each node once by
-its id.  Printing, ``modal_depth`` and the truth core are folds over a
-numbering, and each meets a shared subterm once; nothing here recurses,
-so no depth of nesting is too deep to read, print or evaluate.  Printing
-reads the numbering a formula carries, if it has one.  ``desugar`` writes
-its result into a table, building a node only for a subterm the table has
-not met, so equal subterms of the result are one node when those of its
-input are.  ``closure`` grows that same table by the seeds and every
-member its rules add, each after its operands, and the decision
-procedure's layout reads the numbering as it is, so a query is numbered
-once.
+lists the distinct subterms of one or more roots children first, and one
+builder, ``_Table``, makes every numbering.  It knows a subterm by its key,
+(class, string fields, operand numbers), so equal subterms get one number
+and no two formulas are ever compared: hash-consing (Filliatre & Conchon
+2006) that lasts for one numbering.  The key list is the one representation
+of a numbered formula.  The numbering is canonical (children first, left
+first, each distinct subterm once), so two formulas are equal exactly when
+their key lists are: ``==`` checks identity, class and hash, then compares
+the two lists, a comparison of tuples of classes, strings and ints that
+runs in C and never recurses.  A formula compares by its program's keys
+when it carries one, else by a fresh numbering that is not kept.
+
+The parser is one loop over the tokens, its pending operators and operands
+on explicit stacks, and numbers a text as it builds it, so equal subterms
+of one text are one node, and the parsed formula comes with its keys kept,
+the same list ``_numbering`` would make; ``_numbering`` numbers formulas
+built in code, reading each node once by its id.  Printing, ``repr``,
+``modal_depth`` and the truth core are folds over the keys, and each meets
+a shared subterm once; nothing here recurses, so no depth of nesting is too
+deep to read, print, compare or evaluate.  ``desugar`` writes its result
+into a table, building a node only for a subterm the table has not met, so
+equal subterms of the result are one node when those of its input are.
+``closure`` grows that same table by the seeds and every member its rules
+add, each after its operands, and the decision procedure's layout reads
+the nodes and keys as they are, so a query is numbered once.
 
 A formula asked about in a model is numbered once: ``_program`` keeps its
-numbering on the node, with the name, proposition and agent sets that
+keys on the node, with the name, proposition and agent sets that
 ``names_in``/``props_in``/``agents_in`` read and the classes of its modal
-subterms, all read off the numbering's keys in one pass.  ``kripke._run``
-and the oracle's lane evaluator run that numbering as it is, dispatching
-on each node's class.  There is no global intern table: a strong one would keep
-every parsed formula alive, and a weak one costs a weakref per node.
+subterms, all read off the keys in one pass.  A program holds classes,
+strings and ints only, never a formula, so it makes no reference cycle.
+``kripke._run`` and the oracle's lane evaluator run the keys as they are,
+dispatching on each key's class.  There is no global intern table: a strong
+one would keep every parsed formula alive, and a weak one costs a weakref
+per node.
 """
 
 from __future__ import annotations
@@ -85,35 +87,7 @@ class Formula:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        # Operands are checked for class and hash before they are pushed,
-        # and propositions compared on the spot.  A pair of nodes is pushed
-        # at most once, so two equal DAGs compare in time linear in their
-        # distinct pairs, not in their paths.
-        stack = [(self, other)]
-        pushed: set[tuple[int, int]] = set()
-        while stack:
-            a, b = stack.pop()
-            for field in a.__match_args__:
-                x, y = getattr(a, field), getattr(b, field)
-                if x is y:
-                    continue
-                cls = x.__class__
-                if cls is not y.__class__:
-                    return False
-                if cls is str:
-                    if x != y:
-                        return False
-                elif x._hash != y._hash:
-                    return False
-                elif cls is Prop:
-                    if x.name != y.name:
-                        return False
-                else:
-                    pair = (id(x), id(y))
-                    if pair not in pushed:
-                        pushed.add(pair)
-                        stack.append((x, y))
-        return True
+        return _keys(self) == _keys(other)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -129,15 +103,15 @@ class Formula:
         texts are folded over the numbering, children first, so nothing
         recurses, and once one is longer than _REPR_CAP, as a deep or much
         shared formula's soon is, the repr is an abbreviation that says so."""
-        nodes, kids = (getattr(self, "_prog", None) or _numbering(self))[:2]
+        keys = _keys(self)
         texts: list[str] = []
-        for g, ks in zip(nodes, kids):
-            values = [*map(repr, g._fields()), *[texts[k] for k in ks]]
-            fields = ", ".join([f"{a}={v}" for a, v in zip(g.__match_args__, values)])
-            texts.append(f"{g.__class__.__qualname__}({fields})")
+        for cls, fields, ks in keys:
+            values = [*map(repr, fields), *[texts[k] for k in ks]]
+            named = ", ".join([f"{a}={v}" for a, v in zip(cls.__match_args__, values)])
+            texts.append(f"{cls.__qualname__}({named})")
             if len(texts[-1]) > _REPR_CAP:
                 return (f"<{self.__class__.__qualname__}: repr abbreviated, longer than"
-                        f" {_REPR_CAP} characters, {len(nodes)} distinct nodes>")
+                        f" {_REPR_CAP} characters, {len(keys)} distinct nodes>")
         return texts[-1]
 
     def __str__(self) -> str:
@@ -358,7 +332,7 @@ def parse_formula(text: str) -> Formula:
     connective that binds no tighter, a closing parenthesis or the end.
     Each node is numbered in a _Table as it is built, after its operands,
     so equal subterms of the text are one node, and the formula comes with
-    its numbering kept, the list _numbering would make."""
+    its keys kept as its program, the list _numbering would make."""
     tokens = _TOKEN.findall(text)
     tokens.append("")  # the end of input
     table = _Table()
@@ -474,17 +448,18 @@ def walk(f: Formula) -> Iterator[Formula]:
 
 class _Table:
     """A numbering under construction: nodes[k] is the node numbered k and
-    kids[k] the numbers of its operands, left first, each number given
-    after its operands'.  A subterm is known by its class, its fields and
-    its operand numbers, so equal subterms get one number and no two
-    formulas are ever compared.  The table lives for one numbering; there
-    is no global one."""
+    keys[k] its key, (class, string fields, operand numbers left first),
+    each number given after its operands'.  A subterm is known by its key,
+    so equal subterms get one number and no two formulas are ever
+    compared.  The keys alone are the numbered formula: Formula.__eq__,
+    the printer, the folds and the truth core read nothing else.  The
+    table lives for one numbering; there is no global one."""
 
-    __slots__ = ("nodes", "kids", "slot")
+    __slots__ = ("nodes", "keys", "slot")
 
     def __init__(self):
         self.nodes: list[Formula] = []
-        self.kids: list[tuple[int, ...]] = []
+        self.keys: list[tuple] = []
         self.slot: dict[tuple, int] = {}
 
     def node(self, cls: type, fields: tuple, ks: tuple[int, ...], g: Formula | None = None) -> int:
@@ -504,15 +479,15 @@ class _Table:
                 else:
                     g = cls(*fields)
             nodes.append(g)
-            self.kids.append(ks)
+            self.keys.append(key)
         return k
 
-    def add(self, *roots: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
+    def add(self, *roots: Formula) -> tuple[list[Formula], list[tuple]]:
         """Number the subterms of the roots, children first, each left
         operand before the right and the roots in the order given, and
-        return nodes and kids.  A node read once is known by its id for the
+        return nodes and keys.  A node read once is known by its id for the
         rest of the walk, so a shared subterm is met once however often it
-        occurs."""
+        occurs.  A node has one operand or two, each read by one lookup."""
         read: dict[int, int] = {}
         node = self.node
         stack = list(reversed(roots))
@@ -522,29 +497,47 @@ class _Table:
                 stack.pop()
                 continue
             ks = g._kids()
-            if ks:
-                pending = [x for x in ks if id(x) not in read]
-                if pending:
-                    pending.reverse()  # the left operand on top
-                    stack += pending
+            if len(ks) == 1:
+                a = read.get(id(ks[0]))
+                if a is None:
+                    stack.append(ks[0])
                     continue
-                ks = tuple([read[id(x)] for x in ks])
+                ks = (a,)
+            elif ks:
+                a, b = read.get(id(ks[0])), read.get(id(ks[1]))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(ks[1])
+                    if a is None:
+                        stack.append(ks[0])  # the left operand on top
+                    continue
+                ks = (a, b)
             stack.pop()
             read[id(g)] = node(g.__class__, g._fields(), ks, g)
-        return self.nodes, self.kids
+        return self.nodes, self.keys
 
 
-def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple[int, ...]]]:
+def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple]]:
     """The distinct subterms of the roots, children first: nodes[k] is the
-    node numbered k and kids[k] the numbers of its operands, left first.
+    node numbered k and keys[k] its (class, fields, operand numbers).
     Equal subterms get one number, so a shared subterm is met once however
     often it occurs.  The roots are numbered in the order given, each left
     operand before the right, and a single root comes last.
 
-    The printer, desugar, modal_depth and _program fold over this list,
+    The printer, desugar, modal_depth and _program fold over the keys,
     computing each node's value from its operands' values, so that none of
     them recurses."""
     return _Table().add(*roots)
+
+
+def _keys(f: Formula) -> list[tuple]:
+    """f's key list: its program's if it carries one, else a fresh
+    numbering's, which is not kept, so comparing or printing the subterms
+    of a formula built in code leaves no program on them."""
+    try:
+        return f._prog[0]
+    except AttributeError:
+        return _Table().add(f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +555,8 @@ _INFIX = {
 }
 
 
-def _texts(nodes: list[Formula], kids: list[tuple[int, ...]], drop: bool = False) -> list:
-    """The print_formula text of every node of a numbering.
+def _texts(keys: list[tuple], drop: bool = False) -> list:
+    """The print_formula text of every node of a numbering, from its keys.
 
     With drop, each text is let go once its last reader has used it, and
     only the last node's text is kept: the texts of a chain's nodes add up
@@ -571,12 +564,11 @@ def _texts(nodes: list[Formula], kids: list[tuple[int, ...]], drop: bool = False
     text: list = []
     level: list[int] = []
     if drop:
-        last = [0] * len(nodes)
-        for j, ks in enumerate(kids):
+        last = [0] * len(keys)
+        for j, (_, _, ks) in enumerate(keys):
             for k in ks:
                 last[k] = j
-    for j, (g, ks) in enumerate(zip(nodes, kids)):
-        cls = g.__class__
+    for j, (cls, fields, ks) in enumerate(keys):
         infix = _INFIX.get(cls)
         if infix is not None:
             sep, lvl, need_left, need_right = infix
@@ -590,12 +582,12 @@ def _texts(nodes: list[Formula], kids: list[tuple[int, ...]], drop: bool = False
             if cls is Not:
                 t = "!" + a
             elif cls is B:
-                t = f"B[{g.agent};{g.name}] " + a
+                t = f"B[{fields[0]};{fields[1]}] " + a
             else:  # E, S, C, D: the class name is the head
-                t = f"{cls.__name__}[{g.name}] " + a
+                t = f"{cls.__name__}[{fields[0]}] " + a
             lvl = _LVL_UNARY
         else:
-            t = g.name if cls is Prop else "true" if cls is Top else "false"
+            t = fields[0] if cls is Prop else "true" if cls is Top else "false"
             lvl = _LVL_ATOM
         text.append(t)
         level.append(lvl)
@@ -610,25 +602,23 @@ def print_formula(f: Formula) -> str:
     """Render a formula so that parse_formula(print_formula(f)) == f."""
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula: {f!r}")
-    # a parsed formula, or one asked about in a model, carries its numbering
-    prog = getattr(f, "_prog", None) or _numbering(f)
-    return _texts(prog[0], prog[1], drop=True)[-1]
+    return _texts(_keys(f), drop=True)[-1]
 
 
 # ---------------------------------------------------------------------------
 # Symbols and folds
 
 def _program(f: Formula) -> tuple:
-    """f's numbering and symbols, (nodes, kids, names, props, agents,
-    heads), made once and kept on f: kripke._run and the oracle's lane
-    evaluator run nodes and kids as they are, one node per step, and
-    names_in, props_in and agents_in read the sets; heads holds the classes
-    of f's modal subterms.  A parsed formula has it from the parser; a
-    formula built in code is numbered on its first query.
-
-    nodes[-1] is an equal copy of f, not f itself: f would otherwise
-    reach itself through its own program, and no formula asked about
-    would be freed by reference counting."""
+    """f's program, (keys, names, props, agents, heads), made once and kept
+    on f.  keys is f's numbering, one (class, fields, operand numbers) per
+    distinct subterm, children first and f last: kripke._run and the
+    oracle's lane evaluator run it as it is, one key per step, and
+    Formula.__eq__ compares it.  names_in, props_in and agents_in read the
+    sets; heads holds the classes of f's modal subterms.  A parsed formula
+    has its program from the parser; a formula built in code is numbered on
+    its first query.  A program holds only classes, strings and ints, so it
+    never reaches f, and a formula asked about is freed by reference
+    counting."""
     try:
         return f._prog
     except AttributeError:
@@ -639,12 +629,13 @@ def _program(f: Formula) -> tuple:
 
 
 def _keep(table: _Table) -> tuple:
-    """Keep the numbering of f, the node the table numbered last, on f as
-    its program, with f replaced by an equal copy, and return the program.
-    The symbols are read off the table's keys, in one pass: a subterm's
-    string fields are its name, its proposition, or B's agent and name."""
+    """Keep the table's keys on the node it numbered last as its program,
+    and return the program.  The symbols are read off the keys in one
+    pass: a subterm's string fields are its name, its proposition, or B's
+    agent and name."""
     names, props, agents, heads = set(), set(), set(), set()
-    for cls, fields, _ in table.slot:
+    keys = table.keys
+    for cls, fields, _ in keys:
         if fields:
             if cls is Prop:
                 props.add(fields[0])
@@ -655,32 +646,28 @@ def _keep(table: _Table) -> tuple:
             else:
                 names.add(fields[0])
                 heads.add(cls)
-    nodes = table.nodes
-    f = nodes[-1]
-    nodes[-1] = f.__class__(*f._fields(), *f._kids())
-    prog = (nodes, table.kids, frozenset(names), frozenset(props), frozenset(agents), frozenset(heads))
-    _set_prog(f, prog)
+    prog = (keys, frozenset(names), frozenset(props), frozenset(agents), frozenset(heads))
+    _set_prog(table.nodes[-1], prog)
     return prog
 
 
 def names_in(f: Formula) -> frozenset[str]:
-    return _program(f)[2]
+    return _program(f)[1]
 
 
 def props_in(f: Formula) -> frozenset[str]:
-    return _program(f)[3]
+    return _program(f)[2]
 
 
 def agents_in(f: Formula) -> frozenset[str]:
-    return _program(f)[4]
+    return _program(f)[3]
 
 
 def modal_depth(f: Formula) -> int:
-    nodes, kids = _numbering(f)
     depth: list[int] = []
-    for g, ks in zip(nodes, kids):
+    for cls, _, ks in _keys(f):
         d = max([depth[k] for k in ks], default=0)
-        depth.append(d + 1 if isinstance(g, (_Modal, B)) else d)
+        depth.append(d + 1 if issubclass(cls, (_Modal, B)) else d)
     return depth[-1]
 
 
@@ -697,7 +684,7 @@ def desugar(f: Formula) -> Formula:
 def _desugared(f: Formula) -> _Table:
     """A table numbering desugar(f), which it numbers last: every node the
     table holds is a subterm of it."""
-    nodes, kids = _numbering(f)
+    nodes, keys = _numbering(f)
     table = _Table()
     node = table.node
 
@@ -705,8 +692,7 @@ def _desugared(f: Formula) -> _Table:
         return node(Not, (), (node(And, (), (a, node(Not, (), (b,)))),))
 
     out: list[int] = []
-    for g, ks in zip(nodes, kids):
-        cls = g.__class__
+    for g, (cls, fields, ks) in zip(nodes, keys):
         args = tuple([out[k] for k in ks])
         if cls is Or:  # !a -> b
             out.append(implies(node(Not, (), args[:1]), args[1]))
@@ -716,7 +702,7 @@ def _desugared(f: Formula) -> _Table:
             out.append(node(And, (), (implies(*args), implies(args[1], args[0]))))
         else:
             same = all([table.nodes[a] is nodes[k] for a, k in zip(args, ks)])
-            out.append(node(cls, g._fields(), args, g if same else None))
+            out.append(node(cls, fields, args, g if same else None))
     return table
 
 
@@ -737,13 +723,13 @@ class Closure:
     of E members, and the one-step unfolding members of C.
 
     nodes lists the members children first, one number per distinct
-    formula, and kids[k] holds the numbers of the operands of nodes[k];
-    nodes[root] is the desugared input.  formulas, len, in and iteration
+    formula, and keys[k] is the key of nodes[k], (class, fields, operand
+    numbers); nodes[root] is the desugared input.  formulas, len, in and iteration
     read the members as a set.
     """
 
     nodes: tuple[Formula, ...]
-    kids: tuple[tuple[int, ...], ...]
+    keys: tuple[tuple, ...]
     root: int
     names: frozenset[str]
     props: frozenset[str]
@@ -772,7 +758,7 @@ def closure(chi: Formula) -> Closure:
     first, and a member already present keeps its number.
     """
     table = _desugared(chi)
-    nodes, kids = table.nodes, table.kids
+    nodes, keys = table.nodes, table.keys
     for g in reversed(nodes):  # outermost first, as a walk of a tree meets them
         if isinstance(g, (D, B)):
             raise UnsupportedFragmentError(
@@ -789,14 +775,13 @@ def closure(chi: Formula) -> Closure:
             node(E, (n,), (bot,))
     k = 0
     while k < len(nodes):  # the members added here are read in turn
-        g = nodes[k]
-        cls = g.__class__
+        cls, fields, ks = keys[k]
         if cls is not Not:
             node(Not, (), (k,))
         if cls is E:
-            node(S, (g.name,), kids[k])
+            node(S, fields, ks)
         elif cls is C:
-            node(E, (g.name,), kids[k])
-            node(E, (g.name,), (k,))
+            node(E, fields, ks)
+            node(E, fields, (k,))
         k += 1
-    return Closure(tuple(nodes), tuple(kids), root, names, props)
+    return Closure(tuple(nodes), tuple(keys), root, names, props)

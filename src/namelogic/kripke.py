@@ -440,12 +440,11 @@ class _Index:
     order: states by bit.
     """
 
-    __slots__ = ("full", "val", "fam", "rows", "bearers", "order", "bit", "_pred")
+    __slots__ = ("full", "val", "fam", "rows", "bearers", "order", "_pred")
 
     def __init__(self, full, val, fam, rows, bearers, order):
         self.full, self.val, self.fam, self.rows, self.bearers = full, val, fam, rows, bearers
         self.order = order
-        self.bit = {s: 1 << i for i, s in enumerate(order)}
         self._pred: dict = {}
 
     def states_of(self, mask: int) -> frozenset[str]:
@@ -479,14 +478,13 @@ class _Index:
 
 def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
     """The mask of every node of a formula._program on ix, under the
-    valuation val."""
+    valuation val: one step per key, (class, fields, operand numbers)."""
     full = ix.full
     out: list[int] = []
     push = out.append
-    for g, ks in zip(prog[0], prog[1]):
-        cls = g.__class__
+    for cls, fields, ks in prog[0]:
         if cls is Prop:
-            push(val.get(g.name, 0))
+            push(val.get(fields[0], 0))
         elif cls is And:
             push(out[ks[0]] & out[ks[1]])
         elif cls is Not:
@@ -504,13 +502,13 @@ def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
             push(0)
         elif cls is E:  # every member of the family is good: so is their union
             bad, v = ~out[ks[0]], full
-            for w, union, _ in ix.fam.get(g.name, ()):
+            for w, union, _ in ix.fam.get(fields[0], ()):
                 if union & bad:
                     v ^= w
             push(v)
         elif cls is S:  # some member of the family is good
             bad, v = ~out[ks[0]], 0
-            for w, _, members in ix.fam.get(g.name, ()):
+            for w, _, members in ix.fam.get(fields[0], ()):
                 for succ in members:
                     if not succ & bad:
                         v |= w
@@ -518,15 +516,15 @@ def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
             push(v)
         elif cls is D:  # the declared states in every member are good
             bad, v = ~out[ks[0]], 0
-            for w, _, members in ix.fam.get(g.name, ()):
+            for w, _, members in ix.fam.get(fields[0], ()):
                 if not reduce(and_, members, full) & bad:
                     v |= w
             push(v)
         elif cls is C:
-            push(full & ~ix.escapes(g.name, out[ks[0]]))
+            push(full & ~ix.escapes(fields[0], out[ks[0]]))
         else:  # B: the agent's successors where it bears the name are good
-            bad, v = ~out[ks[0]] & ix.bearers.get((g.agent, g.name), 0), full
-            for w, succ in ix.rows.get(g.agent, _NO_ROW).items():
+            bad, v = ~out[ks[0]] & ix.bearers.get(fields, 0), full  # fields: (agent, name)
+            for w, succ in ix.rows.get(fields[0], _NO_ROW).items():
                 if succ & bad:
                     v ^= w
             push(v & full)  # a source outside full toggled a bit there
@@ -559,16 +557,16 @@ def _truth(m, f: Formula, index) -> tuple[int, int]:
     Each model keeps this pair for every root formula it was asked about,
     under the root alone: the operand's mask rides beside the root's for
     _witness, and is never a key.  So a formula equal to one asked before,
-    the same text parsed again, costs one lookup, whose one __eq__ walks
-    the two roots' DAGs, and its operand is neither compared nor
-    numbered."""
+    the same text parsed again, costs one lookup, whose one __eq__
+    compares the two roots' key lists, and its operand is neither compared
+    nor numbered."""
     memo = m._cache.setdefault("truth", {})
     masks = memo.get(f)
     if masks is None:
         prog = _program(f)
         ix = index(m)
         out = _run(prog, ix, ix.val)
-        operand = out[prog[1][-1][0]] if isinstance(f, (E, S, C, D, B)) else 0
+        operand = out[prog[0][-1][2][0]] if isinstance(f, (E, S, C, D, B)) else 0
         masks = memo[f] = (out[-1], operand)
     return masks
 
@@ -583,7 +581,7 @@ def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool, good: 
     """The witness of f's value at w, where good is the mask of f's
     operand: the agent of a true S, the group of a true D, an agent and a
     bad successor of a false E, and a path to a bad state of a false C."""
-    succ = lambda a, x: ix.rows.get(a, _NO_ROW).get(ix.bit[x], 0)
+    succ = lambda a, x: ix.rows.get(a, _NO_ROW).get(m.bit[x], 0)
     match f:
         case S(name, _) if value:
             for a in sorted(m.named(w, name)):
@@ -606,7 +604,7 @@ def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool, good: 
             seen = {w}
             for x in queue:  # the states appended meanwhile are read in turn
                 for y in sorted(ix.states_of(step.get(x, 0))):
-                    if not good & ix.bit[y]:
+                    if not good & m.bit[y]:
                         path = [x]
                         while path[-1] != w:
                             path.append(parent[path[-1]])
@@ -625,7 +623,7 @@ def check(m: KripkeModel, w: str, f: Formula) -> TruthResult:
     _require_symbols(f, m.names, m.valuation.keys(), m.agents)
     ix = _kripke_index(m)
     mask, operand = _truth(m, f, _kripke_index)
-    value = bool(mask & ix.bit[w])
+    value = bool(mask & m.bit[w])
     return TruthResult(value, _witness(m, ix, w, f, value, operand))
 
 

@@ -149,14 +149,14 @@ def nbhd_to_dict(m: NeighborhoodModel) -> dict:
 # Truth (E/S fragment only)
 
 def _assert_supported(f: Formula) -> None:
-    prog = _program(f)
-    if prog[5].isdisjoint(_UNSUPPORTED):  # the modal heads f holds
+    keys, _, _, _, heads = _program(f)
+    if heads.isdisjoint(_UNSUPPORTED):
         return
     # outermost first, as a walk of a tree meets them
-    for g in reversed(prog[0]):
-        if isinstance(g, _UNSUPPORTED):
+    for cls, _, _ in reversed(keys):
+        if cls in _UNSUPPORTED:
             raise UnsupportedFragmentError(
-                f"{g.__class__.__name__} has no neighborhood reading; only E and S do"
+                f"{cls.__name__} has no neighborhood reading; only E and S do"
             )
 
 

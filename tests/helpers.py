@@ -259,9 +259,10 @@ def reference_refine_with_formulas(u):
     return classes, delta
 
 
-# The recursive printer, desugaring and modal depth that the library's folds
-# over formula._numbering replaced: each follows its definition clause by
-# clause, and visits a shared subterm once per occurrence.
+# The recursive printer, equality, desugaring and modal depth that the
+# library's folds over formula._numbering replaced: each follows its
+# definition clause by clause, and visits a shared subterm once per
+# occurrence.
 
 _LVL_IFF, _LVL_IMPLIES, _LVL_OR, _LVL_AND, _LVL_UNARY, _LVL_ATOM = range(6)
 
@@ -307,6 +308,18 @@ def _reference_fmt(f, required: int) -> str:
 
 def reference_print(f) -> str:
     return _reference_fmt(f, 0)
+
+
+def reference_equal(f, g) -> bool:
+    """Structural equality by its definition: the same class, equal string
+    fields and equal operands, compared recursively, with no numbering."""
+    if f.__class__ is not g.__class__:
+        return False
+    for field in f.__match_args__:
+        x, y = getattr(f, field), getattr(g, field)
+        if not (x == y if isinstance(x, str) else reference_equal(x, y)):
+            return False
+    return True
 
 
 def reference_modal_depth(f) -> int:

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     reference_closure,
     reference_desugar,
+    reference_equal,
     reference_modal_depth,
     reference_print,
     reference_symbols,
@@ -35,6 +36,9 @@ from namelogic.formula import (
     TRUE,
     Top,
     _REPR_CAP,
+    _Binary,
+    _Modal,
+    _keys,
     _numbering,
     _program,
     agents_in,
@@ -439,7 +443,20 @@ def test_kept_program_holds_no_reference_to_its_formula():
     prog = _program(f)
     assert sys.getrefcount(f) == before
     assert _program(f) is prog
-    assert prog[0][-1] == f
+    assert prog[0] == _numbering(f)[1]
+    assert prog[0][-1] == (Or, (), (4, 7))  # the last key is f's
+
+
+@given(_formulas())
+def test_kept_program_holds_only_classes_strings_and_ints(f):
+    for g in (f, parse_formula(print_formula(f))):
+        stack = list(_program(g))
+        while stack:
+            x = stack.pop()
+            if isinstance(x, (tuple, list, frozenset)):
+                stack += x
+            else:
+                assert isinstance(x, (type, str, int)), x
 
 
 @given(_formulas())
@@ -447,13 +464,14 @@ def test_parsed_formula_comes_with_its_numbering(f):
     g = parse_formula(print_formula(f))
     prog = g._prog  # kept by the parser, before any query
     assert _program(g) is prog
-    nodes, kids = _numbering(f)
-    assert len(prog[0]) == len(nodes)
-    for x, y in zip(prog[0], nodes):
+    nodes, keys = _numbering(f)
+    assert prog[0] == keys  # key for key: class, fields, operand numbers
+    parsed = _numbering(g)
+    assert parsed[1] == keys and len(parsed[0]) == len(nodes)
+    for x, y in zip(parsed[0], nodes):
         assert x == y and x.__class__ is y.__class__
-    assert prog[1] == kids
-    assert prog[2:] == _program(f)[2:]
-    assert all(x is not g for x in prog[0])
+    assert prog[1:] == _program(f)[1:]
+    assert not any(isinstance(x, Formula) for key in prog[0] for x in key)
     one: dict[Formula, Formula] = {}
     for x in walk(g):  # equal subterms are one node
         assert one.setdefault(x, x) is x
@@ -487,6 +505,60 @@ def test_equality_distinguishes_kind_and_fields():
     assert B("a", "n", p) != B("b", "n", p)
     assert And(p, q) != And(q, p)
     assert Prop("p") != "p" and TRUE != FALSE and TRUE == Top()
+
+
+# classes of one shape, which a one-field change may swap
+_SIBLINGS = [(And, Or, Implies, Iff), (E, S, C, D), (Top, Bot)]
+_POOLS = {"name": ("n", "m", "k"), "agent": ("a", "b", "c")}
+
+
+def _one_field_changed(f: Formula, at: int, draw) -> Formula:
+    """A copy of f whose at-th subterm other than a negation, in a preorder
+    walk, has one field changed: a name, a proposition, an agent, or its
+    class for another of the same shape.  Every other node is rebuilt
+    unchanged."""
+    seen = -1
+
+    def copy(g):
+        nonlocal seen
+        seen += not isinstance(g, Not)
+        here = seen == at and not isinstance(g, Not)
+        args = [copy(x) if isinstance(x, Formula) else x for x in
+                (getattr(g, field) for field in type(g).__match_args__)]
+        cls = type(g)
+        if here:
+            siblings = next((c for c in _SIBLINGS if cls in c), ())
+            choices = [i for i, x in enumerate(args) if isinstance(x, str)]
+            choices += ["class"] if siblings else []
+            choice = draw(st.sampled_from(choices))
+            if choice == "class":
+                cls = draw(st.sampled_from([c for c in siblings if c is not cls]))
+            else:
+                field = type(g).__match_args__[choice]
+                pool = ("p", "q", "r") if cls is Prop else _POOLS[field]
+                args[choice] = draw(st.sampled_from([x for x in pool if x != args[choice]]))
+        return cls(*args)
+
+    return copy(f)
+
+
+@given(_formulas(), _formulas(), st.data())
+def test_equality_is_the_structural_definition(f, g, data):
+    at = data.draw(st.integers(0, sum(not isinstance(x, Not) for x in walk(f)) - 1))
+    changed = _one_field_changed(f, at, data.draw)
+    assert not reference_equal(f, changed)
+    parsed = parse_formula(print_formula(f))  # compares by its kept program
+    for x, y in ((f, g), (f, _rebuild(f)), (f, changed), (changed, f), (parsed, f),
+                 (parsed, changed), (changed, parsed), (parsed, g)):
+        same = reference_equal(x, y)
+        assert (x == y) == same and (x != y) == (not same)
+        # unequal formulas seldom share a hash, so the key lists, which
+        # == compares when the hashes agree, are checked on their own
+        assert (_keys(x) == _keys(y)) == same
+        if same:
+            assert hash(x) == hash(y)
+    Formula._hash.__set__(changed, hash(f))  # == decides by the keys, not by the hash
+    assert f != changed and changed != f
 
 
 def _chain(kind: str, depth: int, leaf: Formula) -> Formula:
@@ -571,6 +643,39 @@ def test_parsing_never_hashes_or_compares_formulas(kind):
     assert symbols[0] == (frozenset("nm") if kind == "E" else frozenset())
     assert symbols[1] == (frozenset("p") if kind in ("not", "E") else frozenset("pq"))
     assert symbols[2:] == (frozenset("nm"), frozenset("a"))
+
+
+def _operand_refused(self):
+    raise _Compared
+
+
+@pytest.mark.parametrize("kind", ["not", "E", "and"])
+def test_parsed_formulas_compare_without_reading_an_operand(kind):
+    # a parsed formula carries its program, so == compares two key lists
+    # and reads no operand slot; a failure reports no traceback, whose
+    # frames would print the formulas
+    text, _ = _check_workload_deep_input(kind, 3000)
+    f, g, h = parse_formula(text), parse_formula(text), parse_formula(text + " & q")
+    refused = property(_operand_refused)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for cls, field in ((Not, "arg"), (_Modal, "arg"), (B, "arg"),
+                               (_Binary, "left"), (_Binary, "right")):
+                mp.setattr(cls, field, refused)
+            outcomes = [f == g, g == f, {f: 0}.get(g), f != h, f == h]
+    except _Compared:
+        pytest.fail("an operand slot was read", pytrace=False)
+    assert outcomes == [True, True, 0, True, False]
+
+
+def test_comparing_subterms_built_in_code_keeps_no_program():
+    # a formula without a program is compared through a numbering that is
+    # not kept: a program on every subterm of a chain would cost memory
+    # quadratic in its length
+    f, g = _chain("E", 1000, Prop("q")), _chain("E", 1000, Prop("q"))
+    pairs = list(zip(walk(f), walk(g)))
+    assert all([x == y for x, y in pairs])
+    assert not any([hasattr(x, "_prog") or hasattr(y, "_prog") for x, y in pairs])
 
 
 def _doubling_dag(base: Formula, levels: int) -> Formula:
@@ -733,11 +838,12 @@ def test_closure_numbers_the_reference_members(f):
         return
     cl = closure(f)
     assert (cl.formulas, cl.names, cl.props) == want
-    assert len(cl.nodes) == len(cl.kids) == len(cl.formulas)  # one number each
+    assert len(cl.nodes) == len(cl.keys) == len(cl.formulas)  # one number each
     number = {g: k for k, g in enumerate(cl.nodes)}
-    for k, (g, ks) in enumerate(zip(cl.nodes, cl.kids)):
+    for k, (g, (cls, fields, ks)) in enumerate(zip(cl.nodes, cl.keys)):
         assert all(j < k for j in ks)  # children first
         assert ks == tuple(number[x] for x in g._kids())
+        assert (cls, fields) == (g.__class__, g._fields())
     assert cl.nodes[cl.root] == desugar(f)
 
 
