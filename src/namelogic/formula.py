@@ -54,9 +54,12 @@ keys on the node, with the name, proposition and agent sets that
 subterms, all read off the keys in one pass.  A program holds classes,
 strings and ints only, never a formula, so it makes no reference cycle.
 ``kripke._run`` and the oracle's lane evaluator run the keys as they are,
-dispatching on each key's class.  There is no global intern table: a strong
-one would keep every parsed formula alive, and a weak one costs a weakref
-per node.
+dispatching on each key's class.  Beside its program a formula keeps, in
+``_masks``, its truth masks for the last model index it was asked about,
+so asking it again on that model costs no run; an index holds no formula,
+so this makes no cycle either, and a model keeps nothing of the formulas
+asked about it.  There is no global intern table: a strong one would keep
+every parsed formula alive, and a weak one costs a weakref per node.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ from .errors import ParseError, UnsupportedFragmentError
 class Formula:
     """Base class for all formula nodes. Instances are immutable."""
 
-    # _prog stays unset until _program fills it
-    __slots__ = ("_hash", "_prog")
+    # _prog stays unset until _program fills it, _masks until kripke._truth does
+    __slots__ = ("_hash", "_prog", "_masks")
     __match_args__: tuple[str, ...] = ()
 
     def __hash__(self) -> int:
@@ -131,6 +134,7 @@ _REPR_CAP = 10_000
 # through the slot descriptors directly.
 _set_hash = Formula._hash.__set__
 _set_prog = Formula._prog.__set__
+_set_masks = Formula._masks.__set__
 
 
 class Prop(Formula):

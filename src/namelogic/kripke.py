@@ -13,10 +13,14 @@ Truth has one core, used by relational and neighborhood truth and frame
 validity: an _Index adds to a model's rows its truth sets as masks (per
 proposition, and per name and state the successor masks of the agents the
 name picks out), and _run folds a formula's numbering, formula._program,
-over an index with each truth clause written once.  The bounded oracle in
-decision runs the same numbering on many candidate models at once, one
-candidate per bit lane: a second copy of the truth clauses, kept equal to
-_run by a differential test.
+over an index with each truth clause written once.  Each modality is an
+operator on sets of states, so _run computes a modal step once per run for
+each distinct (class, fields, operand mask), however many subterms share
+it.  _truth keeps a formula's masks on the formula, for the last index it
+was asked about; a model keeps no formula.  The bounded oracle in decision
+runs the same numbering on many candidate models at once, one candidate
+per bit lane: a second copy of the truth clauses, kept equal to _run by a
+differential test.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ from .formula import (
     S,
     Top,
     _program,
-    agents_in,
-    names_in,
+    _set_masks,
     parse_formula,
     props_in,
 )
@@ -417,12 +420,13 @@ class TruthResult:
 
 def _require_symbols(f: Formula, names=None, props=None, agents=None) -> None:
     """Raise on a symbol of f outside the given declared sets (None: unchecked)."""
+    _, used_names, used_props, used_agents, _ = _program(f)
     for kind, declared, used in (
-        ("names", names, names_in), ("propositions", props, props_in), ("agents", agents, agents_in)
+        ("names", names, used_names), ("propositions", props, used_props),
+        ("agents", agents, used_agents),
     ):
-        missing = used(f) - declared if declared is not None else None
-        if missing:
-            raise UndeclaredSymbolError(f"undeclared {kind}: {sorted(missing)}")
+        if declared is not None and not declared >= used:
+            raise UndeclaredSymbolError(f"undeclared {kind}: {sorted(used.difference(declared))}")
 
 
 class _Index:
@@ -478,10 +482,18 @@ class _Index:
 
 def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
     """The mask of every node of a formula._program on ix, under the
-    valuation val: one step per key, (class, fields, operand numbers)."""
+    valuation val: one step per key, (class, fields, operand numbers).
+
+    A modality is an operator on sets of states, so a modal step's mask
+    depends only on its class, its fields and its operand's mask.  Each
+    distinct (class, fields, operand mask) is computed once per run and
+    looked up after: E[n] p beside E[n] (p & p) costs one step, and a chain
+    C[n] C[n] ... p costs one per distinct mask, which on a finite model
+    soon repeat.  The memo lives for the run only."""
     full = ix.full
     out: list[int] = []
     push = out.append
+    memo: dict[tuple, int] = {}
     for cls, fields, ks in prog[0]:
         if cls is Prop:
             push(val.get(fields[0], 0))
@@ -500,34 +512,38 @@ def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
             push(full)
         elif cls is Bot:
             push(0)
-        elif cls is E:  # every member of the family is good: so is their union
-            bad, v = ~out[ks[0]], full
-            for w, union, _ in ix.fam.get(fields[0], ()):
-                if union & bad:
-                    v ^= w
+        else:  # a modal step
+            good = out[ks[0]]
+            step = (cls, fields, good)
+            v = memo.get(step)
+            if v is None:
+                if cls is E:  # every member of the family is good: so is their union
+                    bad, v = ~good, full
+                    for w, union, _ in ix.fam.get(fields[0], ()):
+                        if union & bad:
+                            v ^= w
+                elif cls is S:  # some member of the family is good
+                    bad, v = ~good, 0
+                    for w, _, members in ix.fam.get(fields[0], ()):
+                        for succ in members:
+                            if not succ & bad:
+                                v |= w
+                                break
+                elif cls is D:  # the declared states in every member are good
+                    bad, v = ~good, 0
+                    for w, _, members in ix.fam.get(fields[0], ()):
+                        if not reduce(and_, members, full) & bad:
+                            v |= w
+                elif cls is C:
+                    v = full & ~ix.escapes(fields[0], good)
+                else:  # B: the agent's successors where it bears the name are good
+                    bad, v = ~good & ix.bearers.get(fields, 0), full  # fields: (agent, name)
+                    for w, succ in ix.rows.get(fields[0], _NO_ROW).items():
+                        if succ & bad:
+                            v ^= w
+                    v &= full  # a source outside full toggled a bit there
+                memo[step] = v
             push(v)
-        elif cls is S:  # some member of the family is good
-            bad, v = ~out[ks[0]], 0
-            for w, _, members in ix.fam.get(fields[0], ()):
-                for succ in members:
-                    if not succ & bad:
-                        v |= w
-                        break
-            push(v)
-        elif cls is D:  # the declared states in every member are good
-            bad, v = ~out[ks[0]], 0
-            for w, _, members in ix.fam.get(fields[0], ()):
-                if not reduce(and_, members, full) & bad:
-                    v |= w
-            push(v)
-        elif cls is C:
-            push(full & ~ix.escapes(fields[0], out[ks[0]]))
-        else:  # B: the agent's successors where it bears the name are good
-            bad, v = ~out[ks[0]] & ix.bearers.get(fields, 0), full  # fields: (agent, name)
-            for w, succ in ix.rows.get(fields[0], _NO_ROW).items():
-                if succ & bad:
-                    v ^= w
-            push(v & full)  # a source outside full toggled a bit there
     return out
 
 
@@ -550,31 +566,33 @@ def _kripke_index(m: KripkeModel) -> _Index:
     return ix
 
 
-def _truth(m, f: Formula, index) -> tuple[int, int]:
-    """The masks of f and of its operand in m, a Kripke or neighborhood
-    model, through index(m); the operand's is 0 unless f is modal.
+def _truth(ix: _Index, f: Formula) -> tuple[int, int]:
+    """The masks of f and of its operand on ix, a Kripke or neighborhood
+    model's index; the operand's is 0 unless f is modal.
 
-    Each model keeps this pair for every root formula it was asked about,
-    under the root alone: the operand's mask rides beside the root's for
-    _witness, and is never a key.  So a formula equal to one asked before,
-    the same text parsed again, costs one lookup, whose one __eq__
-    compares the two roots' key lists, and its operand is neither compared
-    nor numbered."""
-    memo = m._cache.setdefault("truth", {})
-    masks = memo.get(f)
-    if masks is None:
-        prog = _program(f)
-        ix = index(m)
-        out = _run(prog, ix, ix.val)
-        operand = out[prog[0][-1][2][0]] if isinstance(f, (E, S, C, D, B)) else 0
-        masks = memo[f] = (out[-1], operand)
+    f keeps this pair for the last index it was asked about, beside that
+    index, so extension then check, or check at several states, runs f
+    once.  The model keeps nothing of f: a formula lives as long as its
+    caller holds it, and holds at most one index.  An equal formula, the
+    same text parsed again, has a memo of its own and runs once more."""
+    try:
+        at, masks = f._masks
+        if at is ix:
+            return masks
+    except AttributeError:
+        pass
+    prog = _program(f)
+    out = _run(prog, ix, ix.val)
+    masks = (out[-1], out[prog[0][-1][2][0]] if isinstance(f, (E, S, C, D, B)) else 0)
+    _set_masks(f, (ix, masks))
     return masks
 
 
 def extension(m: KripkeModel, f: Formula) -> frozenset[str]:
     """All states of m at which f holds."""
     _require_symbols(f, m.names, m.valuation.keys(), m.agents)
-    return _kripke_index(m).states_of(_truth(m, f, _kripke_index)[0])
+    ix = _kripke_index(m)
+    return ix.states_of(_truth(ix, f)[0])
 
 
 def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool, good: int) -> Any:
@@ -622,7 +640,7 @@ def check(m: KripkeModel, w: str, f: Formula) -> TruthResult:
         raise UndeclaredSymbolError(f"undeclared state {w!r}")
     _require_symbols(f, m.names, m.valuation.keys(), m.agents)
     ix = _kripke_index(m)
-    mask, operand = _truth(m, f, _kripke_index)
+    mask, operand = _truth(ix, f)
     value = bool(mask & m.bit[w])
     return TruthResult(value, _witness(m, ix, w, f, value, operand))
 

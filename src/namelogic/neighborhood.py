@@ -182,7 +182,8 @@ def _nbhd_index(m: NeighborhoodModel) -> _Index:
 def extension_nbhd(m: NeighborhoodModel, f: Formula) -> frozenset[str]:
     _assert_supported(f)
     _require_symbols(f, names=m.names, props=m.valuation.keys())
-    return _nbhd_index(m).states_of(_truth(m, f, _nbhd_index)[0])
+    ix = _nbhd_index(m)
+    return ix.states_of(_truth(ix, f)[0])
 
 
 def check_nbhd(m: NeighborhoodModel, w: str, f: Formula) -> bool:

@@ -6,15 +6,17 @@ definitions and are frozen here.
 """
 
 import functools
+import gc
 import hashlib
 import json
 import random
+import sys
 import time
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -64,6 +66,7 @@ from namelogic.kripke import (
     validate_model,
 )
 from namelogic import kripke
+from namelogic.formula import _program
 from namelogic.decision import brute_force_sat, satisfiable, valid
 from namelogic.equivalence import bisimilar, distinguishing_formula
 from namelogic.neighborhood import extension_nbhd, kripke_to_nbhd, nbhd_to_kripke
@@ -355,6 +358,64 @@ def test_a_repeated_query_compares_once_per_truth_lookup(monkeypatch):
         extension(m, f)
     assert calls["eq"] <= calls["truth"]
     assert calls["truth"] == 2 * len(texts)  # the witness reads no operand's truth
+
+
+def test_a_run_computes_each_modal_step_once(monkeypatch):
+    # a modal step's mask depends on its head, fields and operand mask
+    # only; on four states a 500-level chain repeats its masks early
+    m = model_from_dict(json.loads(FIGURE.read_text()))
+    ix = kripke._kripke_index(m)
+    common = parse_formula("C[n] " * 500 + "p")
+    everyone = parse_formula("".join(f"E[{'nm'[i % 2]}] " for i in range(500)) + "p")
+
+    def distinct_steps(f):
+        prog = _program(f)
+        out = kripke._run(prog, ix, ix.val)
+        return {(fields[0], out[ks[0]]) for _, fields, ks in prog[0] if ks}
+
+    expected_common, expected_everyone = distinct_steps(common), distinct_steps(everyone)
+    assert len(expected_common) < 10 and len(expected_everyone) < 20
+    escapes, reads = [], []
+    escapes_of = kripke._Index.escapes
+
+    def counted_escapes(self, name, good):
+        escapes.append((name, good))
+        return escapes_of(self, name, good)
+
+    class CountedFamilies(dict):
+        def get(self, name, default=None):
+            reads.append(name)
+            return super().get(name, default)
+
+    monkeypatch.setattr(kripke._Index, "escapes", counted_escapes)
+    monkeypatch.setattr(ix, "fam", CountedFamilies(ix.fam))
+    extension(m, common)
+    assert sorted(escapes) == sorted(expected_common)  # each distinct mask once
+    extension(m, everyone)
+    assert len(reads) == len(expected_everyone)
+
+
+def test_a_model_keeps_no_formula():
+    m = model_from_dict(json.loads(FIGURE.read_text()))
+    nb = kripke_to_nbhd(m)
+    f = parse_formula("E[n] p & S[m] q")
+    before = sys.getrefcount(f)
+    check(m, "w", f)
+    extension(m, f)
+    extension_nbhd(nb, f)
+    assert sys.getrefcount(f) == before
+    # a formula keeps the last index it was asked about, and no other
+    del m, nb, f
+    g = parse_formula("C[n] p | B[a;m] q")
+    gc.collect()
+    indices = lambda: sum(isinstance(x, kripke._Index) for x in gc.get_objects())
+    held = indices()
+    for seed in range(50):
+        m = random_model(states=3, agents=["a", "b"], names=["n", "m"], seed=seed)
+        check(m, "w0", g)
+    assert g._masks[0] is kripke._kripke_index(m)
+    del m
+    assert indices() == held + 1
 
 
 def test_truthresult_behaves_like_bool(fig):
@@ -715,8 +776,18 @@ def _loose_models(draw):
     )
 
 
+_FIGURE_MODEL = model_from_dict(json.loads(FIGURE.read_text()))
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=_loose_models(), f=_formulas(max_leaves=8))
+# distinct modal subterms whose operands have equal masks, which one run
+# computes once
+@example(m=_FIGURE_MODEL, f=parse_formula("E[n] p & E[n] (p & p)"))
+@example(m=_FIGURE_MODEL, f=parse_formula("S[m] !!q <-> S[m] q"))
+@example(m=_FIGURE_MODEL, f=parse_formula("D[n] p | D[n] (p & true)"))
+@example(m=_FIGURE_MODEL, f=parse_formula("C[n] p -> C[n] (p | false)"))
+@example(m=_FIGURE_MODEL, f=parse_formula("B[a;n] p & B[a;n] !!p"))
 def test_truth_matches_the_literal_definitions(m, f):
     expected = reference_extension(m, f)
     assert extension(m, f) == expected
