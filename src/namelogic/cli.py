@@ -111,8 +111,12 @@ def cmd_translate(args) -> int:
 
     data = _load_json(args.model)
     if args.to == "nbhd":
-        nbhd = neighborhood.kripke_to_nbhd(kripke.model_from_dict(data))
-        _emit(neighborhood.nbhd_to_dict(nbhd), args.pretty)
+        doc = neighborhood.nbhd_to_dict(neighborhood.kripke_to_nbhd(kripke.model_from_dict(data)))
+        try:  # never write a document the neighborhood loader refuses
+            neighborhood.nbhd_from_dict(doc)
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{args.model}: its neighborhood translation would not load: {exc}") from None
+        _emit(doc, args.pretty)
     else:
         back = neighborhood.nbhd_to_kripke(neighborhood.nbhd_from_dict(data))
         _emit(kripke.model_to_dict(back), args.pretty)

@@ -96,7 +96,6 @@ class KripkeModel:
         self.__dict__.update(  # past __setattr__, which keeps the model frozen
             states=states, agents=agents, names=names, naming=naming, valuation=valuation,
             rows=rows, order=tuple(canonical), bit={s: 1 << i for i, s in enumerate(canonical)},
-            _cache={},
         )
 
     def __setattr__(self, name: str, value) -> None:
@@ -106,6 +105,22 @@ class KripkeModel:
     def relations(self) -> Mapping[str, frozenset[Pair]]:
         """agent -> its edges as (source, target) pairs."""
         return {a: frozenset(_edges(self.order, row)) for a, row in self.rows.items()}
+
+    @cached_property
+    def _index(self) -> _Index:
+        """The model's truth sets as masks for the truth core."""
+        bit, rows = self.bit, self.rows
+        fam: dict[str, list] = {}
+        bearers: dict[Pair, int] = {}
+        for (w, n), group in self.naming.items():
+            bw = bit[w]
+            for a in group:
+                bearers[(a, n)] = bearers.get((a, n), 0) | bw
+            if group and w in self.states:
+                members = tuple(rows.get(a, _NO_ROW).get(bw, 0) for a in group)
+                fam.setdefault(n, []).append((bw, reduce(or_, members), members))
+        val = {p: reduce(or_, map(bit.__getitem__, ws), 0) for p, ws in self.valuation.items()}
+        return _Index((1 << len(self.states)) - 1, val, fam, rows, bearers, self.order)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -548,22 +563,7 @@ def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
 
 
 def _kripke_index(m: KripkeModel) -> _Index:
-    ix = m._cache.get("index")
-    if ix is not None:
-        return ix
-    bit, rows = m.bit, m.rows
-    fam: dict[str, list] = {}
-    bearers: dict[Pair, int] = {}
-    for (w, n), group in m.naming.items():
-        bw = bit[w]
-        for a in group:
-            bearers[(a, n)] = bearers.get((a, n), 0) | bw
-        if group and w in m.states:
-            members = tuple(rows.get(a, _NO_ROW).get(bw, 0) for a in group)
-            fam.setdefault(n, []).append((bw, reduce(or_, members), members))
-    val = {p: reduce(or_, map(bit.__getitem__, ws), 0) for p, ws in m.valuation.items()}
-    ix = m._cache["index"] = _Index((1 << len(m.states)) - 1, val, fam, rows, bearers, m.order)
-    return ix
+    return m._index
 
 
 def _truth(ix: _Index, f: Formula) -> tuple[int, int]:

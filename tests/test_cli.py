@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from namelogic.kripke import (
     random_model,
     validate_model,
 )
+from namelogic.neighborhood import kripke_to_nbhd, nbhd_to_dict
 
 FIGURE = str(Path(__file__).resolve().parent.parent / "figure1.json")
 
@@ -528,6 +530,24 @@ def test_translate_rejects_non_reflexive_input(capsys, tmp_path):
     assert "error:" in captured.err
 
 
+def test_translate_never_writes_a_document_its_loader_refuses(capsys, tmp_path):
+    # a naming entry at an undeclared state would become a family there
+    source = tmp_path / "ghost.json"
+    source.write_text(json.dumps({
+        "states": ["w"],
+        "agents": ["a"],
+        "names": ["n"],
+        "relations": {"a": [["w", "w"], ["w", "z"]]},
+        "naming": {"w": {"n": ["a"]}, "ghost": {"n": ["a"]}},
+        "valuation": {"p": ["w"]},
+    }))
+    code, captured = run(capsys, "translate", "--model", str(source), "--to", "nbhd")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {source}:")
+    assert "undeclared state 'ghost'" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # validate / random / algebra
 
@@ -663,6 +683,17 @@ def test_algebra_rejects_documents_without_neighborhood_families(capsys, tmp_pat
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("states", [12, 40])
+def test_algebra_on_a_large_translated_model(capsys, tmp_path, states):
+    # 12 states took seconds when laws 2 and 3 ran over every pair of subsets
+    nbhd = kripke_to_nbhd(random_model(states=states, seed=3))
+    start = time.perf_counter()
+    code, captured = run(capsys, "algebra", "--model", _write(tmp_path, nbhd_to_dict(nbhd)))
+    assert time.perf_counter() - start < 3.0
+    assert code == 0
+    assert captured.out == '{"diagnostics":[],"ok":true}\n'
 
 
 def test_algebra_flags_empty_neighborhoods(capsys, tmp_path):
