@@ -61,8 +61,7 @@ def cmd_sat(args) -> int:
 
     chi = _read_formula(args.formula)
     if args.oracle:
-        max_states, max_agents = args.bounds or (3, 2)
-        res = decision.satisfiable_bounded(chi, max_states=max_states, max_agents=max_agents)
+        res = decision.satisfiable_bounded(chi, *(args.bounds or ()))
     else:
         if args.bounds:
             raise LogicError("--bounds requires --oracle")

@@ -33,14 +33,12 @@ holds: each distinct live mask is moved once from atom order into the
 model's state order, and no pair is built.
 
 Distributed knowledge has no effective route here.  Those queries go through
-the bounded oracle, which is also used to cross-validate unsat verdicts.  It
-is one loop over tiers and lane blocks: each tier yields its candidates as
-bit lanes (every rows-and-valuation choice under one naming, or a block of
-random draws), and _run_lanes runs the query's numbering, formula._program,
-on all of a block's lanes at once.  That is a second copy of kripke's truth
-clauses, kept equal to the truth core's one-model _run by a differential
-test, so the lowest hit lane is decoded straight into a KripkeModel that is
-checked again through kripke.check and lenient validation.
+the bounded oracle, satisfiable_bounded.  It is one loop over tiers and lane
+blocks: each tier yields its candidates as a kripke._Lanes block (every
+rows-and-valuation choice under one naming, or a block of random draws),
+and kripke._run evaluates the query's numbering on all of a block's lanes
+at once.  The lowest hit lane is decoded into a KripkeModel that is checked
+again through kripke.check and lenient validation.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import and_, or_, xor
+from operator import or_
 from typing import Mapping, Optional, Sequence
 
 from . import kripke
@@ -63,7 +61,6 @@ from .formula import (
     D,
     E,
     Formula,
-    Iff,
     Implies,
     Not,
     Or,
@@ -87,7 +84,6 @@ __all__ = [
     "EliminationState",
     "SatResult",
     "axiom_suite",
-    "brute_force_sat",
     "extract_model",
     "satisfiable",
     "satisfiable_bounded",
@@ -568,123 +564,39 @@ def _agent_pool(fixed: list[str], count: int) -> list[str]:
     return pool
 
 
-def brute_force_sat(
-    chi: Formula,
-    max_states: int = 2,
-    max_agents: int = 2,
-    *,
-    exhaustive_budget: int = 200_000,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> Optional[tuple[KripkeModel, str]]:
-    """Search for a verified lenient-valid pointed model of chi within bounds.
+# A tier is enumerated while its raw configuration count stays within
+# _EXHAUSTIVE_BUDGET; a larger one draws _SAMPLES candidates from an rng
+# seeded by _SEED, the tier and the formula, in blocks of _BLOCK.
+_EXHAUSTIVE_BUDGET = 200_000
+_SAMPLES = 10_000
+_SEED = 0
+_BLOCK = 128
 
-    Handles the full language including D and B.  Small state/agent tiers are
-    enumerated exhaustively while the raw configuration count stays within
-    exhaustive_budget; larger tiers fall back to seeded random sampling, so a
-    miss within bounds is never an unsatisfiability proof.  Every hit is
-    re-verified through kripke.check before being returned.
+
+def satisfiable_bounded(chi: Formula, max_states: int = 3, max_agents: int = 2) -> SatResult:
+    """Oracle-backed satisfiability for the full language, D and B included:
+    a search for a pointed model of chi with at most max_states states and
+    max_agents agents.
+
+    Each tier of states and agents yields its candidates as kripke._Lanes
+    blocks, and kripke._run evaluates chi on a whole block at once.  Small
+    tiers are enumerated, larger ones sampled, so a miss proves nothing.  A
+    hit yields a "sat" whose model is checked again through kripke.check
+    and lenient validation; a miss yields "sat-bounded-unknown", never
+    "unsat".  The stats count subformulas in place of a closure.
     """
+    stats = {"closure_size": len(subformulas(chi)), "initial_atoms": 0, "rounds": 0}
     props, names, fixed = sorted(props_in(chi)), sorted(names_in(chi)), sorted(agents_in(chi))
-    if len(fixed) > max_agents:
-        return None
     prog = _program(chi)
     for size in range(1, max_states + 1):
         for n_agents in range(len(fixed), max_agents + 1):
             agents = _agent_pool(fixed, n_agents)
-            blocks = _tier_blocks(chi, size, n_agents, names, props, exhaustive_budget, samples, seed)
-            for ones, N, R, V in blocks:
-                truth = _run_lanes(prog, size, agents, ones, N, R, V)
-                hits = reduce(or_, truth, 0)
-                if hits:
-                    return _decode_hit(chi, agents, names, hits & -hits, truth, N, R, V)
-    return None
-
-
-# Candidates as bit lanes: lane k of every mask below is candidate k of a
-# block.  N[(w, n)][a] holds the lanes where agent a bears n at w,
-# R[a][w][v] those where v is an a-successor of w, V[p][v] those where p
-# holds at v; a slot is a list of per-state lane masks.  Every mask lies
-# within ones, the block's lanes.
-
-# sampled candidates drawn and evaluated together
-_BLOCK = 128
-
-
-def _sees(row, bad) -> int:
-    """The lanes where the successor row meets a bad state."""
-    return reduce(or_, map(and_, row, bad), 0)
-
-
-def _members_seeing(N, R, w, n, bad) -> list[int]:
-    """Per agent, the lanes where it bears n at w and sees a bad state."""
-    return [bears & _sees(R[a][w], bad) for a, bears in enumerate(N[(w, n)])]
-
-
-def _run_lanes(prog, size, agents, ones, N, R, V) -> list[int]:
-    """Per state, the lanes where prog's formula holds there: the truth
-    core's _run clause for clause, for every candidate of a block at once."""
-    states = range(size)
-    out: list[list[int]] = []
-    push = out.append
-    for cls, fields, ks in prog[0]:
-        if cls is Prop:
-            push(V[fields[0]])
-        elif cls is And:
-            push(list(map(and_, out[ks[0]], out[ks[1]])))
-        elif cls is Not:
-            push([ones ^ x for x in out[ks[0]]])
-        elif cls is Or:
-            push(list(map(or_, out[ks[0]], out[ks[1]])))
-        elif cls is Implies:
-            push([(ones ^ x) | y for x, y in zip(out[ks[0]], out[ks[1]])])
-        elif cls is Iff:
-            push([ones ^ x ^ y for x, y in zip(out[ks[0]], out[ks[1]])])
-        elif cls is Top:
-            push([ones] * size)
-        elif cls is Bot:
-            push([0] * size)
-        elif cls is E:  # no member of the group sees a bad state
-            n, bad = fields[0], [ones ^ x for x in out[ks[0]]]
-            push([ones ^ reduce(or_, _members_seeing(N, R, w, n, bad), 0) for w in states])
-        elif cls is S:  # some member of the group sees none
-            n, bad = fields[0], [ones ^ x for x in out[ks[0]]]
-            push([
-                reduce(or_, map(xor, N[(w, n)], _members_seeing(N, R, w, n, bad)), 0)
-                for w in states
-            ])
-        elif cls is D:  # a nonempty group, and what all members see is good
-            n, bad = fields[0], [ones ^ x for x in out[ks[0]]]
-            v = []
-            for w in states:
-                pooled = [ones] * size
-                for a, bears in enumerate(N[(w, n)]):
-                    pooled = [x & ((ones ^ bears) | e) for x, e in zip(pooled, R[a][w])]
-                v.append(reduce(or_, N[(w, n)], 0) & ~_sees(pooled, bad))
-            push(v)
-        elif cls is C:
-            # a path of one or more name steps out of good, by backward
-            # closure: a shortest one has at most size steps
-            n, bad = fields[0], [ones ^ x for x in out[ks[0]]]
-            step = []  # step[w][v]: the lanes with a name step from w to v
-            for w in states:
-                row = [0] * size
-                for a, bears in enumerate(N[(w, n)]):
-                    row = [x | (bears & e) for x, e in zip(row, R[a][w])]
-                step.append(row)
-            reach = [0] * size
-            for _ in states:
-                targets = list(map(or_, bad, reach))
-                grown = [_sees(row, targets) for row in step]
-                if grown == reach:
-                    break
-                reach = grown
-            push([ones ^ x for x in reach])
-        else:  # B: the agent's successors where it bears the name are good
-            a, n, good = agents.index(fields[0]), fields[1], out[ks[0]]
-            bad = [N[(v, n)][a] & (ones ^ good[v]) for v in states]
-            push([ones ^ _sees(R[a][w], bad) for w in states])
-    return out[-1]
+            for block in _tier_blocks(chi, size, agents, names, props):
+                truth = kripke._run(prog, block, block.val)[-1]
+                if truth:
+                    model, state = _decode_hit(chi, names, block, truth)
+                    return SatResult("sat", model, state, stats)
+    return SatResult("sat-bounded-unknown", None, None, stats)
 
 
 def _periodic(digits, stride, radix, lanes) -> int:
@@ -704,7 +616,8 @@ def _naming_lanes(size, props, bearers):
     """Every (rows, valuation) candidate under one naming as one lane,
     numbered in the order product visits them: the rows a-major, then the
     propositions, the last factor fastest.  bearers[a] holds the states
-    where agent a bears some name.  Returns (lanes, R, V)."""
+    where agent a bears some name.  Returns (lanes, R, V) in the layout of
+    kripke._Lanes."""
     domains = []
     for bears in bearers:
         for w in range(size):
@@ -719,21 +632,24 @@ def _naming_lanes(size, props, bearers):
     stride = lanes
     for dom in domains:
         stride //= len(dom)
-        masks.append([
+        masks.append(sum(
             _periodic([d for d, m in enumerate(dom) if (m >> v) & 1], stride, len(dom), lanes)
+            << v * lanes
             for v in range(size)
-        ])
+        ))
     R = [masks[a * size:(a + 1) * size] for a in range(len(bearers))]
     V = dict(zip(props, masks[len(bearers) * size:]))
     return lanes, R, V
 
 
 def _draw_block(rng, size, n_agents, names, props, count):
-    """count sampled candidates as lanes (N, R, V), drawn with the same rng
-    calls, in the same order, as one candidate at a time."""
+    """count sampled candidates as (N, R, V) in the layout of kripke._Lanes,
+    drawn with the same rng calls, in the same order, as one candidate at a
+    time."""
     densities = (0.15, 0.3, 0.5, 0.75)
     choice, draw, randrange = rng.choice, rng.random, rng.randrange
     N = {(w, n): [0] * n_agents for w in range(size) for n in names}
+    # the draws fill a lane mask per state, packed at the end
     R = [[[0] * size for _ in range(size)] for _ in range(n_agents)]
     V = {p: [0] * size for p in props}
     # one candidate's draws in order: who bears each name where, each edge
@@ -760,20 +676,22 @@ def _draw_block(rng, size, n_agents, names, props, count):
         for w, row in enumerate(per):
             for n in names:
                 row[w] |= N[(w, n)][a]
-    return N, R, V
+    pack = lambda masks: sum(x << v * count for v, x in enumerate(masks))
+    return N, [list(map(pack, per)) for per in R], {p: pack(masks) for p, masks in V.items()}
 
 
-def _tier_blocks(chi, size, n_agents, names, props, exhaustive_budget, samples, seed):
-    """A tier's candidates as lane blocks (ones, N, R, V), in search order.
+def _tier_blocks(chi, size, agents, names, props):
+    """A tier's candidates as kripke._Lanes blocks, in search order.
 
-    While the tier's raw configuration count is within exhaustive_budget,
+    While the tier's raw configuration count is within _EXHAUSTIVE_BUDGET,
     each naming yields one block of every rows-and-valuation choice under
     it; otherwise blocks of _BLOCK draws come from the tier's own rng, so
     draws past a hit change nothing."""
+    n_agents = len(agents)
     cells = [(w, n) for w in range(size) for n in names]
     # every naming, then every row of every agent and every valuation
     raw = (2 ** n_agents) ** len(cells) * (2 ** size) ** (size * n_agents + len(props))
-    if raw <= exhaustive_budget:
+    if raw <= _EXHAUSTIVE_BUDGET:
         for groups in product(range(2 ** n_agents), repeat=len(cells)):
             bearers = [0] * n_agents
             for (w, _), g in zip(cells, groups):
@@ -783,27 +701,28 @@ def _tier_blocks(chi, size, n_agents, names, props, exhaustive_budget, samples, 
             ones = (1 << lanes) - 1
             N = {cell: [ones * ((g >> a) & 1) for a in range(n_agents)]
                  for cell, g in zip(cells, groups)}
-            yield ones, N, R, V
+            yield kripke._Lanes(size, lanes, agents, N, R, V)
         return
-    rng = random.Random(f"{seed}/{size}/{n_agents}/{print_formula(chi)}")
-    for start in range(0, samples, _BLOCK):
-        count = min(_BLOCK, samples - start)
-        yield (1 << count) - 1, *_draw_block(rng, size, n_agents, names, props, count)
+    rng = random.Random(f"{_SEED}/{size}/{n_agents}/{print_formula(chi)}")
+    for start in range(0, _SAMPLES, _BLOCK):
+        count = min(_BLOCK, _SAMPLES - start)
+        yield kripke._Lanes(size, count, agents, *_draw_block(rng, size, n_agents, names, props, count))
 
 
-def _decode_hit(chi, agents, names, lane, truth, N, R, V) -> tuple[KripkeModel, str]:
-    """The candidate of lane, a one-bit mask, as a KripkeModel pointed at
-    the first state where chi holds in it.  _run_lanes is a second copy of
-    kripke's truth clauses, so the model is checked again through
-    kripke.check and lenient validation."""
-    states = [f"x{i}" for i in range(len(truth))]
-    on = lambda masks: [states[v] for v, m in enumerate(masks) if m & lane]
-    mask = lambda masks: sum(1 << v for v, m in enumerate(masks) if m & lane)
-    rows = {a: {1 << w: succ for w, row in enumerate(R[i]) if (succ := mask(row))}
+def _decode_hit(chi, names, block, truth) -> tuple[KripkeModel, str]:
+    """The lowest candidate of block where truth, chi's mask, holds at some
+    state, as a KripkeModel pointed at the first such state, checked again
+    through kripke.check and lenient validation."""
+    lanes = block.some(truth)
+    k, width, agents = (lanes & -lanes).bit_length() - 1, block.width, block.agents
+    states = [f"x{i}" for i in range(block.size)]
+    mask = lambda x: sum(((x >> v * width + k) & 1) << v for v in range(block.size))
+    on = lambda x: [states[v] for v in _bit_indices(mask(x))]
+    rows = {a: {1 << w: succ for w, row in enumerate(block.R[i]) if (succ := mask(row))}
             for i, a in enumerate(agents)}
-    naming = {(states[w], n): frozenset(a for a, bears in zip(agents, group) if bears & lane)
-              for (w, n), group in N.items()}
-    valuation = {p: frozenset(on(masks)) for p, masks in V.items()}
+    naming = {(states[w], n): frozenset(a for a, bears in zip(agents, group) if bears >> k & 1)
+              for (w, n), group in block.N.items()}
+    valuation = {p: frozenset(on(x)) for p, x in block.val.items()}
     model = KripkeModel._of_rows(
         frozenset(states), frozenset(agents), frozenset(names), states, rows, naming, valuation
     )
@@ -813,31 +732,6 @@ def _decode_hit(chi, agents, names, lane, truth, N, R, V) -> tuple[KripkeModel, 
     if kripke.has_errors(kripke.validate_model(model, "lenient")):
         raise LogicError("oracle produced an invalid model; generator bug")
     return model, state
-
-
-def satisfiable_bounded(
-    chi: Formula,
-    max_states: int = 3,
-    max_agents: int = 2,
-    *,
-    exhaustive_budget: int = 200_000,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> SatResult:
-    """Oracle-backed satisfiability for the full language, D and B included.
-
-    A hit yields a verified "sat"; a miss yields "sat-bounded-unknown", never
-    "unsat".  The stats count subformulas in place of a closure.
-    """
-    hit = brute_force_sat(
-        chi, max_states, max_agents,
-        exhaustive_budget=exhaustive_budget, samples=samples, seed=seed,
-    )
-    stats = {"closure_size": len(subformulas(chi)), "initial_atoms": 0, "rounds": 0}
-    if hit is None:
-        return SatResult("sat-bounded-unknown", None, None, stats)
-    model, state = hit
-    return SatResult("sat", model, state, stats)
 
 
 # ---------------------------------------------------------------------------

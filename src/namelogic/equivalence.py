@@ -42,7 +42,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import UndeclaredSymbolError
 from .formula import And, E, FALSE, Formula, Not, Or, Prop, S, TRUE
-from .kripke import KripkeModel, _bit_indices, _kripke_index, check
+from .kripke import KripkeModel, _bit_indices, check
 
 Pair = tuple[str, str]
 
@@ -71,9 +71,6 @@ class BisimRelation:
     @classmethod
     def make(cls, pairs: Iterable[Iterable[str]]) -> "BisimRelation":
         return cls(frozenset((x, y) for x, y in pairs))
-
-    def to_list(self) -> list[list[str]]:
-        return [list(p) for p in sorted(self.pairs)]
 
     def __contains__(self, pair) -> bool:
         return tuple(pair) in self.pairs
@@ -259,7 +256,7 @@ def _layout(m1: KripkeModel, m2: KripkeModel) -> _Layout:
     number, the successor masks of the agents each name picks out there.
     Raises on a named agent's successor that its model does not declare;
     what an undeclared state carries is left out."""
-    ix1, ix2, shift = _kripke_index(m1), _kripke_index(m2), len(m1.states)
+    ix1, ix2, shift = m1._index, m2._index, len(m1.states)
     names = sorted(ix1.fam.keys() | ix2.fam.keys())
     number = {n: k for k, n in enumerate(names)}
     fams: list[list] = [[] for _ in range(shift + len(m2.states))]

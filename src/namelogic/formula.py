@@ -53,8 +53,8 @@ keys on the node, with the name, proposition and agent sets that
 ``names_in``/``props_in``/``agents_in`` read and the classes of its modal
 subterms, all read off the keys in one pass.  A program holds classes,
 strings and ints only, never a formula, so it makes no reference cycle.
-``kripke._run`` and the oracle's lane evaluator run the keys as they are,
-dispatching on each key's class.  Beside its program a formula keeps, in
+``kripke._run`` runs the keys as they are, for one model or for a block
+of the oracle's candidates, dispatching on each key's class.  Beside its program a formula keeps, in
 ``_masks``, its truth masks for the last model index it was asked about,
 so asking it again on that model costs no run; an index holds no formula,
 so this makes no cycle either, and a model keeps nothing of the formulas
@@ -615,9 +615,8 @@ def print_formula(f: Formula) -> str:
 def _program(f: Formula) -> tuple:
     """f's program, (keys, names, props, agents, heads), made once and kept
     on f.  keys is f's numbering, one (class, fields, operand numbers) per
-    distinct subterm, children first and f last: kripke._run and the
-    oracle's lane evaluator run it as it is, one key per step, and
-    Formula.__eq__ compares it.  names_in, props_in and agents_in read the
+    distinct subterm, children first and f last: kripke._run runs it as
+    it is, one key per step, and Formula.__eq__ compares it.  names_in, props_in and agents_in read the
     sets; heads holds the classes of f's modal subterms.  A parsed formula
     has its program from the parser; a formula built in code is numbered on
     its first query.  A program holds only classes, strings and ints, so it

@@ -9,18 +9,19 @@ A model holds each relation as the truth clauses read it, per agent a map
 from each source's state bit to its successor mask; the pair view,
 relations, is derived from those rows on demand.
 
-Truth has one core, used by relational and neighborhood truth and frame
-validity: an _Index adds to a model's rows its truth sets as masks (per
-proposition, and per name and state the successor masks of the agents the
-name picks out), and _run folds a formula's numbering, formula._program,
-over an index with each truth clause written once.  Each modality is an
-operator on sets of states, so _run computes a modal step once per run for
-each distinct (class, fields, operand mask), however many subterms share
-it.  _truth keeps a formula's masks on the formula, for the last index it
-was asked about; a model keeps no formula.  The bounded oracle in decision
-runs the same numbering on many candidate models at once, one candidate
-per bit lane: a second copy of the truth clauses, kept equal to _run by a
-differential test.
+Truth has one core, used by relational and neighborhood truth, frame
+validity and the bounded oracle: _run folds a formula's numbering,
+formula._program, over an index of truth sets as masks.  An _Index adds to
+a model's rows its masks (per proposition, and per name and state the
+successor masks of the agents the name picks out), and its step method
+holds the modal clauses.  Each modality is an operator on sets of states,
+so _run computes a modal step once per run for each distinct (class,
+fields, operand mask), however many subterms share it.  _truth keeps a
+formula's masks on the formula, for the last index it was asked about; a
+model keeps no formula.  The oracle in decision evaluates a block of
+candidate models as one _Lanes index, one candidate per bit lane of every
+mask: its step computes the modal clauses for every lane, and the rest of
+_run is unchanged.
 """
 
 from __future__ import annotations
@@ -494,18 +495,117 @@ class _Index:
             reach |= new
         return reach
 
+    def step(self, cls, fields, good: int) -> int:
+        """The mask of the modal step cls(*fields) over an operand of mask good."""
+        full, bad = self.full, ~good
+        if cls is E:  # every member of the family is good: so is their union
+            v = full
+            for w, union, _ in self.fam.get(fields[0], ()):
+                if union & bad:
+                    v ^= w
+        elif cls is S:  # some member of the family is good
+            v = 0
+            for w, _, members in self.fam.get(fields[0], ()):
+                for succ in members:
+                    if not succ & bad:
+                        v |= w
+                        break
+        elif cls is D:  # the declared states in every member are good
+            v = 0
+            for w, _, members in self.fam.get(fields[0], ()):
+                if not reduce(and_, members, full) & bad:
+                    v |= w
+        elif cls is C:
+            v = full & ~self.escapes(fields[0], good)
+        else:  # B: the agent's successors where it bears the name are good
+            bad, v = bad & self.bearers.get(fields, 0), full  # fields: (agent, name)
+            for w, succ in self.rows.get(fields[0], _NO_ROW).items():
+                if succ & bad:
+                    v ^= w
+            v &= full  # a source outside full toggled a bit there
+        return v
 
-def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
-    """The mask of every node of a formula._program on ix, under the
-    valuation val: one step per key, (class, fields, operand numbers).
+
+class _Lanes:
+    """A block of candidate models over the states 0..size-1 as one index:
+    bit v * width + k of a mask is state v of candidate k, its lane.  So
+    full, val and every mask _run derives hold all candidates at once, and
+    step computes a modal step for each lane.
+
+    N[(w, n)]: per agent, the lanes where it bears n at w.
+    R[a][w]: the successors of w for agent a, a mask.
+    val: proposition -> mask.
+    """
+
+    __slots__ = ("size", "width", "agents", "N", "R", "val", "ones", "full", "_each")
+
+    def __init__(self, size, width, agents, N, R, val):
+        self.size, self.width, self.agents, self.N, self.R, self.val = size, width, agents, N, R, val
+        self.ones = (1 << width) - 1
+        self.full = (1 << size * width) - 1
+        # bit v * width for each state v: times a lane mask, those lanes at every state
+        self._each = sum(1 << v * width for v in range(size))
+
+    def some(self, x: int) -> int:
+        """The lanes where x holds at some state."""
+        lanes = 0
+        while x:
+            lanes |= x
+            x >>= self.width
+        return lanes & self.ones
+
+    def step(self, cls, fields, good: int) -> int:
+        """_Index.step for every lane: the same clauses, a state at a time."""
+        full, ones, some, W = self.full, self.ones, self.some, self.width
+        bad, states = full ^ good, range(self.size)
+        if cls is B:  # the agent's successors where it bears the name are good
+            a, n = self.agents.index(fields[0]), fields[1]
+            bad &= sum(self.N[(v, n)][a] << v * W for v in states)
+            return full ^ sum(some(self.R[a][w] & bad) << w * W for w in states)
+        # per state, the lanes where each agent bears the name, and its successors
+        groups = [[(bears, self.R[a][w]) for a, bears in enumerate(self.N[(w, fields[0])]) if bears]
+                  for w in states]
+        if cls is C:
+            # a path of one or more name steps out of good, by backward
+            # closure: a shortest one has at most size steps
+            succ = [reduce(or_, (bears * self._each & row for bears, row in group), 0)
+                    for group in groups]
+            reach = 0
+            for _ in states:
+                grown = sum(some(row & (bad | reach)) << w * W for w, row in enumerate(succ))
+                if grown == reach:
+                    break
+                reach = grown
+            return full ^ reach
+        v = 0
+        for w, group in enumerate(groups):
+            if cls is D:  # a nonempty group, and what all members see is good
+                pooled = full
+                for bears, row in group:
+                    pooled &= (ones ^ bears) * self._each | row
+                lanes = reduce(or_, (bears for bears, _ in group), 0) & ~some(pooled & bad)
+            else:
+                seeing = [(bears, bears & some(row & bad)) for bears, row in group]
+                if cls is E:  # no member sees a bad state
+                    lanes = ones ^ reduce(or_, (seen for _, seen in seeing), 0)
+                else:  # S: some member sees none
+                    lanes = reduce(or_, (bears ^ seen for bears, seen in seeing), 0)
+            v |= lanes << w * W
+        return v
+
+
+def _run(prog: tuple, ix, val: Mapping[str, int]) -> list[int]:
+    """The mask of every node of a formula._program on ix, an _Index or a
+    _Lanes block, under the valuation val: one step per key, (class,
+    fields, operand numbers).
 
     A modality is an operator on sets of states, so a modal step's mask
-    depends only on its class, its fields and its operand's mask.  Each
-    distinct (class, fields, operand mask) is computed once per run and
-    looked up after: E[n] p beside E[n] (p & p) costs one step, and a chain
-    C[n] C[n] ... p costs one per distinct mask, which on a finite model
-    soon repeat.  The memo lives for the run only."""
-    full = ix.full
+    depends only on its class, its fields and its operand's mask, and ix.step
+    computes it.  Each distinct (class, fields, operand mask) is computed
+    once per run and looked up after: E[n] p beside E[n] (p & p) costs one
+    step, and a chain C[n] C[n] ... p costs one per distinct mask, which on
+    a finite model soon repeat.  The memo lives for the run only."""
+    full, step = ix.full, ix.step
     out: list[int] = []
     push = out.append
     memo: dict[tuple, int] = {}
@@ -529,41 +629,12 @@ def _run(prog: tuple, ix: _Index, val: Mapping[str, int]) -> list[int]:
             push(0)
         else:  # a modal step
             good = out[ks[0]]
-            step = (cls, fields, good)
-            v = memo.get(step)
+            key = (cls, fields, good)
+            v = memo.get(key)
             if v is None:
-                if cls is E:  # every member of the family is good: so is their union
-                    bad, v = ~good, full
-                    for w, union, _ in ix.fam.get(fields[0], ()):
-                        if union & bad:
-                            v ^= w
-                elif cls is S:  # some member of the family is good
-                    bad, v = ~good, 0
-                    for w, _, members in ix.fam.get(fields[0], ()):
-                        for succ in members:
-                            if not succ & bad:
-                                v |= w
-                                break
-                elif cls is D:  # the declared states in every member are good
-                    bad, v = ~good, 0
-                    for w, _, members in ix.fam.get(fields[0], ()):
-                        if not reduce(and_, members, full) & bad:
-                            v |= w
-                elif cls is C:
-                    v = full & ~ix.escapes(fields[0], good)
-                else:  # B: the agent's successors where it bears the name are good
-                    bad, v = ~good & ix.bearers.get(fields, 0), full  # fields: (agent, name)
-                    for w, succ in ix.rows.get(fields[0], _NO_ROW).items():
-                        if succ & bad:
-                            v ^= w
-                    v &= full  # a source outside full toggled a bit there
-                memo[step] = v
+                v = memo[key] = step(cls, fields, good)
             push(v)
     return out
-
-
-def _kripke_index(m: KripkeModel) -> _Index:
-    return m._index
 
 
 def _truth(ix: _Index, f: Formula) -> tuple[int, int]:
@@ -591,7 +662,7 @@ def _truth(ix: _Index, f: Formula) -> tuple[int, int]:
 def extension(m: KripkeModel, f: Formula) -> frozenset[str]:
     """All states of m at which f holds."""
     _require_symbols(f, m.names, m.valuation.keys(), m.agents)
-    ix = _kripke_index(m)
+    ix = m._index
     return ix.states_of(_truth(ix, f)[0])
 
 
@@ -639,7 +710,7 @@ def check(m: KripkeModel, w: str, f: Formula) -> TruthResult:
     if w not in m.states:
         raise UndeclaredSymbolError(f"undeclared state {w!r}")
     _require_symbols(f, m.names, m.valuation.keys(), m.agents)
-    ix = _kripke_index(m)
+    ix = m._index
     mask, operand = _truth(ix, f)
     value = bool(mask & m.bit[w])
     return TruthResult(value, _witness(m, ix, w, f, value, operand))
@@ -680,7 +751,7 @@ def frame_valid(m: KripkeModel, f: Formula, max_bits: int = 16) -> bool:
         )
     _require_symbols(f, names=m.names, agents=m.agents)
     prog = _program(f)
-    ix = _kripke_index(m)
+    ix = m._index
     # the declared states hold the low bits, so their subsets are 0..full
     for choice in product(range(ix.full + 1), repeat=len(props)):
         if _run(prog, ix, dict(zip(props, choice)))[-1] != ix.full:

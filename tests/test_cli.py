@@ -304,6 +304,23 @@ def test_sat_oracle_miss_is_a_negative_verdict(capsys):
     assert payload["verdict"] == "sat-bounded-unknown"
 
 
+def test_sat_oracle_on_a_known_miss_at_wide_bounds(capsys):
+    # unsatisfiable, so every tier runs: the ones of 3 and 4 states are sampled
+    start = time.perf_counter()
+    code, captured = run(
+        capsys, "sat", "--oracle", "--bounds", "4,3", "--formula", "E[n] p & !D[n] p & S[n] true"
+    )
+    assert time.perf_counter() - start < 20.0
+    assert code == 1
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {
+        "verdict": "sat-bounded-unknown",
+        "model": None,
+        "state": None,
+        "stats": {"closure_size": 8, "initial_atoms": 0, "rounds": 0},
+    }
+
+
 def test_sat_bounds_require_the_oracle(capsys):
     code, captured = run(capsys, "sat", "--formula", "p", "--bounds", "2,2")
     assert code == 2

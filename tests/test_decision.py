@@ -49,10 +49,8 @@ from namelogic.decision import (
     _enumerate_atoms,
     _Layout,
     _naming_lanes,
-    _run_lanes,
     _Solver,
     axiom_suite,
-    brute_force_sat,
     extract_model,
     satisfiable,
     satisfiable_bounded,
@@ -140,10 +138,9 @@ NEGATIVE_CONTROLS = [
 def test_negative_controls_have_countermodels(text):
     chi = parse_formula(text)
     assert not valid(chi)
-    hit = brute_force_sat(Not(chi), max_states=2, max_agents=2)
-    assert hit is not None
-    m, w = hit
-    assert check(m, w, Not(chi)).value is True
+    hit = satisfiable_bounded(Not(chi), max_states=2, max_agents=2)
+    assert hit.verdict == "sat"
+    assert check(hit.model, hit.state, Not(chi)).value is True
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +201,10 @@ def test_extract_model_guards_the_verdict():
 
 
 def test_oracle_hit_that_fails_its_check_raises(monkeypatch):
-    # lanes that claim every candidate satisfies a contradiction
-    monkeypatch.setattr(
-        decision, "_run_lanes", lambda prog, size, agents, ones, N, R, V: [ones] * size
-    )
+    # modal steps that claim every candidate satisfies S[n] p at every state
+    monkeypatch.setattr(kripke._Lanes, "step", lambda self, cls, fields, good: self.full)
     with pytest.raises(LogicError, match="oracle hit failed re-verification"):
-        brute_force_sat(parse_formula("p & !p"))
+        satisfiable_bounded(parse_formula("S[n] p & !p"))
 
 
 def test_sat_verdict_that_fails_its_check_raises(monkeypatch):
@@ -285,29 +280,28 @@ def test_filtration_rejects_pooled_and_personal_modalities():
 def test_pooling_without_a_single_knower_needs_three_states():
     chi = parse_formula("D[n](p & q) & !S[n](p & q)")
     # at two states every named agent's own loop already pools too much
-    assert brute_force_sat(chi, max_states=2, max_agents=2) is None
-    hit = brute_force_sat(chi, max_states=3, max_agents=2)
-    assert hit is not None
-    m, w = hit
-    assert len(m.states) == 3
-    assert check(m, w, chi).value is True
+    assert satisfiable_bounded(chi, max_states=2, max_agents=2).verdict == "sat-bounded-unknown"
+    hit = satisfiable_bounded(chi, max_states=3, max_agents=2)
+    assert hit.verdict == "sat"
+    assert len(hit.model.states) == 3
+    assert check(hit.model, hit.state, chi).value is True
 
 
 def test_bounded_search_respects_factivity():
-    assert brute_force_sat(parse_formula("S[n] p & !p")) is None
+    res = satisfiable_bounded(parse_formula("S[n] p & !p"), max_states=2, max_agents=2)
+    assert res.verdict == "sat-bounded-unknown"
 
 
 def test_bounded_search_finds_single_state_models():
-    hit = brute_force_sat(Prop("p"), max_states=1, max_agents=1)
-    assert hit is not None
-    m, w = hit
-    assert len(m.states) == 1
-    assert check(m, w, Prop("p")).value is True
+    hit = satisfiable_bounded(Prop("p"), max_states=1, max_agents=1)
+    assert hit.verdict == "sat"
+    assert len(hit.model.states) == 1
+    assert check(hit.model, hit.state, Prop("p")).value is True
 
 
 def test_bounded_search_skips_oversized_agent_sets():
     chi = parse_formula("B[a;n] p & B[b;n] p & B[c;n] p")
-    assert brute_force_sat(chi, max_states=1, max_agents=2) is None
+    assert satisfiable_bounded(chi, max_states=1, max_agents=2).verdict == "sat-bounded-unknown"
 
 
 def test_bounded_verdicts():
@@ -330,9 +324,9 @@ def test_bounded_handles_personal_knowledge():
 
 def test_bounded_search_is_deterministic():
     chi = parse_formula("D[n](p & q) & !S[n](p & q)")
-    first = brute_force_sat(chi, max_states=3, max_agents=2, seed=7)
-    second = brute_force_sat(chi, max_states=3, max_agents=2, seed=7)
-    assert first[0] == second[0] and first[1] == second[1]
+    first = satisfiable_bounded(chi, max_states=3, max_agents=2)
+    second = satisfiable_bounded(chi, max_states=3, max_agents=2)
+    assert first.model == second.model and first.state == second.state
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +461,12 @@ def _lane(masks, k):
     return sum(((m >> k) & 1) << i for i, m in enumerate(masks))
 
 
+def _per_state(mask, width, size):
+    """A mask of kripke._Lanes, bit v * width + k for state v of lane k, as
+    its per-state lane masks."""
+    return [(mask >> v * width) & ((1 << width) - 1) for v in range(size)]
+
+
 def _assert_lanes_match(chi, size, agents, names, props, candidates, truth):
     """Every lane of truth, hit or not, equals one _run of the reference
     index of its candidate (mu, rows, val); each hit's states are
@@ -508,7 +508,8 @@ def _exhaustive_lanes_match(chi, size, agents, names, props, groups):
     ones = (1 << lanes) - 1
     N = {cell: [ones * ((g >> a) & 1) for a in range(len(agents))]
          for cell, g in zip(cells, groups)}
-    truth = _run_lanes(formula._program(chi), size, agents, ones, N, R, V)
+    block = kripke._Lanes(size, lanes, agents, N, R, V)
+    truth = _per_state(kripke._run(formula._program(chi), block, V)[-1], lanes, size)
     candidates = list(_naming_candidates(size, len(agents), props, mu))
     assert len(candidates) == lanes
     _assert_lanes_match(chi, size, agents, names, props, candidates, truth)
@@ -530,7 +531,6 @@ def test_exhaustive_lanes_match_one_candidate_at_a_time(case, size, data):
 def test_sampled_lanes_match_one_candidate_at_a_time(case, seed):
     chi, agents, names, props = case
     N, R, V = _draw_block(random.Random(seed), 3, len(agents), names, props, _BLOCK)
-    ones = (1 << _BLOCK) - 1
     rng = random.Random(seed)
     candidates = [reference_draw(rng, 3, len(agents), names, props) for _ in range(_BLOCK)]
     # the block holds the candidates drawn one at a time from the same seed
@@ -538,9 +538,10 @@ def test_sampled_lanes_match_one_candidate_at_a_time(case, seed):
         assert {cell: _lane(group, k) for cell, group in N.items()} == {
             cell: sum(1 << a for a in group) for cell, group in mu.items()
         }
-        assert [[_lane(row, k) for row in per] for per in R] == rows
-        assert {p: _lane(V[p], k) for p in props} == val
-    truth = _run_lanes(formula._program(chi), 3, agents, ones, N, R, V)
+        assert [[_lane(_per_state(row, _BLOCK, 3), k) for row in per] for per in R] == rows
+        assert {p: _lane(_per_state(V[p], _BLOCK, 3), k) for p in props} == val
+    block = kripke._Lanes(3, _BLOCK, agents, N, R, V)
+    truth = _per_state(kripke._run(formula._program(chi), block, V)[-1], _BLOCK, 3)
     _assert_lanes_match(chi, 3, agents, names, props, candidates, truth)
 
 
@@ -569,9 +570,9 @@ def test_common_knowledge_lanes_follow_paths_of_every_length():
 def test_procedure_agrees_with_bounded_search():
     for chi in capped_corpus(seed=90, count=25, depth=3):
         res = satisfiable(chi)
-        hit = brute_force_sat(chi, max_states=3, max_agents=2, samples=2000)
+        hit = satisfiable_bounded(chi, max_states=3, max_agents=2)
         if res.verdict == "unsat":
-            assert hit is None, print_formula(chi)
+            assert hit.verdict == "sat-bounded-unknown", print_formula(chi)
         else:
             assert check(res.model, res.state, chi).value is True, print_formula(chi)
 

@@ -67,7 +67,7 @@ from namelogic.kripke import (
 )
 from namelogic import kripke
 from namelogic.formula import _program
-from namelogic.decision import brute_force_sat, satisfiable, valid
+from namelogic.decision import satisfiable, satisfiable_bounded, valid
 from namelogic.equivalence import bisimilar, distinguishing_formula
 from namelogic.neighborhood import extension_nbhd, kripke_to_nbhd, nbhd_to_kripke
 
@@ -364,7 +364,7 @@ def test_a_run_computes_each_modal_step_once(monkeypatch):
     # a modal step's mask depends on its head, fields and operand mask
     # only; on four states a 500-level chain repeats its masks early
     m = model_from_dict(json.loads(FIGURE.read_text()))
-    ix = kripke._kripke_index(m)
+    ix = m._index
     common = parse_formula("C[n] " * 500 + "p")
     everyone = parse_formula("".join(f"E[{'nm'[i % 2]}] " for i in range(500)) + "p")
 
@@ -413,7 +413,7 @@ def test_a_model_keeps_no_formula():
     for seed in range(50):
         m = random_model(states=3, agents=["a", "b"], names=["n", "m"], seed=seed)
         check(m, "w0", g)
-    assert g._masks[0] is kripke._kripke_index(m)
+    assert g._masks[0] is m._index
     del m
     assert indices() == held + 1
 
@@ -491,7 +491,7 @@ def _models_built_from_rows():
     """Models that the decision procedure, the bounded oracle and the
     neighborhood translation build from masks, with no pair in between."""
     sat = satisfiable(parse_formula("S[n] p & !E[n] p & C[m] (q | S[n] !p)"))
-    hit, _ = brute_force_sat(parse_formula("!(D[n] p -> E[n] p)"), 2, 2)
+    hit = satisfiable_bounded(parse_formula("!(D[n] p -> E[n] p)"), 2, 2).model
     nbhd = nbhd_to_kripke(kripke_to_nbhd(random_model(states=5, seed=3)))
     return sat.model, hit, nbhd
 
@@ -538,7 +538,7 @@ def test_query_paths_derive_no_pairs(monkeypatch, fig):
         assert satisfiable(parse_formula(text)).verdict == "sat"
     assert valid(parse_formula("S[n] q -> q"))
     assert not valid(parse_formula("p -> E[n] p"))
-    assert brute_force_sat(parse_formula("!(D[n] p -> E[n] p)"), 2, 2) is not None
+    assert satisfiable_bounded(parse_formula("!(D[n] p -> E[n] p)"), 2, 2).verdict == "sat"
     m = model_from_dict(json.loads(FIGURE.read_text()))
     for text in ("S[n] p", "E[n] p", "C[m] !q", "D[n] p", "B[a;n] p"):
         f = parse_formula(text)
