@@ -15,7 +15,12 @@ from typing import Any, Optional
 # command does not load the others.
 from . import kripke
 from .errors import LogicError, ModelFormatError
-from .formula import Not, parse_formula, print_formula
+from .formula import _CLASSES, Not, _program, _root, _text_length, parse_formula, print_formula
+
+# A distinguisher whose text would be longer than this many characters is
+# printed as its numbered DAG: a formula's text can grow exponentially with
+# its number of distinct subterms.
+_TEXT_CAP = 1_000_000
 
 
 def _emit(payload: Any, pretty: bool) -> None:
@@ -90,17 +95,26 @@ def cmd_bisim(args) -> int:
         if f is None:
             payload["distinguisher"] = None
         else:
-            # never print an unchecked separator: the text is read back,
-            # since a proposition named true prints as the constant, and
-            # checked in the union, which declares both vocabularies
-            text = print_formula(f)
-            g = parse_formula(text)
+            # never print an unchecked separator: what is printed is read
+            # back, the text by the parser, since a proposition named true
+            # prints as the constant, the DAG by the constructor the parser
+            # ends in, and checked in the union, which declares both
+            # vocabularies
+            keys = _program(f)[0]  # kept on f, so the printer numbers f no more
+            if _text_length(keys) <= _TEXT_CAP:
+                shown = print_formula(f)
+                g, what = parse_formula(shown), repr(shown)
+            else:  # each key's class name, string fields and operand numbers, children first
+                nodes = [[cls.__name__, list(fields), list(ks)] for cls, fields, ks in keys]
+                shown = {"form": "dag", "nodes": nodes}
+                g = _root([(_CLASSES[name], tuple(fields), tuple(ks)) for name, fields, ks in nodes])
+                what = f"DAG of {len(nodes)} nodes"
             u = kripke.disjoint_union([m1, m2])
             here = kripke.check(u, f"0:{args.state1}", g).value
             there = kripke.check(u, f"1:{args.state2}", g).value
             if not here or there:
-                raise LogicError(f"distinguisher {text!r} does not separate the two points")
-            payload["distinguisher"] = text
+                raise LogicError(f"distinguisher {what} does not separate the two points")
+            payload["distinguisher"] = shown
     _emit(payload, args.pretty)
     return 0 if same else 1
 

@@ -183,27 +183,27 @@ class _Layout:
             sub.append(mask)
 
         order = sorted(
-            (k for k, g in enumerate(nodes) if not isinstance(g, Not)),
+            (k for k, key in enumerate(keys) if key[0] is not Not),
             key=lambda k: (sub[k].bit_count(), text[k]),
         )
         rank = {k: i for i, k in enumerate(order)}
         lit: list[tuple[int, bool]] = []
-        for k, g in enumerate(nodes):
-            if isinstance(g, Not):
-                i, want = lit[keys[k][2][0]]
+        for k, (cls, _, ks) in enumerate(keys):
+            if cls is Not:
+                i, want = lit[ks[0]]
                 lit.append((i, not want))
             else:
                 lit.append((rank[k], True))
         self.positives = tuple(nodes[k] for k in order)
         self.texts = tuple(text[k] for k in order)
-        self.prop_bits = {g.name: i for i, g in enumerate(self.positives) if isinstance(g, Prop)}
+        self.prop_bits = {keys[k][1][0]: i for i, k in enumerate(order) if keys[k][0] is Prop}
         self.chi_lit = lit[cl.root]
 
         # the positive index of the member cls(name, operand number), and
         # the numbers of true and false, members whenever a name occurs
-        heads = {(type(g), g.name, keys[k][2][0]): rank[k]
-                 for k, g in enumerate(nodes) if isinstance(g, (E, S, C))}
-        const = {g.__class__: k for k, g in enumerate(nodes) if isinstance(g, (Top, Bot))}
+        heads = {(cls, fields[0], ks[0]): rank[k]
+                 for k, (cls, fields, ks) in enumerate(keys) if cls is E or cls is S or cls is C}
+        const = {cls: k for k, (cls, _, _) in enumerate(keys) if cls is Top or cls is Bot}
 
         self.s_of: dict[str, list[tuple[int, tuple[int, bool], str]]] = {n: [] for n in self.names}
         self.e_of: dict[str, list[tuple[int, tuple[int, bool]]]] = {n: [] for n in self.names}
@@ -212,30 +212,24 @@ class _Layout:
         c_to_e: dict[int, tuple[int, int]] = {}
         kinds: list[tuple] = []
         for i, k in enumerate(order):
-            ks = keys[k][2]
-            match nodes[k]:
-                case Top():
-                    kinds.append(("const", True))
-                case Bot():
-                    kinds.append(("const", False))
-                case And():
-                    kinds.append(("and", lit[ks[0]], lit[ks[1]]))
-                case E(n):
-                    a = ks[0]
+            cls, fields, ks = keys[k]
+            if cls is Top or cls is Bot:
+                kinds.append(("const", cls is Top))
+            elif cls is And:
+                kinds.append(("and", lit[ks[0]], lit[ks[1]]))
+            else:
+                if cls is E:
+                    n, a = fields[0], ks[0]
                     self.e_of[n].append((i, lit[a]))
                     e_to_s[i] = heads[(S, n, a)]
-                    kinds.append(("free",))
-                case S(n):
-                    a = ks[0]
+                elif cls is S:
+                    n, a = fields[0], ks[0]
                     self.s_of[n].append((i, lit[a], text[a]))
-                    kinds.append(("free",))
-                case C(n):
-                    a = ks[0]
+                elif cls is C:
+                    n, a = fields[0], ks[0]
                     self.c_of[n].append((i, lit[a]))
                     c_to_e[i] = (heads[(E, n, a)], heads[(E, n, k)])
-                    kinds.append(("free",))
-                case _:
-                    kinds.append(("free",))
+                kinds.append(("free",))
         self.kinds = tuple(kinds)
 
         # Coherence rules, compiled to implications over positive indices:

@@ -19,7 +19,8 @@ once, in ``__init__``: the hash of the tuple of its string fields and its
 operands' ``_hash`` ints, read off their slots, mixed with a constant of its
 class, so that nodes of different classes over the same fields (``E[n] f``
 and ``S[n] f``) hash apart.  Building a node calls no Python-level
-``__hash__``, and a memo lookup never re-hashes the subtree.
+``__hash__``, and a memo lookup never re-hashes the subtree.  A parsed
+root gets the same value on first read, folded over its keys (below).
 
 A formula is a DAG: equal subterms may be one shared node.  A numbering
 lists the distinct subterms of one or more roots children first, and one
@@ -35,18 +36,26 @@ runs in C and never recurses.  A formula compares by its program's keys
 when it carries one, else by a fresh numbering that is not kept.
 
 The parser is one loop over the tokens, its pending operators and operands
-on explicit stacks, and numbers a text as it builds it, so equal subterms
-of one text are one node, and the parsed formula comes with its keys kept,
-the same list ``_numbering`` would make; ``_numbering`` numbers formulas
-built in code, reading each node once by its id.  Printing, ``repr``,
-``modal_depth`` and the truth core are folds over the keys, and each meets
-a shared subterm once; nothing here recurses, so no depth of nesting is too
-deep to read, print, compare or evaluate.  ``desugar`` writes its result
-into a table, building a node only for a subterm the table has not met, so
+on explicit stacks, and writes keys only: a text is numbered as it is read,
+and no node is built for its subterms.  The parsed formula is its root,
+made by ``_root`` from the key list with its string fields and the keys,
+kept as its program, the same list ``_numbering`` would make.  Its
+operands and ``_hash`` are left unset, and ``Formula.__getattr__`` fills
+them on first read: the hash folded over the keys, the operands built from
+the keys in one loop (``_unfold``), one node per key, so equal subterms of
+one text are one node.  Pickling and copying go through ``_root`` too.
+``_numbering`` numbers formulas built in code, reading each node once by
+its id, and numbers a parsed root it meets from the root's keys, taking
+its nodes from that one build.  Printing, ``repr``, ``modal_depth`` and
+the truth core are folds over the keys, and each meets a shared subterm
+once; nothing here recurses, so no depth of nesting is too deep to read,
+print, compare or evaluate.  ``desugar`` writes its result into a table,
+keeping a node of its input where the result leaves it as it was, so
 equal subterms of the result are one node when those of its input are.
 ``closure`` grows that same table by the seeds and every member its rules
-add, each after its operands, and the decision procedure's layout reads
-the nodes and keys as they are, so a query is numbered once.
+add, each after its operands, and builds the nodes once at the end; the
+decision procedure's layout reads the nodes and keys as they are, so a
+query is numbered once.
 
 A formula asked about in a model is numbered once: ``_program`` keeps its
 keys on the node, with the name, proposition and agent sets that
@@ -76,9 +85,27 @@ from .errors import ParseError, UnsupportedFragmentError
 class Formula:
     """Base class for all formula nodes. Instances are immutable."""
 
-    # _prog stays unset until _program fills it, _masks until kripke._truth does
+    # _prog stays unset until _program fills it, _masks until kripke._truth
+    # does; a parsed root leaves _hash and its operands unset too
     __slots__ = ("_hash", "_prog", "_masks")
     __match_args__: tuple[str, ...] = ()
+    # the slot descriptors of the string fields and of the operands
+    _field_slots: tuple = ()
+    _operand_slots: tuple = ()
+
+    def __getattr__(self, name: str):
+        """Runs only for an unset slot.  A parsed root, made by _root with
+        its string fields and program alone, gets its _hash folded over the
+        program's keys on first read, and its operands, all built at once,
+        on the first read of one.  Any other name raises at once."""
+        if name == "_hash":
+            h = _hash_of(self._prog[0])
+            _set_hash(self, h)
+            return h
+        if name in _OPERAND_NAMES and name in self.__match_args__:
+            _unfold(self)
+            return object.__getattribute__(self, name)
+        raise AttributeError(f"{self.__class__.__qualname__!r} object has no attribute {name!r}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -99,7 +126,9 @@ class Formula:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+        # the flat key list, so no depth of nesting makes pickle or
+        # deepcopy recurse
+        return _root, (_keys(self),)
 
     def __repr__(self) -> str:
         """Class(field=value, ...), with the operands spelled out.  The
@@ -121,6 +150,9 @@ class Formula:
         return print_formula(self)
 
     def _kids(self) -> tuple[Formula, ...]:
+        """The operands, read through their slots: on a parsed root whose
+        operands are not built yet this raises AttributeError, and builds
+        nothing."""
         return ()
 
     def _fields(self) -> tuple[str, ...]:
@@ -129,6 +161,8 @@ class Formula:
 
 # The longest Formula.__repr__ written out in full, in characters.
 _REPR_CAP = 10_000
+
+_OPERAND_NAMES = frozenset(["arg", "left", "right"])
 
 # Slot setters: __setattr__ refuses every assignment, so constructors write
 # through the slot descriptors directly.
@@ -179,10 +213,12 @@ class Not(Formula):
         _set_hash(self, hash((arg._hash,)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
-        return (self.arg,)
+        return (_get_not_arg(self),)
 
 
 _set_not_arg = Not.arg.__set__
+_get_not_arg = Not.arg.__get__
+Not._operand_slots = (Not.arg,)
 
 
 class _Binary(Formula):
@@ -195,11 +231,14 @@ class _Binary(Formula):
         _set_hash(self, hash((left._hash, right._hash)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
-        return (self.left, self.right)
+        return (_get_left(self), _get_right(self))
 
 
 _set_left = _Binary.left.__set__
 _set_right = _Binary.right.__set__
+_get_left = _Binary.left.__get__
+_get_right = _Binary.right.__get__
+_Binary._operand_slots = (_Binary.left, _Binary.right)
 
 
 class And(_Binary):
@@ -228,7 +267,7 @@ class _Modal(Formula):
         _set_hash(self, hash((name, arg._hash)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
-        return (self.arg,)
+        return (_get_modal_arg(self),)
 
     def _fields(self) -> tuple[str, ...]:
         return (self.name,)
@@ -236,6 +275,9 @@ class _Modal(Formula):
 
 _set_modal_name = _Modal.name.__set__
 _set_modal_arg = _Modal.arg.__set__
+_get_modal_arg = _Modal.arg.__get__
+_Modal._field_slots = (_Modal.name,)
+_Modal._operand_slots = (_Modal.arg,)
 
 
 class E(_Modal):
@@ -265,7 +307,7 @@ class B(Formula):
         _set_hash(self, hash((agent, name, arg._hash)) ^ self._salt)
 
     def _kids(self) -> tuple[Formula, ...]:
-        return (self.arg,)
+        return (_get_b_arg(self),)
 
     def _fields(self) -> tuple[str, ...]:
         return (self.agent, self.name)
@@ -274,12 +316,18 @@ class B(Formula):
 _set_b_agent = B.agent.__set__
 _set_b_name = B.name.__set__
 _set_b_arg = B.arg.__set__
+_get_b_arg = B.arg.__get__
+B._field_slots = (B.agent, B.name)
+B._operand_slots = (B.arg,)
 
+
+# Every node class by name, the name a numbered DAG gives each key's class.
+_CLASSES = {cls.__name__: cls for cls in (Prop, Top, Bot, Not, And, Or, Implies, Iff, E, S, C, D, B)}
 
 # Each class's own constant, mixed into every node's hash: E[n] a and
 # S[n] a, And and Or over the same operands, true and false, would share a
 # hash otherwise, and every closure holds S[n] a beside E[n] a.
-for _salt, _cls in enumerate((Prop, Top, Bot, Not, And, Or, Implies, Iff, E, S, C, D, B), 1):
+for _salt, _cls in enumerate(_CLASSES.values(), 1):
     _cls._salt = _salt
 del _salt, _cls
 
@@ -334,9 +382,11 @@ def parse_formula(text: str) -> Formula:
     makes it recurse.  A prefix operator applies when its operand is
     complete, and a connective once its right operand is followed by a
     connective that binds no tighter, a closing parenthesis or the end.
-    Each node is numbered in a _Table as it is built, after its operands,
-    so equal subterms of the text are one node, and the formula comes with
-    its keys kept as its program, the list _numbering would make."""
+    Each subterm is numbered in a _Table as it is read, after its
+    operands, and only its key is kept: no node is built for it.  The
+    formula returned is the root that _root makes from the keys, which it
+    keeps as its program, the list _numbering would make; its operands are
+    built on first read, equal subterms of the text as one node."""
     tokens = _TOKEN.findall(text)
     tokens.append("")  # the end of input
     table = _Table()
@@ -379,9 +429,9 @@ def parse_formula(text: str) -> Formula:
             i += 1
             continue
         if t == "true":
-            k = node(Top, (), (), TRUE)
+            k = node(Top, (), ())
         elif t == "false":
-            k = node(Bot, (), (), FALSE)
+            k = node(Bot, (), ())
         elif c.islower():
             k = node(Prop, (t,), ())
         else:
@@ -408,10 +458,8 @@ def parse_formula(text: str) -> Formula:
             while ops[-1] is not _GROUP:
                 k = node(ops.pop()[1], (), (lefts.pop(), k))
             if not depth:
-                # the root is built last: no proper subterm equals it
-                f = table.nodes[-1]
-                _keep(table)
-                return f
+                # the root is numbered last: no proper subterm equals it
+                return _root(table.keys)
             ops.pop()
             depth -= 1
 
@@ -447,78 +495,39 @@ def walk(f: Formula) -> Iterator[Formula]:
     while stack:
         g = stack.pop()
         yield g
-        stack.extend(g._kids())
+        try:
+            kids = g._kids()
+        except AttributeError:  # a parsed root: build its operands
+            _unfold(g)
+            kids = g._kids()
+        stack.extend(kids)
 
 
 class _Table:
-    """A numbering under construction: nodes[k] is the node numbered k and
-    keys[k] its key, (class, string fields, operand numbers left first),
-    each number given after its operands'.  A subterm is known by its key,
-    so equal subterms get one number and no two formulas are ever
-    compared.  The keys alone are the numbered formula: Formula.__eq__,
-    the printer, the folds and the truth core read nothing else.  The
+    """A numbering under construction: keys[k] is the key of the subterm
+    numbered k, (class, string fields, operand numbers left first), each
+    number given after its operands'.  A subterm is known by its key, so
+    equal subterms get one number and no two formulas are ever compared.
+    The keys alone are the numbered formula: Formula.__eq__, the printer,
+    the folds and the truth core read nothing else, so the table builds no
+    node; _build makes the nodes of a numbering that needs them.  The
     table lives for one numbering; there is no global one."""
 
-    __slots__ = ("nodes", "keys", "slot")
+    __slots__ = ("keys", "slot")
 
     def __init__(self):
-        self.nodes: list[Formula] = []
         self.keys: list[tuple] = []
         self.slot: dict[tuple, int] = {}
 
-    def node(self, cls: type, fields: tuple, ks: tuple[int, ...], g: Formula | None = None) -> int:
-        """The number of cls(*fields, *operands numbered ks).  On a miss
-        that node is numbered: g if given (it must be such a node), else
-        one built from the numbered operands."""
+    def node(self, cls: type, fields: tuple, ks: tuple[int, ...]) -> int:
+        """The number of cls(*fields, *operands numbered ks), numbered on a
+        miss."""
         key = (cls, fields, ks)
         k = self.slot.get(key)
         if k is None:
-            nodes = self.nodes
-            k = self.slot[key] = len(nodes)
-            if g is None:  # only a binary connective has two operands, and no fields
-                if len(ks) == 2:
-                    g = cls(nodes[ks[0]], nodes[ks[1]])
-                elif ks:
-                    g = cls(*fields, nodes[ks[0]])
-                else:
-                    g = cls(*fields)
-            nodes.append(g)
+            k = self.slot[key] = len(self.keys)
             self.keys.append(key)
         return k
-
-    def add(self, *roots: Formula) -> tuple[list[Formula], list[tuple]]:
-        """Number the subterms of the roots, children first, each left
-        operand before the right and the roots in the order given, and
-        return nodes and keys.  A node read once is known by its id for the
-        rest of the walk, so a shared subterm is met once however often it
-        occurs.  A node has one operand or two, each read by one lookup."""
-        read: dict[int, int] = {}
-        node = self.node
-        stack = list(reversed(roots))
-        while stack:
-            g = stack[-1]
-            if id(g) in read:
-                stack.pop()
-                continue
-            ks = g._kids()
-            if len(ks) == 1:
-                a = read.get(id(ks[0]))
-                if a is None:
-                    stack.append(ks[0])
-                    continue
-                ks = (a,)
-            elif ks:
-                a, b = read.get(id(ks[0])), read.get(id(ks[1]))
-                if a is None or b is None:
-                    if b is None:
-                        stack.append(ks[1])
-                    if a is None:
-                        stack.append(ks[0])  # the left operand on top
-                    continue
-                ks = (a, b)
-            stack.pop()
-            read[id(g)] = node(g.__class__, g._fields(), ks, g)
-        return self.nodes, self.keys
 
 
 def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple]]:
@@ -528,10 +537,64 @@ def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple]]:
     often it occurs.  The roots are numbered in the order given, each left
     operand before the right, and a single root comes last.
 
+    A node read once is known by its id for the rest of the walk.  A
+    parsed root whose operands are not built yet has _unfold build them
+    from its program's keys, once; met before any other subterm, as a
+    query is, or a query under valid's negation, its program is the
+    numbering so far and its nodes the ones _unfold built, and it is not
+    walked.
+
     The printer, desugar, modal_depth and _program fold over the keys,
     computing each node's value from its operands' values, so that none of
     them recurses."""
-    return _Table().add(*roots)
+    table = _Table()
+    keys, slot = table.keys, table.slot
+    nodes: list[Formula] = []
+    read: dict[int, int] = {}
+    stack = list(reversed(roots))
+    while stack:
+        g = stack[-1]
+        if id(g) in read:
+            stack.pop()
+            continue
+        cls = type(g)  # read off the class: an instance read takes __getattr__'s slower lookup
+        try:
+            ks = cls._kids(g)
+        except AttributeError:  # a parsed root: build its operands
+            prog, built = g._prog[0], _unfold(g)
+            if keys:  # met after other subterms: walk what was built
+                continue
+            # numbered first, it numbers as its program does
+            stack.pop()
+            keys += prog
+            slot.update(zip(prog, range(len(prog))))
+            nodes += built
+            read[id(g)] = len(keys) - 1
+            continue
+        if len(ks) == 1:
+            a = read.get(id(ks[0]))
+            if a is None:
+                stack.append(ks[0])
+                continue
+            ks = (a,)
+        elif ks:
+            a, b = read.get(id(ks[0])), read.get(id(ks[1]))
+            if a is None or b is None:
+                if b is None:
+                    stack.append(ks[1])
+                if a is None:
+                    stack.append(ks[0])  # the left operand on top
+                continue
+            ks = (a, b)
+        stack.pop()
+        key = (cls, cls._fields(g), ks)  # table.node, inlined
+        k = slot.get(key)
+        if k is None:
+            k = slot[key] = len(keys)
+            keys.append(key)
+            nodes.append(g)
+        read[id(g)] = k
+    return nodes, keys
 
 
 def _keys(f: Formula) -> list[tuple]:
@@ -541,7 +604,70 @@ def _keys(f: Formula) -> list[tuple]:
     try:
         return f._prog[0]
     except AttributeError:
-        return _Table().add(f)[1]
+        return _numbering(f)[1]
+
+
+def _build(keys: list[tuple], given: dict[int, Formula]) -> list[Formula]:
+    """One node per key, children first: given[k] where given holds k,
+    else a node built from key k over the nodes of its operands, true and
+    false as TRUE and FALSE."""
+    nodes: list[Formula] = []
+    push = nodes.append
+    for k, (cls, fields, ks) in enumerate(keys):
+        g = given.get(k)
+        if g is None:
+            if len(ks) == 2:  # only a binary connective has two operands, and no fields
+                g = cls(nodes[ks[0]], nodes[ks[1]])
+            elif ks:
+                g = cls(*fields, nodes[ks[0]])
+            elif cls is Prop:
+                g = Prop(fields[0])
+            else:
+                g = TRUE if cls is Top else FALSE
+        push(g)
+    return nodes
+
+
+def _root(keys: list[tuple]) -> Formula:
+    """The formula whose key list is keys, with keys kept as its program.
+    A leaf is built; any other root is made by cls.__new__ with its string
+    fields alone, and Formula.__getattr__ fills its _hash and operands
+    from the keys on first read.  The parser, pickle and deepcopy make
+    formulas here."""
+    cls, fields, ks = keys[-1]
+    if ks:
+        f = cls.__new__(cls)
+        for slot, value in zip(cls._field_slots, fields):
+            slot.__set__(f, value)
+    else:
+        f = _build(keys, {})[-1]
+    _set_prog(f, _program_of(keys))
+    return f
+
+
+def _unfold(f: Formula) -> list[Formula]:
+    """Build the subterms of f, a root _root made, from its program's keys
+    in one loop, set f's operand slots, and return one node per key, f
+    last.  Equal subterms have one key, so they are one node."""
+    keys = f._prog[0]
+    nodes = _build(keys, {len(keys) - 1: f})
+    for slot, k in zip(f._operand_slots, keys[-1][2]):
+        slot.__set__(f, nodes[k])
+    return nodes
+
+
+def _hash_of(keys: list[tuple]) -> int:
+    """The hash __init__ gives the last node of keys, folded over the keys:
+    each node's is the hash of its string fields and its operands' hashes,
+    mixed with its class's constant."""
+    h: list[int] = []
+    push = h.append
+    for cls, fields, ks in keys:
+        if len(ks) == 2:  # only a binary connective has two operands, and no fields
+            push(hash((h[ks[0]], h[ks[1]])) ^ cls._salt)
+        else:
+            push(hash(fields + (h[ks[0]],) if ks else fields) ^ cls._salt)
+    return h[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +728,34 @@ def _texts(keys: list[tuple], drop: bool = False) -> list:
     return text
 
 
+def _text_length(keys: list[tuple]) -> int:
+    """len(print_formula) of the formula keys number, folded over the keys
+    with _texts's levels and parenthesis rules, so no text is built: the
+    text of a much shared formula can be exponentially longer than its key
+    list."""
+    size: list[int] = []
+    level: list[int] = []
+    for cls, fields, ks in keys:
+        infix = _INFIX.get(cls)
+        if infix is not None:
+            sep, lvl, need_left, need_right = infix
+            left, right = ks
+            n = size[left] + len(sep) + size[right]
+            n += 2 * ((level[left] < need_left) + (level[right] < need_right))
+        elif ks:
+            k = ks[0]
+            # "!", "B[agent;name] " or "E[name] ", then the operand
+            head = 1 if cls is Not else len(fields[0]) + len(fields[1]) + 5 if cls is B else len(fields[0]) + 4
+            n = head + size[k] + 2 * (level[k] < _LVL_UNARY)
+            lvl = _LVL_UNARY
+        else:
+            n = len(fields[0]) if cls is Prop else 4 if cls is Top else 5
+            lvl = _LVL_ATOM
+        size.append(n)
+        level.append(lvl)
+    return size[-1]
+
+
 def print_formula(f: Formula) -> str:
     """Render a formula so that parse_formula(print_formula(f)) == f."""
     if not isinstance(f, Formula):
@@ -616,28 +770,26 @@ def _program(f: Formula) -> tuple:
     """f's program, (keys, names, props, agents, heads), made once and kept
     on f.  keys is f's numbering, one (class, fields, operand numbers) per
     distinct subterm, children first and f last: kripke._run runs it as
-    it is, one key per step, and Formula.__eq__ compares it.  names_in, props_in and agents_in read the
-    sets; heads holds the classes of f's modal subterms.  A parsed formula
-    has its program from the parser; a formula built in code is numbered on
-    its first query.  A program holds only classes, strings and ints, so it
-    never reaches f, and a formula asked about is freed by reference
-    counting."""
+    it is, one key per step, and Formula.__eq__ compares it.  names_in,
+    props_in and agents_in read the sets; heads holds the classes of f's
+    modal subterms.  A parsed formula has its program from the parser; a
+    formula built in code is numbered on its first query.  A program holds
+    only classes, strings and ints, so it never reaches f, and a formula
+    asked about is freed by reference counting."""
     try:
         return f._prog
     except AttributeError:
         pass
-    table = _Table()
-    table.add(f)
-    return _keep(table)
+    prog = _program_of(_numbering(f)[1])
+    _set_prog(f, prog)
+    return prog
 
 
-def _keep(table: _Table) -> tuple:
-    """Keep the table's keys on the node it numbered last as its program,
-    and return the program.  The symbols are read off the keys in one
-    pass: a subterm's string fields are its name, its proposition, or B's
-    agent and name."""
+def _program_of(keys: list[tuple]) -> tuple:
+    """The program of the formula keys number.  The symbols are read off
+    the keys in one pass: a subterm's string fields are its name, its
+    proposition, or B's agent and name."""
     names, props, agents, heads = set(), set(), set(), set()
-    keys = table.keys
     for cls, fields, _ in keys:
         if fields:
             if cls is Prop:
@@ -649,9 +801,7 @@ def _keep(table: _Table) -> tuple:
             else:
                 names.add(fields[0])
                 heads.add(cls)
-    prog = (keys, frozenset(names), frozenset(props), frozenset(agents), frozenset(heads))
-    _set_prog(table.nodes[-1], prog)
-    return prog
+    return keys, frozenset(names), frozenset(props), frozenset(agents), frozenset(heads)
 
 
 def names_in(f: Formula) -> frozenset[str]:
@@ -677,19 +827,22 @@ def modal_depth(f: Formula) -> int:
 def desugar(f: Formula) -> Formula:
     """Rewrite ->, |, <-> into the !/& core. Idempotent.
 
-    The result is built in one _Table, so equal subterms of the result
+    The result is numbered in one _Table, so equal subterms of the result
     are one node when those of f are, as in a parsed formula.  A node
     whose operands come out unchanged is returned as it is, so desugar(g)
     is g for g in the core."""
-    return _desugared(f).nodes[-1]
+    table, kept = _desugared(f)
+    return _build(table.keys, kept)[-1]
 
 
-def _desugared(f: Formula) -> _Table:
-    """A table numbering desugar(f), which it numbers last: every node the
-    table holds is a subterm of it."""
+def _desugared(f: Formula) -> tuple[_Table, dict[int, Formula]]:
+    """A table numbering desugar(f), which it numbers last, so every key
+    it holds is a subterm's, and the subterms of f that desugar(f) keeps as
+    they are, by number, for _build."""
     nodes, keys = _numbering(f)
     table = _Table()
     node = table.node
+    kept: dict[int, Formula] = {}
 
     def implies(a: int, b: int) -> int:  # !(a & !b)
         return node(Not, (), (node(And, (), (a, node(Not, (), (b,)))),))
@@ -704,14 +857,18 @@ def _desugared(f: Formula) -> _Table:
         elif cls is Iff:
             out.append(node(And, (), (implies(*args), implies(args[1], args[0]))))
         else:
-            same = all([table.nodes[a] is nodes[k] for a, k in zip(args, ks)])
-            out.append(node(cls, fields, args, g if same else None))
-    return table
+            new = len(table.keys)
+            a = node(cls, fields, args)
+            if a == new and all([kept.get(b) is nodes[k] for b, k in zip(args, ks)]):
+                kept[a] = g
+            out.append(a)
+    return table, kept
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """The reflexive-transitive subterm set of the desugared formula."""
-    return frozenset(_desugared(f).nodes)
+    table, kept = _desugared(f)
+    return frozenset(_build(table.keys, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -758,26 +915,27 @@ def closure(chi: Formula) -> Closure:
     desugar numbers the desugared chi in a _Table, and the same table
     grows by the seeds, then by each member a rule adds.  Every added
     member is numbered after its operands, so the numbering stays children
-    first, and a member already present keeps its number.
+    first, and a member already present keeps its number.  The nodes are
+    built once, when every member is numbered.
     """
-    table = _desugared(chi)
-    nodes, keys = table.nodes, table.keys
-    for g in reversed(nodes):  # outermost first, as a walk of a tree meets them
-        if isinstance(g, (D, B)):
+    table, kept = _desugared(chi)
+    keys = table.keys
+    for k in range(len(keys) - 1, -1, -1):  # outermost first, as a walk of a tree meets them
+        if keys[k][0] is D or keys[k][0] is B:
             raise UnsupportedFragmentError(
-                f"closure is defined for the E/S/C fragment, got {print_formula(g)}"
+                f"closure is defined for the E/S/C fragment, got {_texts(keys[:k + 1], drop=True)[-1]}"
             )
-    root = len(nodes) - 1
-    names = frozenset(g.name for g in nodes if isinstance(g, _Modal))
-    props = frozenset(g.name for g in nodes if g.__class__ is Prop)
+    root = len(keys) - 1
+    names = frozenset([fields[0] for cls, fields, _ in keys if cls is E or cls is S or cls is C])
+    props = frozenset([fields[0] for cls, fields, _ in keys if cls is Prop])
     node = table.node
     if names:
-        top, bot = node(Top, (), (), TRUE), node(Bot, (), (), FALSE)
+        top, bot = node(Top, (), ()), node(Bot, (), ())
         for n in sorted(names):
             node(S, (n,), (top,))
             node(E, (n,), (bot,))
     k = 0
-    while k < len(nodes):  # the members added here are read in turn
+    while k < len(keys):  # the members added here are read in turn
         cls, fields, ks = keys[k]
         if cls is not Not:
             node(Not, (), (k,))
@@ -787,4 +945,4 @@ def closure(chi: Formula) -> Closure:
             node(E, fields, ks)
             node(E, fields, (k,))
         k += 1
-    return Closure(tuple(nodes), tuple(keys), root, names, props)
+    return Closure(tuple(_build(keys, kept)), tuple(keys), root, names, props)

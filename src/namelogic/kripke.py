@@ -18,7 +18,9 @@ holds the modal clauses.  Each modality is an operator on sets of states,
 so _run computes a modal step once per run for each distinct (class,
 fields, operand mask), however many subterms share it.  _truth keeps a
 formula's masks on the formula, for the last index it was asked about; a
-model keeps no formula.  The oracle in decision evaluates a block of
+model keeps no formula.  Besides the program, extension and check read a
+formula's class and name only, so a parsed formula they answer builds no
+subterm node.  The oracle in decision evaluates a block of
 candidate models as one _Lanes index, one candidate per bit lane of every
 mask: its step computes the modal clauses for every lane, and the rest of
 _run is unchanged.
@@ -671,37 +673,39 @@ def _witness(m: KripkeModel, ix: _Index, w: str, f: Formula, value: bool, good: 
     operand: the agent of a true S, the group of a true D, an agent and a
     bad successor of a false E, and a path to a bad state of a false C."""
     succ = lambda a, x: ix.rows.get(a, _NO_ROW).get(m.bit[x], 0)
-    match f:
-        case S(name, _) if value:
-            for a in sorted(m.named(w, name)):
-                if not succ(a, w) & ~good:
-                    return a
-        case D(name, _) if value:
-            return tuple(sorted(m.named(w, name)))
-        case E(name, _) if not value:
-            for a in sorted(m.named(w, name)):
-                bad = succ(a, w) & ~good
-                if bad:
-                    return (a, min(ix.states_of(bad)))
-        case C(name, _) if not value:
-            # breadth first from w; each state's name step is keyed by the
-            # state, not by its bit, which is as wide as the model
-            order = ix.order
-            step = {order[x.bit_length() - 1]: union for x, union, _ in ix.fam.get(name, ())}
-            parent: dict[str, str] = {}
-            queue = [w]
-            seen = {w}
-            for x in queue:  # the states appended meanwhile are read in turn
-                for y in sorted(ix.states_of(step.get(x, 0))):
-                    if not good & m.bit[y]:
-                        path = [x]
-                        while path[-1] != w:
-                            path.append(parent[path[-1]])
-                        return tuple(reversed(path)) + (y,)
-                    if y not in seen:
-                        seen.add(y)
-                        parent[y] = x
-                        queue.append(y)
+    # the class and the name only: a class pattern would read the operand,
+    # and so build a parsed formula's subterms
+    cls = f.__class__
+    if cls is S and value:
+        for a in sorted(m.named(w, f.name)):
+            if not succ(a, w) & ~good:
+                return a
+    elif cls is D and value:
+        return tuple(sorted(m.named(w, f.name)))
+    elif cls is E and not value:
+        for a in sorted(m.named(w, f.name)):
+            bad = succ(a, w) & ~good
+            if bad:
+                return (a, min(ix.states_of(bad)))
+    elif cls is C and not value:
+        # breadth first from w; each state's name step is keyed by the
+        # state, not by its bit, which is as wide as the model
+        order = ix.order
+        step = {order[x.bit_length() - 1]: union for x, union, _ in ix.fam.get(f.name, ())}
+        parent: dict[str, str] = {}
+        queue = [w]
+        seen = {w}
+        for x in queue:  # the states appended meanwhile are read in turn
+            for y in sorted(ix.states_of(step.get(x, 0))):
+                if not good & m.bit[y]:
+                    path = [x]
+                    while path[-1] != w:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path)) + (y,)
+                if y not in seen:
+                    seen.add(y)
+                    parent[y] = x
+                    queue.append(y)
     return None
 
 

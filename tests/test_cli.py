@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import namelogic
-from namelogic import Not, cli, kripke, parse_formula
+from namelogic import Not, cli, kripke, parse_formula, print_formula
+from namelogic.equivalence import distinguishing_formula
 from namelogic.cli import main
 from namelogic.kripke import (
     KripkeModel,
@@ -450,6 +451,46 @@ def test_bisim_distinguisher_text_that_reads_back_otherwise_is_an_input_error(ca
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "'!true'" in captured.err
+
+
+def _self_looped_chain(n: int) -> dict:
+    # x0 -> x1 -> ... -> x{n-1}, every state also seeing itself, one agent
+    # named n everywhere, and p true at the last state only
+    states = [f"x{i}" for i in range(n)]
+    return {
+        "states": states, "agents": ["a"], "names": ["n"],
+        "relations": {"a": [[x, x] for x in states] + [list(pair) for pair in zip(states, states[1:])]},
+        "naming": {x: {"n": ["a"]} for x in states},
+        "valuation": {"p": states[-1:]},
+    }
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_bisim_distinguisher_too_long_to_print_comes_as_its_dag(tmp_path, n):
+    # the distinguisher of x0 and x1 has 57 distinct subterms and a text of
+    # 5,629 characters at 12 states, 408 and about 1.5e9 at 30 states: that
+    # text is never built, and the numbered DAG is printed in its place
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_self_looped_chain(n)))
+    start = time.perf_counter()
+    child = _child("bisim", "--model1", str(path), "--state1", "x0",
+                   "--model2", str(path), "--state2", "x1", "--distinguish")
+    assert time.perf_counter() - start < 10
+    assert child.returncode == 1, child.stderr
+    assert child.stdout.count("\n") == 1
+    payload = json.loads(child.stdout)
+    assert payload["bisimilar"] is False
+    m = model_from_dict(_self_looped_chain(n))
+    f = distinguishing_formula(m, "x0", m, "x1")
+    if n == 12:
+        assert payload["distinguisher"] == print_formula(f)
+        return
+    dag = payload["distinguisher"]
+    assert dag["form"] == "dag" and len(dag["nodes"]) == 408
+    nodes = []
+    for name, fields, ks in dag["nodes"]:  # read back through the public constructors
+        nodes.append(getattr(namelogic, name)(*fields, *[nodes[k] for k in ks]))
+    assert nodes[-1] == f
 
 
 @pytest.mark.parametrize("prop", ["true", "false", "P", "a,b", "", " p"])

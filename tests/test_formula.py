@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 import sys
@@ -40,6 +41,7 @@ from namelogic.formula import (
     _Modal,
     _keys,
     _numbering,
+    _text_length,
     _program,
     agents_in,
     closure,
@@ -261,6 +263,22 @@ def test_desugared_equal_subterms_are_one_node(f):
     one: dict[Formula, Formula] = {}
     for x in walk(core):
         assert one.setdefault(x, x) is x
+
+
+def test_a_parsed_query_is_numbered_from_its_keys():
+    # closure numbers a parsed root by its program's keys, not by a walk of
+    # its operands, and keeps the nodes of the one build that makes them:
+    # a formula in the core comes back as it is, subterms included
+    g, h = parse_formula("S[n] (p & !E[m] q) & C[n] !(p & !E[m] q)"), parse_formula("p -> E[n] q")
+    read = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (Not, _Binary, _Modal):
+            mp.setattr(cls, "_kids", lambda self, kids=cls._kids: read.append(self) or kids(self))
+        cl, _ = closure(g), closure(w := Not(h))
+    assert {id(x) for x in read} == {id(g), id(w), id(h)}
+    assert cl.nodes[cl.root] is g and desugar(g) is g
+    number = {id(x): k for k, x in enumerate(cl.nodes)}
+    assert number[id(g.left)] == cl.keys[cl.root][2][0] and number[id(g.right.arg.arg)] < cl.root
 
 
 @given(_formulas())
@@ -666,6 +684,47 @@ def test_parsed_formulas_compare_without_reading_an_operand(kind):
     except _Compared:
         pytest.fail("an operand slot was read", pytrace=False)
     assert outcomes == [True, True, 0, True, False]
+
+
+@pytest.mark.parametrize("kind", ["paren", "not", "E", "and"])
+def test_deep_chains_pickle_and_copy_without_recursion(kind):
+    # a formula reduces to its flat key list, so neither pickle nor
+    # deepcopy recurses through the operands
+    text, g = _check_workload_deep_input(kind, 3000)
+    for f in (parse_formula(text), g):
+        for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert back == f and hash(back) == hash(f)
+            assert print_formula(back) == (text.strip("()") if kind == "paren" else text)
+
+
+@given(_formulas())
+def test_parsed_and_code_built_formulas_agree(f):
+    g = parse_formula(print_formula(f))
+    if f._kids():  # nothing read yet: the operands are still keys
+        with pytest.raises(AttributeError):
+            g._kids()
+    assert g == f and f == g and hash(g) == hash(f) and repr(g) == repr(f)
+    for h in (g, f):
+        for back in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+            assert back == f and hash(back) == hash(f) and back.__class__ is f.__class__
+    assert _text_length(_keys(g)) == _text_length(_keys(f)) == len(print_formula(f))
+    # numbered before or after another root, as a code-built one is
+    text = print_formula(f)
+    assert _numbering(parse_formula(text), q)[1] == _numbering(f, q)[1]
+    assert _numbering(q, parse_formula(text))[1] == _numbering(q, f)[1]
+    # every field, node for node, and equal subterms of g are one node
+    one: dict[Formula, Formula] = {}
+    pairs = [(g, f)]
+    while pairs:
+        x, y = pairs.pop()
+        assert x.__class__ is y.__class__ and x == y and hash(x) == hash(y)
+        assert one.setdefault(x, x) is x
+        for field in type(y).__match_args__:
+            a, b = getattr(x, field), getattr(y, field)
+            if isinstance(b, Formula):
+                pairs.append((a, b))
+            else:
+                assert a == b
 
 
 def test_comparing_subterms_built_in_code_keeps_no_program():

@@ -65,7 +65,7 @@ from namelogic.kripke import (
     random_model,
     validate_model,
 )
-from namelogic import kripke
+from namelogic import formula, kripke
 from namelogic.formula import _program
 from namelogic.decision import satisfiable, satisfiable_bounded, valid
 from namelogic.equivalence import bisimilar, distinguishing_formula
@@ -331,6 +331,53 @@ def test_a_text_parsed_again_gets_the_same_witness(state, text):
     assert (second.value, second.witness) == (first.value, first.witness)
     # the operand's mask rode beside the root's: g's operand was never numbered
     assert not hasattr(g.arg, "_prog")
+
+
+class _Built(Exception):
+    pass
+
+
+def _refused(*args):
+    raise _Built
+
+
+def _checked(m, f):
+    return [(r.value, r.witness) for r in (check(m, w, f) for w in sorted(m.states))]
+
+
+def test_answering_a_parsed_query_builds_no_subterm():
+    # the truth core, the symbol check and the witnesses read a parsed
+    # formula's keys, its class and its name: no operand slot is read and
+    # no subterm node is built, whatever the witness; a failure reports no
+    # traceback, whose frames would print the formulas
+    m = model_from_dict(json.loads(FIGURE.read_text()))
+    nb = kripke_to_nbhd(m)
+    texts = ["S[n] p", "D[n] p", "E[n] p", "C[n] p", "S[m] q", "E[m] q & C[m] q",
+             "C[n] (p | q)", "E[n] (p -> q) & S[m] !q", "!" * 3000 + "p"]
+    expected = {}
+    for text in texts:
+        f = parse_formula(text)
+        expected[text] = (extension(m, f), _checked(m, f),
+                          extension_nbhd(nb, f) if "C" not in text and "D" not in text else None)
+    witnessed = {(text[0], value) for text, (_, rows, _) in expected.items()
+                 for value, witness in rows if witness is not None}
+    assert witnessed == {("S", True), ("D", True), ("E", False), ("C", False)}
+    answers = {}
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            refused = property(_refused)
+            for cls, field in ((Not, "arg"), (formula._Modal, "arg"), (B, "arg"),
+                               (formula._Binary, "left"), (formula._Binary, "right")):
+                mp.setattr(cls, field, refused)
+            mp.setattr(formula, "_unfold", _refused)
+            mp.setattr(formula, "_build", _refused)
+            for text in texts:
+                f = parse_formula(text)
+                answers[text] = (extension(m, f), _checked(m, f),
+                                 extension_nbhd(nb, f) if expected[text][2] is not None else None)
+    except _Built:
+        pytest.fail("a subterm was built", pytrace=False)
+    assert answers == expected
 
 
 def test_a_repeated_query_compares_once_per_truth_lookup(monkeypatch):
