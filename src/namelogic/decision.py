@@ -4,10 +4,13 @@ The solver works inside the finite closure of the query.  It enumerates the
 locally coherent truth assignments over the closure (atoms), then repeatedly
 rebuilds the witness-agent model over the surviving atoms and removes every
 atom whose modal claims disagree with their semantic evaluation in that
-model.  At the fixpoint membership and truth coincide, so the query is
-satisfiable exactly when some survivor contains it.  Every sat verdict is
-re-verified through the kripke module before it is returned; a re-check
-failure raises instead of producing a verdict.
+model.  Each round's model is a kripke._Index whose states are the live
+atoms, and the truth core's step evaluates every E, S and C member on it:
+an atom goes where a step disagrees with its membership.  The solver holds
+no modal clause of its own.  At the fixpoint membership and truth
+coincide, so the query is satisfiable exactly when some survivor contains
+it.  Every sat verdict is re-verified through the kripke module before it
+is returned; a re-check failure raises instead of producing a verdict.
 
 From the layout on the procedure works on ints.  formula.closure numbers
 the desugared query and grows that numbering by the members its rules
@@ -20,8 +23,8 @@ antecedents is dropped, and one whose antecedent denies its conclusion is
 broken whenever its antecedents hold.  The enumeration sets the bits of
 constants and conjunctions without branching and branches only at the
 other levels.  The elimination rounds read columns, one int mask over the
-atoms per positive, and per name the operand columns of its E, S and C
-members.
+atoms per positive: each member's own column, and its operand's column as
+the good mask of its step.
 
 Extracted models record each witness agent's relation from the state that
 minted it.  That keeps models linear in the survivor count and changes no
@@ -84,7 +87,6 @@ __all__ = [
     "EliminationState",
     "SatResult",
     "axiom_suite",
-    "extract_model",
     "satisfiable",
     "satisfiable_bounded",
     "valid",
@@ -118,13 +120,6 @@ class SatResult:
             "state": self.state,
             "stats": {k: self.stats[k] for k in sorted(self.stats)},
         }
-
-
-def extract_model(result: SatResult) -> KripkeModel:
-    """The verified model of a sat result; raises on any other verdict."""
-    if result.verdict != "sat" or result.model is None:
-        raise LogicError(f"no model to extract from a {result.verdict!r} result")
-    return result.model
 
 
 @dataclass
@@ -346,6 +341,12 @@ def _enumerate_atoms(lay: _Layout, max_atoms: int) -> list[int]:
 # Elimination to fixpoint
 
 class _Solver:
+    """The elimination over a layout's coherent atoms, atom j at bit j of
+    every mask.  Each round is a kripke._Index whose states are the live
+    atoms, and each E, S and C member one step of it.  Per name, an atom's
+    family entry is (its bit, the union of its witness extensions, those
+    extensions); a dead atom has none, so no C path passes through it."""
+
     def __init__(self, lay: _Layout, atoms: Sequence[int]):
         self.lay = lay
         self.atoms = list(atoms)
@@ -361,41 +362,39 @@ class _Solver:
             i, want = lit
             return col[i] if want else full ^ col[i]
 
-        # Per name, each E and S member's bit (a C member's column), the
-        # atoms where its operand fails, and its elimination reasons.
+        # The members in the order their reasons are read: every C member,
+        # then per name its E members and its S members.  Each is (class,
+        # name, its column, its operand's column, the reasons where the atom
+        # holds it and where the atom denies it).  Every witness extension
+        # lies inside the E operands and inside its S operand, so a held E
+        # or S member never disagrees with its step.
         texts = lay.texts
-        self.e_ops = {
-            n: [(1 << i, full ^ vcol(arg), f"{texts[i]} denied, no dissenting successor")
-                for i, arg in lay.e_of[n]]
-            for n in lay.names
-        }
-        self.s_ops = {
-            n: [(1 << i, full ^ vcol(arg), f"{texts[i]} denied, a witness knows it")
-                for i, arg, _ in lay.s_of[n]]
-            for n in lay.names
-        }
-        self.c_ops = {
-            n: [(col[i], full ^ vcol(arg), f"{texts[i]} claimed, escape path exists",
-                 f"{texts[i]} denied, no escape path")
-                for i, arg in lay.c_of[n]]
-            for n in lay.names
-        }
+        self.members = [
+            (C, n, col[i], vcol(arg), f"{texts[i]} claimed, escape path exists",
+             f"{texts[i]} denied, no escape path")
+            for n in lay.names for i, arg in lay.c_of[n]
+        ]
+        for n in lay.names:
+            self.members += [(E, n, col[i], vcol(arg), None,
+                              f"{texts[i]} denied, no dissenting successor") for i, arg in lay.e_of[n]]
+            self.members += [(S, n, col[i], vcol(arg), None,
+                              f"{texts[i]} denied, a witness knows it") for i, arg, _ in lay.s_of[n]]
 
         # Witness agents, one per (atom, name, known formula): the agent's
         # extension is every atom containing that formula plus everything the
         # atom puts under E for the name.  Cached by the atom's E/S pattern.
-        cache: dict[tuple[str, int], tuple[list, int]] = {}
+        cache: dict[tuple[str, int], tuple[list, int, tuple]] = {}
         self.wit: list[dict[str, list[tuple[str, int]]]] = []
-        self.succ: dict[str, list[int]] = {n: [] for n in lay.names}
+        self.fam: dict[str, list[tuple[int, int, tuple]]] = {n: [] for n in lay.names}
         per_name = []
         for n in lay.names:
             e_args = [(1 << i, vcol(arg)) for i, arg in lay.e_of[n]]
             s_args = [(1 << i, vcol(arg), label) for i, arg, label in lay.s_of[n]]
             claims = sum(1 << entry[0] for entry in lay.e_of[n] + lay.s_of[n])
-            per_name.append((n, e_args, s_args, claims, self.succ[n]))
-        for atom in self.atoms:
+            per_name.append((n, e_args, s_args, claims, self.fam[n]))
+        for j, atom in enumerate(self.atoms):
             per_wit: dict[str, list[tuple[str, int]]] = {}
-            for n, e_args, s_args, claims, succ_of in per_name:
+            for n, e_args, s_args, claims, entries in per_name:
                 key = (n, atom & claims)
                 got = cache.get(key)
                 if got is None:
@@ -403,42 +402,13 @@ class _Solver:
                     for bit, good in e_args:
                         if atom & bit:
                             base &= good
-                    entries = [(label, good & base) for bit, good, label in s_args if atom & bit]
-                    got = cache[key] = (entries, reduce(or_, (ext for _, ext in entries), 0))
+                    wits = [(label, good & base) for bit, good, label in s_args if atom & bit]
+                    exts = tuple(ext for _, ext in wits)
+                    got = cache[key] = (wits, reduce(or_, exts, 0), exts)
                 per_wit[n] = got[0]
-                succ_of.append(got[1])
+                if got[2]:
+                    entries.append((1 << j, got[1], got[2]))
             self.wit.append(per_wit)
-
-    def _reaches(self, targets: int, name: str, alive: int) -> int:
-        # atoms with a >=1 step path into targets, over the live graph
-        succ = self.succ[name]
-        hit = 0
-        while True:
-            goal = targets | hit
-            grown = hit
-            for j in _bit_indices(alive & ~hit):
-                if succ[j] & alive & goal:
-                    grown |= 1 << j
-            if grown == hit:
-                return hit
-            hit = grown
-
-    def _modal_flaw(self, j: int, alive: int) -> Optional[str]:
-        """Reason atom j's denied E/S claims clash with its live witnesses."""
-        atom = self.atoms[j]
-        for n in self.lay.names:
-            reach = self.succ[n][j] & alive
-            for bit, bad, reason in self.e_ops[n]:
-                if not atom & bit and not reach & bad:
-                    return reason
-            for bit, bad, reason in self.s_ops[n]:
-                if atom & bit:
-                    continue
-                for _, ext in self.wit[j][n]:
-                    ext &= alive
-                    if ext and not ext & bad:
-                        return reason
-        return None
 
     def run(self) -> EliminationState:
         alive = self.full
@@ -446,19 +416,18 @@ class _Solver:
         eliminated: list[tuple[int, str]] = []
         while True:
             rounds += 1
+            # a dead atom counts as good, so its bits in the extensions
+            # decide no step
+            dead = self.full ^ alive
+            fam = {n: [e for e in entries if e[0] & alive] for n, entries in self.fam.items()}
+            ix = kripke._Index(alive, {}, fam, {}, {}, ())
             doomed: dict[int, str] = {}
-            for n in self.lay.names:
-                for members, bad, claimed, denied in self.c_ops[n]:
-                    escapes = self._reaches(alive & bad, n, alive)
-                    for j in _bit_indices(alive & members & escapes):
-                        doomed.setdefault(j, claimed)
-                    for j in _bit_indices(alive & ~members & ~escapes):
-                        doomed.setdefault(j, denied)
-            for j in _bit_indices(alive):
-                if j not in doomed:
-                    flaw = self._modal_flaw(j, alive)
-                    if flaw is not None:
-                        doomed[j] = flaw
+            for cls, n, members, operand, claimed, denied in self.members:
+                wrong = (ix.step(cls, (n,), operand | dead) ^ members) & alive
+                for j in _bit_indices(wrong & members):
+                    doomed.setdefault(j, claimed)
+                for j in _bit_indices(wrong & ~members):
+                    doomed.setdefault(j, denied)
             if not doomed:
                 return EliminationState(
                     surviving=[self.atoms[j] for j in _bit_indices(alive)],

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -884,8 +883,7 @@ class Closure:
 
     nodes lists the members children first, one number per distinct
     formula, and keys[k] is the key of nodes[k], (class, fields, operand
-    numbers); nodes[root] is the desugared input.  formulas, len, in and iteration
-    read the members as a set.
+    numbers); nodes[root] is the desugared input.  len counts the members.
     """
 
     nodes: tuple[Formula, ...]
@@ -894,18 +892,8 @@ class Closure:
     names: frozenset[str]
     props: frozenset[str]
 
-    @cached_property
-    def formulas(self) -> frozenset[Formula]:
-        return frozenset(self.nodes)
-
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def __contains__(self, f: Formula) -> bool:
-        return f in self.formulas
-
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self.nodes)
 
 
 def closure(chi: Formula) -> Closure:

@@ -10,20 +10,28 @@ from each source's state bit to its successor mask; the pair view,
 relations, is derived from those rows on demand.
 
 Truth has one core, used by relational and neighborhood truth, frame
-validity and the bounded oracle: _run folds a formula's numbering,
-formula._program, over an index of truth sets as masks.  An _Index adds to
-a model's rows its masks (per proposition, and per name and state the
-successor masks of the agents the name picks out), and its step method
-holds the modal clauses.  Each modality is an operator on sets of states,
-so _run computes a modal step once per run for each distinct (class,
-fields, operand mask), however many subterms share it.  _truth keeps a
-formula's masks on the formula, for the last index it was asked about; a
-model keeps no formula.  Besides the program, extension and check read a
-formula's class and name only, so a parsed formula they answer builds no
-subterm node.  The oracle in decision evaluates a block of
-candidate models as one _Lanes index, one candidate per bit lane of every
-mask: its step computes the modal clauses for every lane, and the rest of
-_run is unchanged.
+validity, the elimination rounds of the decision procedure and the bounded
+oracle: _run folds a formula's numbering, formula._program, over an index
+of truth sets as masks.  An _Index adds to a model's rows its masks (per
+proposition, and per name and state the successor masks of the agents the
+name picks out), and its step method holds the modal clauses.  Each
+modality is an operator on sets of states, so _run computes a modal step
+once per run for each distinct (class, fields, operand mask), however many
+subterms share it.  _truth keeps a formula's masks on the formula, for
+the last index it was asked about; a model keeps no formula.  Besides the
+program, extension and check read a formula's class and name only, so a
+parsed formula they answer builds no subterm node.  The elimination in
+decision calls step on an _Index whose states are its live atoms.  The
+oracle in decision evaluates a block of candidate models as one _Lanes
+index, one candidate per bit lane of every mask: its step computes the
+modal clauses for every lane, and the rest of _run is unchanged.
+
+C searches in the cheaper direction on each call (direction-optimizing
+search, Beamer, Asanovic & Patterson, SC 2012).  A forward round costs one
+pass over the name's family entries; the backward closure costs building a
+predecessor map, the mean popcount of the entries' unions in passes.  So
+escapes runs forward rounds while their count stays under that cost, and
+past it builds the map, keeps it, and closes backward.
 """
 
 from __future__ import annotations
@@ -467,6 +475,8 @@ class _Index:
     def __init__(self, full, val, fam, rows, bearers, order):
         self.full, self.val, self.fam, self.rows, self.bearers = full, val, fam, rows, bearers
         self.order = order
+        # name -> [its entries, the OR of their unions, the cost of the
+        # predecessor map, that map once escapes has built it]
         self._pred: dict = {}
 
     def states_of(self, mask: int) -> frozenset[str]:
@@ -474,19 +484,35 @@ class _Index:
 
     def escapes(self, name: str, good: int) -> int:
         """The declared states with a path of one or more name steps out of
-        good: one backward closure from the states that are not good.  The
-        predecessors are keyed by a state's index, not by its bit: hashing
-        a bit costs as much as the model is wide."""
-        if name not in self._pred:
-            pred: dict[int, int] = {}  # state index -> its predecessors
-            targets = 0
-            for w, union, _ in self.fam.get(name, ()):
-                targets |= union
+        good.  Forward rounds run while their count stays under the cost of
+        the predecessor map; past it the map is built, kept for the calls
+        after, and closed backward.  A chain, at about two bits per entry,
+        goes backward; a dense family ends forward.  The predecessors are
+        keyed by a state's index, not by its bit: hashing a bit costs as
+        much as the model is wide."""
+        got = self._pred.get(name)
+        if got is None:
+            entries = self.fam.get(name, ())
+            targets = reduce(or_, (union for _, union, _ in entries), 0)
+            cost = sum(union.bit_count() for _, union, _ in entries) / len(entries) if entries else 0
+            got = self._pred[name] = [entries, targets, cost, None]
+        entries, targets, cost, pred = got
+        reach, frontier = 0, targets & ~good
+        if pred is None:
+            rounds = 0
+            while rounds < cost:
+                goal, grown = frontier | reach, reach
+                for w, union, _ in entries:
+                    if union & goal:
+                        grown |= w
+                if grown == reach:
+                    return reach
+                reach, rounds = grown, rounds + 1
+            reach, pred = 0, {}  # state index -> its predecessors
+            for w, union, _ in entries:
                 for i in _bit_indices(union):
                     pred[i] = pred.get(i, 0) | w
-            self._pred[name] = pred, targets
-        pred, targets = self._pred[name]
-        reach, frontier = 0, targets & ~good
+            got[3] = pred
         while frontier:
             new = 0
             while frontier:

@@ -640,6 +640,90 @@ def reference_enumerate_atoms(lay, max_atoms):
     return atoms
 
 
+def reference_eliminate(lay, atoms):
+    """The atom elimination over a decision._Layout, one atom at a time and
+    over sets of atom indices, as (surviving atoms, rounds, eliminated).
+
+    Atom j has one witness agent per name n and per S[n] member it holds;
+    the agent sees every atom holding that member's operand and every
+    operand the atom puts under E[n].  Each round reads the agents' live
+    successors.  E[n] f holds where every agent of n sees only f, S[n] f
+    where some agent does, and C[n] f where no path of one or more n steps
+    leads to a live atom without f.  An atom whose membership of some E, S
+    or C member disagrees with that truth is removed.  Its reason is the
+    first disagreeing member: every C member, then per name its E and then
+    its S members.  The rounds end when one removes nothing."""
+    holds = lambda j, lit: bool((atoms[j] >> lit[0]) & 1) is lit[1]
+    member = lambda j, i: bool((atoms[j] >> i) & 1)
+    texts = lay.texts
+    everyone = range(len(atoms))
+    agents = {}
+    for j in everyone:
+        for n in lay.names:
+            known = [arg for i, arg in lay.e_of[n] if member(j, i)]
+            agents[j, n] = [
+                frozenset(k for k in everyone if holds(k, arg) and all(holds(k, a) for a in known))
+                for i, arg, _ in lay.s_of[n] if member(j, i)
+            ]
+    alive = set(everyone)
+    rounds, eliminated = 0, []
+    while True:
+        rounds += 1
+        step = lambda j, n: set().union(*(seen & alive for seen in agents[j, n]))
+
+        def escapes(j, n, arg):
+            reached, frontier = set(), step(j, n)
+            while frontier:
+                if any(not holds(k, arg) for k in frontier):
+                    return True
+                reached |= frontier
+                frontier = set().union(*(step(k, n) for k in frontier)) - reached
+            return False
+
+        def flaw(j):
+            for n in lay.names:
+                for i, arg in lay.c_of[n]:
+                    if escapes(j, n, arg) is member(j, i):
+                        return (f"{texts[i]} claimed, escape path exists" if member(j, i)
+                                else f"{texts[i]} denied, no escape path")
+            for n in lay.names:
+                for i, arg in lay.e_of[n]:
+                    if all(holds(k, arg) for k in step(j, n)) is not member(j, i):
+                        return (f"{texts[i]} claimed, a dissenting successor exists" if member(j, i)
+                                else f"{texts[i]} denied, no dissenting successor")
+                for i, arg, _ in lay.s_of[n]:
+                    known = any(all(holds(k, arg) for k in seen & alive) for seen in agents[j, n])
+                    if known is not member(j, i):
+                        return (f"{texts[i]} claimed, no witness knows it" if member(j, i)
+                                else f"{texts[i]} denied, a witness knows it")
+            return None
+
+        doomed = [(j, flaw(j)) for j in sorted(alive)]
+        doomed = [(j, reason) for j, reason in doomed if reason is not None]
+        if not doomed:
+            return [atoms[j] for j in sorted(alive)], rounds, eliminated
+        for j, reason in doomed:
+            eliminated.append((atoms[j], reason))
+            alive.discard(j)
+
+
+def reference_escapes(entries, good):
+    """The bits of the sources among entries, (source bit, union, members)
+    as in kripke._Index.fam, with a path of one or more steps to a bit
+    outside good: plain reachability over sets of bit indices."""
+    index = lambda mask: {i for i in range(mask.bit_length()) if (mask >> i) & 1}
+    succ = {index(w).pop(): index(union) for w, union, _ in entries}
+    out = 0
+    for w in succ:
+        reached, frontier = set(), set(succ[w])
+        while frontier:
+            reached |= frontier
+            frontier = set().union(*(succ.get(x, ()) for x in frontier)) - reached
+        if any(not (good >> x) & 1 for x in reached):
+            out |= 1 << w
+    return out
+
+
 def reference_close_relation(pairs, ops, states):
     """The closure ops applied in order to the pair set, the transitive one
     as a fixpoint that joins every pair with every pair until nothing new

@@ -15,6 +15,7 @@ from helpers import (
     reference_candidate_index,
     reference_candidate_model,
     reference_draw,
+    reference_eliminate,
     reference_enumerate_atoms,
     reference_extension,
 )
@@ -51,7 +52,6 @@ from namelogic.decision import (
     _naming_lanes,
     _Solver,
     axiom_suite,
-    extract_model,
     satisfiable,
     satisfiable_bounded,
     valid,
@@ -191,13 +191,12 @@ def test_extracted_reach_of_common_knowledge_stays_good():
     assert reached and reached <= good
 
 
-def test_extract_model_guards_the_verdict():
+def test_a_model_comes_only_with_a_sat_verdict():
     res = sat("S[n] p")
-    assert extract_model(res) is res.model
-    with pytest.raises(LogicError):
-        extract_model(sat("p & !p"))
-    with pytest.raises(LogicError):
-        extract_model(satisfiable_bounded(parse_formula("S[n] p & !p")))
+    assert isinstance(res.model, kripke.KripkeModel) and res.state in res.model.states
+    for res in (sat("p & !p"), satisfiable_bounded(parse_formula("S[n] p & !p"))):
+        assert res.verdict != "sat"
+        assert res.model is None and res.state is None
 
 
 def test_oracle_hit_that_fails_its_check_raises(monkeypatch):
@@ -838,6 +837,50 @@ def test_mask_rules_enumerate_the_reference_atoms(f):
             _enumerate_atoms(lay, 5000)
         return
     assert _enumerate_atoms(lay, 5000) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_self_granting_formulas())
+def test_elimination_matches_the_per_atom_reference(f):
+    if len(closure(f)) > 40:
+        return
+    lay = _Layout(f, 40)
+    try:
+        atoms = _enumerate_atoms(lay, 400)
+    except BudgetExceededError:
+        return
+    state = _Solver(lay, atoms).run()
+    assert (state.surviving, state.round, state.eliminated) == reference_eliminate(lay, atoms)
+
+
+def test_elimination_matches_the_per_atom_reference_on_the_capped_corpus():
+    for f in capped_corpus(seed=13, count=80, depth=3):
+        lay = _Layout(f, 64)
+        atoms = _enumerate_atoms(lay, 400)
+        state = _Solver(lay, atoms).run()
+        assert (state.surviving, state.round, state.eliminated) == reference_eliminate(lay, atoms)
+
+
+def test_the_elimination_runs_on_the_truth_core(monkeypatch):
+    # every round asks kripke's core once per E, S and C member, and an
+    # unsat verdict re-verifies no model, so those are all its steps
+    steps = []
+    step = kripke._Index.step
+
+    def counted(self, cls, fields, good):
+        steps.append(cls)
+        return step(self, cls, fields, good)
+
+    monkeypatch.setattr(kripke._Index, "step", counted)
+    for text in ("C[n] p -> E[n] (p & C[n] p)", "S[m] (C[n] p & q) -> C[n] p & q"):
+        chi = Not(parse_formula(text))
+        steps.clear()
+        res = satisfiable(chi)
+        lay = _Layout(chi, 64)
+        members = sum(len(lay.e_of[n]) + len(lay.s_of[n]) + len(lay.c_of[n]) for n in lay.names)
+        assert res.verdict == "unsat" and res.stats["rounds"] > 1
+        assert len(steps) == res.stats["rounds"] * members
+        assert set(steps) == {C, E, S}
 
 
 def test_self_granting_rule_keeps_its_only_atom():

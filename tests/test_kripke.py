@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     reference_close_relation,
+    reference_escapes,
     reference_extension,
     reference_extension_nbhd,
     reference_validate_model,
@@ -440,6 +441,56 @@ def test_a_run_computes_each_modal_step_once(monkeypatch):
     assert sorted(escapes) == sorted(expected_common)  # each distinct mask once
     extension(m, everyone)
     assert len(reads) == len(expected_everyone)
+
+
+def _entries(succ):
+    """succ[i], the successor indices of state i, as _Index family entries:
+    one agent per state, whose successors are the union."""
+    out = []
+    for i, js in enumerate(succ):
+        union = sum(1 << j for j in set(js))
+        out.append((1 << i, union, (union,)))
+    return out
+
+
+def _dense(rng, k, extra=()):
+    return [[i, *rng.sample(range(k), k // 2), *extra] for i in range(k)]
+
+
+def _chain(start, length):
+    return [[i, i + 1] for i in range(start, start + length)] + [[start + length]]
+
+
+# shape -> (successor lists, whether the first call, which asks for a path
+# to the last state, goes backward)
+_SHAPES = {
+    "chain": lambda rng: (_chain(0, 60), True),
+    "dense": lambda rng: (_dense(rng, 40), False),
+    # dense entries that all see the head of a chain longer than the mean
+    # popcount: the forward rounds run out before the chain's end
+    "hung chain": lambda rng: (_dense(rng, 20, extra=[20]) + _chain(20, 40), True),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_escapes_agrees_with_reachability_in_either_direction(shape):
+    rng = random.Random(shape)
+    succ, backward = _SHAPES[shape](rng)
+    entries, size = _entries(succ), len(succ)
+    full = (1 << size) - 1
+    index = lambda: kripke._Index(full, {}, {"n": entries}, {}, {}, ())
+    kept = index()  # keeps its predecessor map, once built, for the calls after
+    goods = [full ^ (1 << size - 1)] + [rng.getrandbits(size) | rng.getrandbits(size) for _ in range(20)]
+    for k, good in enumerate(goods):
+        ix = index()
+        want = reference_escapes(entries, good)
+        assert ix.escapes("n", good) == want == kept.escapes("n", good)
+        cached, _, cost, pred = ix._pred["n"]
+        assert cached is entries
+        if k == 0:
+            assert (pred is not None) is backward
+            if shape == "hung chain":
+                assert cost < 40
 
 
 def test_a_model_keeps_no_formula():
