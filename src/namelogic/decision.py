@@ -47,11 +47,10 @@ again through kripke.check and lenient validation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import or_
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import kripke
 from .errors import BudgetExceededError, LogicError
@@ -80,6 +79,7 @@ from .formula import (
     subformulas,
 )
 from .kripke import KripkeModel, _bit_indices
+from .record import Record
 
 __all__ = [
     "AxiomCheck",
@@ -96,8 +96,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Results
 
-@dataclass(frozen=True)
-class SatResult:
+class SatResult(Record):
     """Outcome of a satisfiability query.
 
     verdict is "sat", "unsat", or "sat-bounded-unknown" (bounded oracle route
@@ -105,10 +104,7 @@ class SatResult:
     state are present exactly on "sat" and already re-verified.
     """
 
-    verdict: str
-    model: Optional[KripkeModel]
-    state: Optional[str]
-    stats: Mapping[str, int]
+    __slots__ = ("verdict", "model", "state", "stats")
 
     def __bool__(self) -> bool:
         return self.verdict == "sat"
@@ -122,17 +118,14 @@ class SatResult:
         }
 
 
-@dataclass
-class EliminationState:
+class EliminationState(Record):
     """Progress record of the atom-elimination fixpoint.
 
     Atoms are bitmasks over the layout's positive formulas.  surviving only
     ever shrinks; round counts full passes including the final stable one.
     """
 
-    surviving: list[int]
-    round: int
-    eliminated: list[tuple[int, str]]
+    __slots__ = ("surviving", "round", "eliminated")
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +422,8 @@ class _Solver:
                 for j in _bit_indices(wrong & ~members):
                     doomed.setdefault(j, denied)
             if not doomed:
-                return EliminationState(
-                    surviving=[self.atoms[j] for j in _bit_indices(alive)],
-                    round=rounds,
-                    eliminated=eliminated,
-                )
+                surviving = [self.atoms[j] for j in _bit_indices(alive)]
+                return EliminationState(surviving, rounds, eliminated)
             for j in sorted(doomed):
                 eliminated.append((self.atoms[j], doomed[j]))
                 alive &= ~(1 << j)
@@ -700,21 +690,14 @@ def _decode_hit(chi, names, block, truth) -> tuple[KripkeModel, str]:
 # ---------------------------------------------------------------------------
 # Axiom suites
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    system: str
-    schema: str
-    instance: Formula
-    method: str  # "valid" | "models" | "rule"
-    ok: bool
-    detail: str = ""
+class AxiomCheck(Record):
+    # method: "valid" | "models" | "rule"
+    __slots__ = ("system", "schema", "instance", "method", "ok", "detail")
+    _defaults = {"detail": ""}
 
 
-@dataclass(frozen=True)
-class AxiomSuiteReport:
-    mode: str
-    checks: tuple[AxiomCheck, ...]
-    models_checked: int
+class AxiomSuiteReport(Record):
+    __slots__ = ("mode", "checks", "models_checked")
 
     @property
     def ok(self) -> bool:
@@ -841,4 +824,4 @@ def axiom_suite(
                     )
     if not fired:
         checks.append(AxiomCheck(mode, "rule:void", TRUE, "rule", True, "no applicable premises"))
-    return AxiomSuiteReport(mode=mode, checks=tuple(checks), models_checked=models_checked)
+    return AxiomSuiteReport(mode, tuple(checks), models_checked)

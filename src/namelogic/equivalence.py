@@ -34,7 +34,6 @@ themselves, not the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -42,35 +41,27 @@ from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import UndeclaredSymbolError
 from .formula import And, E, FALSE, Formula, Not, Or, Prop, S, TRUE
-from .kripke import KripkeModel, _bit_indices, check
+from .kripke import KripkeModel, _bit_indices
+from .record import Record
 
 Pair = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Violation:
-    state: Any  # a state, or a state pair for bisimulation checks
-    name: Optional[str]
-    condition: str  # "there" | "back" | "atoms" | "valuation"
-    detail: str
+class Violation(Record):
+    # state: a state, or a state pair for bisimulation checks; name: a name
+    # or None; condition: "there" | "back" | "atoms" | "valuation"
+    __slots__ = ("state", "name", "condition", "detail")
 
 
-@dataclass(frozen=True)
-class MorphismCheckReport:
-    ok: bool
-    violations: tuple[Violation, ...]
+class MorphismCheckReport(Record):
+    __slots__ = ("ok", "violations")  # violations: a tuple of Violation
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class BisimRelation:
-    pairs: frozenset[Pair]
-
-    @classmethod
-    def make(cls, pairs: Iterable[Iterable[str]]) -> "BisimRelation":
-        return cls(frozenset((x, y) for x, y in pairs))
+class BisimRelation(Record):
+    __slots__ = ("pairs",)  # a frozenset of (state, state) pairs
 
     def __contains__(self, pair) -> bool:
         return tuple(pair) in self.pairs
@@ -122,38 +113,18 @@ def check_frame_morphism(
             }
             for a, img in sorted(image_sets.items()):
                 if img not in targets.values():
-                    out.append(
-                        Violation(
-                            w,
-                            n,
-                            "there",
-                            f"no agent named {n!r} at {f[w]!r} has successor set"
-                            f" {sorted(img)} (image of {a!r})",
-                        )
-                    )
+                    out.append(Violation(w, n, "there", f"no agent named {n!r} at {f[w]!r} has"
+                                         f" successor set {sorted(img)} (image of {a!r})"))
             for a2, succ in sorted(targets.items()):
                 if succ not in image_sets.values():
-                    out.append(
-                        Violation(
-                            w,
-                            n,
-                            "back",
-                            f"successor set {sorted(succ)} of {a2!r} at {f[w]!r} is"
-                            f" no image of an agent named {n!r} at {w!r}",
-                        )
-                    )
+                    out.append(Violation(w, n, "back", f"successor set {sorted(succ)} of {a2!r} at"
+                                         f" {f[w]!r} is no image of an agent named {n!r} at {w!r}"))
     if compare_valuations:
         shared = sorted(set(src.valuation) & set(dst.valuation))
         for w in sorted(src.states):
             if _atom_profile(src, w, shared) != _atom_profile(dst, f[w], shared):
-                out.append(
-                    Violation(
-                        w,
-                        None,
-                        "valuation",
-                        f"{w!r} and {f[w]!r} disagree on shared propositions",
-                    )
-                )
+                out.append(Violation(w, None, "valuation",
+                                     f"{w!r} and {f[w]!r} disagree on shared propositions"))
     return _report(out)
 
 
@@ -175,20 +146,12 @@ def _pair_ok(
         right = {a2: m2.successors(a2, w2) for a2 in m2.named(w2, n)}
         for a, succ in sorted(left.items()):
             if not any(_matched(b, succ, succ2) for succ2 in right.values()):
-                return Violation(
-                    (w, w2),
-                    n,
-                    "there",
-                    f"agent {a!r} named {n!r} at {w!r} has no matching agent at {w2!r}",
-                )
+                return Violation((w, w2), n, "there",
+                                 f"agent {a!r} named {n!r} at {w!r} has no matching agent at {w2!r}")
         for a2, succ2 in sorted(right.items()):
             if not any(_matched(b, succ, succ2) for succ in left.values()):
-                return Violation(
-                    (w, w2),
-                    n,
-                    "back",
-                    f"agent {a2!r} named {n!r} at {w2!r} has no matching agent at {w!r}",
-                )
+                return Violation((w, w2), n, "back",
+                                 f"agent {a2!r} named {n!r} at {w2!r} has no matching agent at {w!r}")
     return None
 
 
@@ -414,11 +377,3 @@ def distinguishing_formula(
     cx, cy = (next(c for c, b in enumerate(rounds[-1]) if b.members & s) for s in (x, y))
     return None if cx == cy else _delta(rounds, layout.names, cx, cy)
 
-
-def modal_equiv_corpus(
-    m1: KripkeModel, w1: str, m2: KripkeModel, w2: str, corpus: Iterable[Formula]
-) -> bool:
-    """Do the two points agree on every formula of the corpus?"""
-    return all(
-        check(m1, w1, f).value == check(m2, w2, f).value for f in corpus
-    )

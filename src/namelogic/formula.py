@@ -74,11 +74,11 @@ every parsed formula alive, and a weak one costs a weakref per node.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
 from typing import Iterator
 
 from .errors import ParseError, UnsupportedFragmentError
+from .record import Record
 
 
 class Formula:
@@ -118,11 +118,7 @@ class Formula:
             return False
         return _keys(self) == _keys(other)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
 
     def __reduce__(self):
         # the flat key list, so no depth of nesting makes pickle or
@@ -873,8 +869,7 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 # ---------------------------------------------------------------------------
 # Closure
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(Record):
     """The finite formula set the decision procedure works inside, numbered.
 
     Closed under subterms, single negations of non-negations, witness seeds
@@ -886,11 +881,7 @@ class Closure:
     numbers); nodes[root] is the desugared input.  len counts the members.
     """
 
-    nodes: tuple[Formula, ...]
-    keys: tuple[tuple, ...]
-    root: int
-    names: frozenset[str]
-    props: frozenset[str]
+    __slots__ = ("nodes", "keys", "root", "names", "props")
 
     def __len__(self) -> int:
         return len(self.nodes)

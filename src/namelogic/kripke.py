@@ -37,7 +37,6 @@ past it builds the map, keeps it, and closes backward.
 from __future__ import annotations
 
 import random
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, product, repeat
 from operator import and_, attrgetter, or_
@@ -64,6 +63,7 @@ from .formula import (
     parse_formula,
     props_in,
 )
+from .record import Record
 
 _EMPTY: frozenset = frozenset()
 _NO_ROW: dict = {}
@@ -109,8 +109,7 @@ class KripkeModel:
             rows=rows, order=tuple(canonical), bit={s: 1 << i for i, s in enumerate(canonical)},
         )
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    __setattr__ = Record.__setattr__
 
     @cached_property
     def relations(self) -> Mapping[str, frozenset[Pair]]:
@@ -328,11 +327,18 @@ def model_to_dict(m: KripkeModel) -> dict:
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str  # "error" | "warning"
-    code: str
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("level", "code", "message")  # level: "error" | "warning"
+
+    def __init__(self, level: str, code: str, message: str) -> None:
+        _set_level(self, level)
+        _set_code(self, code)
+        _set_message(self, message)
+
+
+# Diagnostic, built per finding, and TruthResult, per check, call their slot
+# setters directly rather than through Record's loop over them
+_set_level, _set_code, _set_message = Diagnostic._setters
 
 
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
@@ -424,10 +430,12 @@ def validate_model(m: KripkeModel, mode: str = "lenient") -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Truth
 
-@dataclass(frozen=True, eq=False)
-class TruthResult:
-    value: bool
-    witness: Any = None
+class TruthResult(Record):
+    __slots__ = ("value", "witness")
+
+    def __init__(self, value: bool, witness: Any = None) -> None:
+        _set_value(self, value)
+        _set_witness(self, witness)
 
     def __bool__(self) -> bool:
         return self.value
@@ -442,6 +450,9 @@ class TruthResult:
 
     def __hash__(self) -> int:
         return hash(self.value)
+
+
+_set_value, _set_witness = TruthResult._setters
 
 
 def _require_symbols(f: Formula, names=None, props=None, agents=None) -> None:

@@ -18,7 +18,6 @@ the clauses themselves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import or_
@@ -44,18 +43,17 @@ from .kripke import (
     _run,
     _truth,
 )
+from .record import Record
 
 _EMPTY: frozenset = frozenset()
 _UNSUPPORTED = (C, D, B)
 Family = frozenset[frozenset[str]]
 
 
-@dataclass(frozen=True)
-class NeighborhoodModel:
-    states: frozenset[str]
-    names: frozenset[str]
-    nu: Mapping[Pair, Family]  # (state, name) -> family of state sets
-    valuation: Mapping[str, frozenset[str]]
+class NeighborhoodModel(Record):
+    # nu: (state, name) -> family of state sets; valuation: proposition ->
+    # state set; __dict__ holds the cached _index
+    __slots__ = ("states", "names", "nu", "valuation", "__dict__")
 
     @classmethod
     def make(
@@ -72,12 +70,8 @@ class NeighborhoodModel:
             else:
                 for name, per_name in fam.items():
                     flat[(key, name)] = frozenset(frozenset(x) for x in per_name)
-        return cls(
-            states=frozenset(states),
-            names=frozenset(names),
-            nu={k: v for k, v in flat.items() if v},
-            valuation={p: frozenset(ws) for p, ws in valuation.items()},
-        )
+        return cls(frozenset(states), frozenset(names), {k: v for k, v in flat.items() if v},
+                   {p: frozenset(ws) for p, ws in valuation.items()})
 
     def family(self, state: str, name: str) -> Family:
         return self.nu.get((state, name), _EMPTY)
@@ -194,12 +188,7 @@ def kripke_to_nbhd(m: KripkeModel) -> NeighborhoodModel:
     nu: dict[Pair, Family] = {}
     for (w, n), group in m.naming.items():
         nu[(w, n)] = frozenset(m.successors(a, w) for a in group)
-    return NeighborhoodModel(
-        states=m.states,
-        names=m.names,
-        nu=nu,
-        valuation=dict(m.valuation),
-    )
+    return NeighborhoodModel(m.states, m.names, nu, dict(m.valuation))
 
 
 # the characters that make a member of a state set print as a JSON string

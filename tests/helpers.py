@@ -145,6 +145,13 @@ def reference_greatest_bisimulation(m1, m2) -> frozenset:
         rel = kept
 
 
+def modal_equiv_corpus(m1, w1, m2, w2, corpus) -> bool:
+    """Do the two points agree on every formula of the corpus?  Criterion 6's
+    check, one kripke.check per formula and side, apart from the
+    library's partition refinement."""
+    return all(kripke.check(m1, w1, f).value == kripke.check(m2, w2, f).value for f in corpus)
+
+
 def _profile(u, w, props) -> frozenset:
     return frozenset(p for p in props if u.holds(p, w))
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import capped_corpus, reference_extension, sized_corpus
+from helpers import capped_corpus, modal_equiv_corpus, reference_extension, sized_corpus
 from namelogic import (
     And,
     B,
@@ -35,7 +35,6 @@ from namelogic.equivalence import (
     check_bisimulation,
     check_frame_morphism,
     distinguishing_formula,
-    modal_equiv_corpus,
 )
 from namelogic.kripke import (
     KripkeModel,
@@ -287,11 +286,11 @@ def test_criterion_6_morphisms_and_bisimulations(capfd):
         m = random_model(states=3 + (i % 3), seed=6000 + i)
         other = random_model(states=3, seed=6500 + i)
         u = disjoint_union([m, other])
-        graph = BisimRelation.make([(w, f"0:{w}") for w in m.states])
+        graph = BisimRelation(frozenset([(w, f"0:{w}") for w in m.states]))
         if not check_bisimulation(m, u, graph).ok:
             failures.append(f"union inclusion {i}")
         sub = generated_submodel(m, sorted(m.states)[0])
-        graph = BisimRelation.make([(w, w) for w in sub.states])
+        graph = BisimRelation(frozenset([(w, w) for w in sub.states]))
         if not check_bisimulation(sub, m, graph).ok:
             failures.append(f"submodel inclusion {i}")
 

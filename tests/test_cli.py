@@ -866,6 +866,29 @@ def test_importing_the_cli_loads_no_subsystem():
     assert not {"namelogic.decision", "namelogic.equivalence", "namelogic.neighborhood"} & set(loaded)
 
 
+def test_importing_the_package_loads_no_dataclasses():
+    # the result records are __slots__ classes, so no command pays for
+    # dataclasses or the inspect and ast modules it pulls in; pytest has
+    # loaded them in this process, so the child compares its own modules
+    # before and after the imports
+    package_root = str(Path(namelogic.__file__).resolve().parent.parent)
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import namelogic.cli, namelogic.decision, namelogic.equivalence, namelogic.neighborhood; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert child.returncode == 0, child.stderr
+    added = set(child.stdout.split())
+    assert "namelogic.neighborhood" in added
+    assert not {"dataclasses", "inspect"} & added
+
+
 # ---------------------------------------------------------------------------
 # The input contract: 0 yes, 1 no, 2 bad input, for any formula text and
 # any document

@@ -1,7 +1,6 @@
 """Neighborhood semantics, translations, and complex algebra tests."""
 
 import json
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -230,7 +229,7 @@ def test_core_morphism_requires_total_map(fig_nbhd):
 
 def test_algebra_operators_at_top_and_bottom(fig_nbhd):
     # the complex algebra's operators are the E/S truth clauses on subsets
-    wv = replace(fig_nbhd, valuation={"x": frozenset({"w", "v"})})
+    wv = NeighborhoodModel(fig_nbhd.states, fig_nbhd.names, fig_nbhd.nu, {"x": frozenset({"w", "v"})})
     assert extension_nbhd(fig_nbhd, E("n", TRUE)) == fig_nbhd.states
     assert extension_nbhd(fig_nbhd, S("n", FALSE)) == frozenset()
     assert extension_nbhd(wv, S("n", Prop("x"))) == frozenset({"w", "v"})
@@ -363,7 +362,7 @@ def test_meet_and_someone_laws_hold_for_every_family(m):
     subsets = [frozenset(c) for r in range(len(universe) + 1) for c in combinations(universe, r)]
     for a in subsets:
         for b in subsets:
-            ab = replace(m, valuation={"x": a, "y": b})
+            ab = NeighborhoodModel(m.states, m.names, m.nu, {"x": a, "y": b})
             for f in laws:
                 assert extension_nbhd(ab, f) == m.states, (a, b, f)
                 assert reference_extension_nbhd(ab, f) == m.states, (a, b, f)
