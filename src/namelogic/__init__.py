@@ -35,7 +35,6 @@ from .formula import (
     parse_formula,
     print_formula,
     props_in,
-    subformulas,
     walk,
 )
 

@@ -69,6 +69,7 @@ from .formula import (
     Prop,
     S,
     Top,
+    _desugar,
     _program,
     _texts,
     agents_in,
@@ -76,7 +77,6 @@ from .formula import (
     names_in,
     print_formula,
     props_in,
-    subformulas,
 )
 from .kripke import KripkeModel, _bit_indices
 from .record import Record
@@ -134,12 +134,13 @@ class EliminationState(Record):
 class _Layout:
     """The closure of a query, resolved to integers once.
 
-    It reads the closure's numbering as it is: a member's operands are
+    It reads the closure's keys as they are: a member's operands are
     numbers already, and the query is the closure's root, so nothing is
-    numbered or desugared here.
+    numbered, desugared or built here.
 
-    positives are the members that are not negations, ordered by subterm
-    count and then text; an atom sets bit i when positives[i] holds.  A
+    The positives are the members that are not negations, ordered by
+    subterm count and then text; texts[i] is the i-th one's print_formula
+    text, and an atom sets bit i when it holds.  A
     literal (i, want) stands for a member: the positive its negations strip
     down to, and the member's truth when that positive holds.  e_of, s_of
     and c_of list per name each E, S and C member as (index, literal of the
@@ -158,10 +159,9 @@ class _Layout:
         self.names = tuple(sorted(cl.names))
 
         # Members as the closure numbers them, children first: keys[k] is
-        # the key of nodes[k], whose last item holds its operand numbers,
-        # sub[k] its subterm numbers as a mask, text[k] its print_formula
-        # text.
-        nodes, keys = cl.nodes, cl.keys
+        # member k's key, whose last item holds its operand numbers, sub[k]
+        # its subterm numbers as a mask, text[k] its print_formula text.
+        keys = cl.keys
         text = _texts(keys)
         sub: list[int] = []
         for k, (_, _, ks) in enumerate(keys):
@@ -182,7 +182,6 @@ class _Layout:
                 lit.append((i, not want))
             else:
                 lit.append((rank[k], True))
-        self.positives = tuple(nodes[k] for k in order)
         self.texts = tuple(text[k] for k in order)
         self.prop_bits = {keys[k][1][0]: i for i, k in enumerate(order) if keys[k][0] is Prop}
         self.chi_lit = lit[cl.root]
@@ -346,7 +345,7 @@ class _Solver:
         full = (1 << len(self.atoms)) - 1
         self.full = full
         # col[i]: the atoms holding positive i
-        col = [0] * len(lay.positives)
+        col = [0] * len(lay.texts)
         for j, atom in enumerate(self.atoms):
             for i in _bit_indices(atom):
                 col[i] |= 1 << j
@@ -536,11 +535,11 @@ def satisfiable_bounded(chi: Formula, max_states: int = 3, max_agents: int = 2) 
     tiers are enumerated, larger ones sampled, so a miss proves nothing.  A
     hit yields a "sat" whose model is checked again through kripke.check
     and lenient validation; a miss yields "sat-bounded-unknown", never
-    "unsat".  The stats count subformulas in place of a closure.
-    """
-    stats = {"closure_size": len(subformulas(chi)), "initial_atoms": 0, "rounds": 0}
-    props, names, fixed = sorted(props_in(chi)), sorted(names_in(chi)), sorted(agents_in(chi))
+    "unsat".  The stats' closure_size counts desugared subterms, not a
+    closure."""
     prog = _program(chi)
+    stats = {"closure_size": len(_desugar(prog[0])[0].keys), "initial_atoms": 0, "rounds": 0}
+    props, names, fixed = sorted(props_in(chi)), sorted(names_in(chi)), sorted(agents_in(chi))
     for size in range(1, max_states + 1):
         for n_agents in range(len(fixed), max_agents + 1):
             agents = _agent_pool(fixed, n_agents)

@@ -49,13 +49,14 @@ its id, and numbers a parsed root it meets from the root's keys, taking
 its nodes from that one build.  Printing, ``repr``, ``modal_depth`` and
 the truth core are folds over the keys, and each meets a shared subterm
 once; nothing here recurses, so no depth of nesting is too deep to read,
-print, compare or evaluate.  ``desugar`` writes its result into a table,
-keeping a node of its input where the result leaves it as it was, so
+print, compare or evaluate.  ``_desugar`` rewrites a key list into a
+table, noting the numbers whose subterm the input keeps as it was;
+``desugar`` builds nodes from it, reusing the input's nodes where kept, so
 equal subterms of the result are one node when those of its input are.
-``closure`` grows that same table by the seeds and every member its rules
-add, each after its operands, and builds the nodes once at the end; the
-decision procedure's layout reads the nodes and keys as they are, so a
-query is numbered once.
+``closure`` desugars the query's keys, a parsed query's program as it
+stands, and grows that table by the seeds and every member its rules add,
+each after its operands.  The closure is that key list and builds no
+node; the layout reads the keys, so a query is numbered at most once.
 
 A formula asked about in a model is numbered once: ``_program`` keeps its
 keys on the node, with the name, proposition and agent sets that
@@ -826,25 +827,25 @@ def desugar(f: Formula) -> Formula:
     are one node when those of f are, as in a parsed formula.  A node
     whose operands come out unchanged is returned as it is, so desugar(g)
     is g for g in the core."""
-    table, kept = _desugared(f)
-    return _build(table.keys, kept)[-1]
-
-
-def _desugared(f: Formula) -> tuple[_Table, dict[int, Formula]]:
-    """A table numbering desugar(f), which it numbers last, so every key
-    it holds is a subterm's, and the subterms of f that desugar(f) keeps as
-    they are, by number, for _build."""
     nodes, keys = _numbering(f)
+    table, same = _desugar(keys)
+    return _build(table.keys, {b: nodes[k] for b, k in same.items()})[-1]
+
+
+def _desugar(keys: list[tuple]) -> tuple[_Table, dict[int, int]]:
+    """A table numbering the desugared formula that keys number, last, so
+    every key it holds is a subterm's, and same, which maps each table
+    number whose subterm is the input's, unchanged, to its number in keys."""
     table = _Table()
     node = table.node
-    kept: dict[int, Formula] = {}
+    same: dict[int, int] = {}
 
     def implies(a: int, b: int) -> int:  # !(a & !b)
         return node(Not, (), (node(And, (), (a, node(Not, (), (b,)))),))
 
     out: list[int] = []
-    for g, (cls, fields, ks) in zip(nodes, keys):
-        args = tuple([out[k] for k in ks])
+    for k, (cls, fields, ks) in enumerate(keys):
+        args = tuple([out[j] for j in ks])
         if cls is Or:  # !a -> b
             out.append(implies(node(Not, (), args[:1]), args[1]))
         elif cls is Implies:
@@ -854,16 +855,10 @@ def _desugared(f: Formula) -> tuple[_Table, dict[int, Formula]]:
         else:
             new = len(table.keys)
             a = node(cls, fields, args)
-            if a == new and all([kept.get(b) is nodes[k] for b, k in zip(args, ks)]):
-                kept[a] = g
+            if a == new and all([same.get(b) == j for b, j in zip(args, ks)]):
+                same[a] = k
             out.append(a)
-    return table, kept
-
-
-def subformulas(f: Formula) -> frozenset[Formula]:
-    """The reflexive-transitive subterm set of the desugared formula."""
-    table, kept = _desugared(f)
-    return frozenset(_build(table.keys, kept))
+    return table, same
 
 
 # ---------------------------------------------------------------------------
@@ -876,28 +871,27 @@ class Closure(Record):
     S[n] true / E[n] false for every name occurring in the input, S-weakening
     of E members, and the one-step unfolding members of C.
 
-    nodes lists the members children first, one number per distinct
-    formula, and keys[k] is the key of nodes[k], (class, fields, operand
-    numbers); nodes[root] is the desugared input.  len counts the members.
+    keys lists the members children first, one (class, fields, operand
+    numbers) per distinct formula, and keys[root] is the desugared input;
+    no member is built as a node.  len counts the members.
     """
 
-    __slots__ = ("nodes", "keys", "root", "names", "props")
+    __slots__ = ("keys", "root", "names", "props")
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.keys)
 
 
 def closure(chi: Formula) -> Closure:
     """Number the closure of chi over the !/&/E/S/C core.
 
-    chi is desugared first; D and B are outside the supported fragment.
-    desugar numbers the desugared chi in a _Table, and the same table
-    grows by the seeds, then by each member a rule adds.  Every added
-    member is numbered after its operands, so the numbering stays children
-    first, and a member already present keeps its number.  The nodes are
-    built once, when every member is numbered.
+    chi is desugared first, from its keys, a parsed chi's program as it
+    stands; D and B are outside the supported fragment.  The table of the
+    desugared chi grows by the seeds, then by each member a rule adds.
+    Every added member is numbered after its operands, so the numbering
+    stays children first, and a member already present keeps its number.
     """
-    table, kept = _desugared(chi)
+    table, _ = _desugar(_keys(chi))
     keys = table.keys
     for k in range(len(keys) - 1, -1, -1):  # outermost first, as a walk of a tree meets them
         if keys[k][0] is D or keys[k][0] is B:
@@ -924,4 +918,4 @@ def closure(chi: Formula) -> Closure:
             node(E, fields, ks)
             node(E, fields, (k,))
         k += 1
-    return Closure(tuple(_build(keys, kept)), tuple(keys), root, names, props)
+    return Closure(tuple(keys), root, names, props)

@@ -801,7 +801,8 @@ def frame_valid(m: KripkeModel, f: Formula, max_bits: int = 16) -> bool:
 
 
 def generated_submodel(m: KripkeModel, w: str) -> KripkeModel:
-    """Restrict m to the states reachable from w via any agent, w included."""
+    """Restrict m to the states reachable from w via any agent, w included;
+    a reached state that m does not declare stays undeclared."""
     if w not in m.states:
         raise UndeclaredSymbolError(f"undeclared state {w!r}")
     reach, frontier, rows = 0, m.bit[w], [m.rows.get(a, _NO_ROW) for a in m.agents]
@@ -810,10 +811,11 @@ def generated_submodel(m: KripkeModel, w: str) -> KripkeModel:
         frontier = reduce(or_, (row.get(1 << i, 0) for i in _bit_indices(frontier) for row in rows), 0)
         frontier &= ~reach
     keep = frozenset(map(m.order.__getitem__, _bit_indices(reach)))
-    order = sorted(keep)
+    states = keep & m.states
+    order = sorted(states) + sorted(keep - states)
     bit = {s: 1 << i for i, s in enumerate(order)}
     return KripkeModel._of_rows(
-        keep, m.agents, m.names, order,
+        states, m.agents, m.names, order,
         _renumber(m.rows, [bit.get(s, 0) for s in m.order]),
         {k: v for k, v in m.naming.items() if k[0] in keep},
         {p: ws & keep for p, ws in m.valuation.items()},

@@ -29,7 +29,7 @@ from .errors import (
     UndeclaredSymbolError,
     UnsupportedFragmentError,
 )
-from .formula import B, C, D, E, FALSE, Formula, S, TRUE, _program
+from .formula import B, C, D, E, Formula, S, _program
 from .kripke import (
     Diagnostic,
     KripkeModel,
@@ -40,7 +40,6 @@ from .kripke import (
     _named,
     _propositions,
     _require_symbols,
-    _run,
     _truth,
 )
 from .record import Record
@@ -268,24 +267,24 @@ def verify_algebra_equations(m: NeighborhoodModel) -> list[Diagnostic]:
        empty set breaks this one, so such states are reported as warnings
        rather than equation failures.
 
-    Only laws 1 and 4 are evaluated: 2 and 3 hold in every model.  A state
-    w is in E_n(a) when every member of nu_n(w) lies inside a, in S_n(a)
-    when some member does.  Every member lies inside a and b exactly when
-    every member lies inside a and every member inside b: law 2.  A member
-    inside a lies inside b too, when every member does: law 3.  Neither
-    step asks a member to be nonempty, to hold w or to lie in the state
-    set, and neither clause reads a family at an undeclared state.  The
-    tests check both laws on every pair of subsets.
+    Only laws 1 and 4 are evaluated, read off the truth core's E and S
+    steps over the full and the empty set: 2 and 3 hold in every model.  A
+    state w is in E_n(a) when every member of nu_n(w) lies inside a, in
+    S_n(a) when some member does.  Law 2: every member lies inside a and b
+    exactly when every member lies inside a and every member inside b.
+    Law 3: a member inside a lies inside b too, when every member does.
+    Neither step asks a member to be nonempty, to hold w or to lie in the
+    state set, and neither clause reads a family at an undeclared state.
+    The tests check both laws on every pair of subsets.
     """
     out: list[Diagnostic] = []
     ix = m._index
-    truth = lambda f: _run(_program(f), ix, {})[-1]
     for n in sorted(m.names):
-        if truth(E(n, TRUE)) != ix.full:
+        if ix.step(E, (n,), ix.full) != ix.full:
             out.append(
                 Diagnostic("error", "eq-top", f"E[{n}] of the full set is not the full set")
             )
-        duality_gap = (ix.full & ~truth(E(n, FALSE))) ^ truth(S(n, TRUE))
+        duality_gap = (ix.full & ~ix.step(E, (n,), 0)) ^ ix.step(S, (n,), ix.full)
         for w in sorted(ix.states_of(duality_gap)):
             if m.family(w, n) == frozenset({_EMPTY}):
                 out.append(

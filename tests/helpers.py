@@ -11,7 +11,7 @@ from operator import or_
 
 from namelogic import And, B, Bot, BudgetExceededError, C, D, E, FALSE, Iff, Implies, ModelFormatError, Not, Or, Prop, S, TRUE, Top, closure, walk
 from namelogic import UnsupportedFragmentError, desugar, names_in, print_formula, props_in
-from namelogic import kripke
+from namelogic import formula, kripke
 from namelogic.formula import _numbering
 
 _BOOLEAN = ("not", "and", "or", "implies", "iff")
@@ -374,6 +374,31 @@ def reference_symbols(f) -> tuple[frozenset, frozenset, frozenset]:
     )
 
 
+def subformulas(f) -> frozenset:
+    """The distinct subterms of the desugared f, f included."""
+    return frozenset(_numbering(desugar(f))[0])
+
+
+def closure_members(cl) -> list:
+    """The members of a formula.Closure as nodes, members[k] the formula
+    cl.keys[k] numbers, each built by its class's constructor over the
+    members its key names as operands."""
+    members: list = []
+    for cls, fields, ks in cl.keys:
+        members.append(cls(*fields, *[members[k] for k in ks]))
+    return members
+
+
+def refuse_node_builds(mp) -> None:
+    """Through the pytest MonkeyPatch mp, make formula._build and
+    formula._unfold, the routes by which keys become nodes, raise."""
+    def refused(*args):
+        raise AssertionError("a formula node was built")
+
+    mp.setattr(formula, "_build", refused)
+    mp.setattr(formula, "_unfold", refused)
+
+
 def reference_closure(chi) -> tuple[frozenset, frozenset, frozenset]:
     """(members, names, props) of the closure of chi, by a worklist over a
     set: the subterms of the desugared chi and the seeds, then every
@@ -610,10 +635,10 @@ def reference_enumerate_atoms(lay, max_atoms):
     each assignment, every literal rule of lay.rules filed under that level
     (its highest index) is tested with all(), in the order and with the
     budget of the enumeration before it compiled the rules to masks."""
-    buckets = [[] for _ in lay.positives]
+    buckets = [[] for _ in lay.texts]
     for ants, (j, want) in lay.rules:
         buckets[max(j, *(i for i, _ in ants))].append((ants, (j, want)))
-    bits = [False] * len(lay.positives)
+    bits = [False] * len(lay.texts)
     atoms = []
 
     def consistent(d):

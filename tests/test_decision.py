@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     capped_corpus,
+    closure_members,
     random_formula,
     reference_candidate_index,
     reference_candidate_model,
@@ -18,6 +19,8 @@ from helpers import (
     reference_eliminate,
     reference_enumerate_atoms,
     reference_extension,
+    refuse_node_builds,
+    subformulas,
 )
 from namelogic import (
     FALSE,
@@ -740,7 +743,7 @@ def _elimination_record(chi) -> str:
     atoms = _enumerate_atoms(lay, 200_000)
     state = _Solver(lay, atoms).run()
     return json.dumps({
-        "positives": [print_formula(f) for f in lay.positives],
+        "positives": list(lay.texts),
         "atoms": atoms,
         "surviving": state.surviving,
         "rounds": state.round,
@@ -770,9 +773,10 @@ def test_elimination_results_are_pinned():
 
 
 def test_layout_numbers_each_query_once(monkeypatch):
-    # desugar numbers the query and writes the desugared query into the
-    # table that closure grows; the layout reads that numbering and builds
-    # no truth program
+    # closure desugars the query's keys into the table it grows: a parsed
+    # query's program as it stands, so it is not numbered, and a query
+    # built in code from one numbering; the layout reads that table and
+    # builds no truth program
     numbered = []
     numbering = formula._numbering
 
@@ -790,7 +794,34 @@ def test_layout_numbers_each_query_once(monkeypatch):
         for chi in (parse_formula(text), Not(parse_formula(text))):
             numbered.clear()
             _Layout(chi, 64)
-            assert len(numbered) == 1, text
+            assert len(numbered) == (chi.__class__ is Not), text
+
+
+def test_the_decision_path_builds_no_formula_node(monkeypatch):
+    # the closure is a key list, so satisfiable on a parsed query and the
+    # bounded oracle read keys only: with every node build refused they
+    # give the results they give without the refusal
+    sat_texts = DECIDE_SAT_TEXTS
+    oracle_texts = DECIDE_ORACLE_TEXTS[:4] + ("D[n](p & q) & !S[n](p & q)", "B[a;n] p & !p")
+    want = ([satisfiable(parse_formula(t)).to_dict() for t in sat_texts],
+            [satisfiable_bounded(parse_formula(t), 2, 2).to_dict() for t in oracle_texts])
+    sat_queries = [parse_formula(t) for t in sat_texts]
+    oracle_queries = [parse_formula(t) for t in oracle_texts]
+    refuse_node_builds(monkeypatch)
+    got = ([satisfiable(chi).to_dict() for chi in sat_queries],
+           [satisfiable_bounded(chi, 2, 2).to_dict() for chi in oracle_queries])
+    assert got == want
+    assert {r["verdict"] for r in want[0]} == {"sat"}
+    assert {r["verdict"] for r in want[1]} == {"sat", "sat-bounded-unknown"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_lane_cases())
+def test_the_oracle_closure_size_counts_desugared_subterms(case):
+    chi = case[0]
+    size = len(subformulas(chi))
+    assert satisfiable_bounded(chi, 1, 1).stats["closure_size"] == size
+    assert satisfiable_bounded(parse_formula(print_formula(chi)), 1, 1).stats["closure_size"] == size
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +860,9 @@ def test_mask_rules_enumerate_the_reference_atoms(f):
     if len(closure(f)) > 40:
         return
     lay = _Layout(f, 40)
-    assert lay.texts == tuple(map(print_formula, lay.positives))
+    positives = [g for g in closure_members(closure(f)) if g.__class__ is not Not]
+    positives.sort(key=lambda g: (len(subformulas(g)), print_formula(g)))
+    assert lay.texts == tuple(map(print_formula, positives))
     try:
         want = reference_enumerate_atoms(lay, 5000)
     except BudgetExceededError:

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    closure_members,
     reference_closure,
     reference_desugar,
     reference_equal,
     reference_modal_depth,
     reference_print,
     reference_symbols,
+    refuse_node_builds,
+    subformulas,
 )
 
 from namelogic import kripke, neighborhood
@@ -51,7 +54,6 @@ from namelogic.formula import (
     parse_formula,
     print_formula,
     props_in,
-    subformulas,
     walk,
 )
 
@@ -266,19 +268,24 @@ def test_desugared_equal_subterms_are_one_node(f):
 
 
 def test_a_parsed_query_is_numbered_from_its_keys():
-    # closure numbers a parsed root by its program's keys, not by a walk of
-    # its operands, and keeps the nodes of the one build that makes them:
-    # a formula in the core comes back as it is, subterms included
+    # closure desugars a parsed root's program as it stands: its operands
+    # are never read and no node is built; a formula in the core keeps its
+    # keys, and desugar returns it as it is.  A root built in code is
+    # numbered by a walk that reads its operands, and a parsed operand's
+    # operands are built by the one unfold that numbers them
     g, h = parse_formula("S[n] (p & !E[m] q) & C[n] !(p & !E[m] q)"), parse_formula("p -> E[n] q")
     read = []
     with pytest.MonkeyPatch.context() as mp:
         for cls in (Not, _Binary, _Modal):
             mp.setattr(cls, "_kids", lambda self, kids=cls._kids: read.append(self) or kids(self))
-        cl, _ = closure(g), closure(w := Not(h))
-    assert {id(x) for x in read} == {id(g), id(w), id(h)}
-    assert cl.nodes[cl.root] is g and desugar(g) is g
-    number = {id(x): k for k, x in enumerate(cl.nodes)}
-    assert number[id(g.left)] == cl.keys[cl.root][2][0] and number[id(g.right.arg.arg)] < cl.root
+        with pytest.MonkeyPatch.context() as no_build:
+            refuse_node_builds(no_build)
+            cl = closure(g)
+        assert read == []
+        closure(w := Not(h))
+    assert {id(x) for x in read} == {id(w), id(h)}
+    assert cl.keys[:cl.root + 1] == tuple(_keys(g))
+    assert desugar(g) is g
 
 
 @given(_formulas())
@@ -358,7 +365,7 @@ def test_numbering_never_compares_formulas(f):
                     cl = closure(h)
                 except UnsupportedFragmentError:
                     continue
-                agree.append(len(_numbering(cl.nodes[cl.root], core)[0]) == size)
+                agree.append(len(_numbering(closure_members(cl)[cl.root], core)[0]) == size)
             depth = modal_depth(a)
     except _Compared:
         pytest.fail("two formulas were compared", pytrace=False)
@@ -831,7 +838,7 @@ def test_signature_helpers():
 
 def test_closure_of_atom_has_no_modal_members():
     cl = closure(p)
-    assert frozenset(cl.nodes) == frozenset({p, Not(p)})
+    assert frozenset(closure_members(cl)) == frozenset({p, Not(p)})
 
 
 def test_closure_of_someone_knows():
@@ -850,13 +857,13 @@ def test_closure_of_someone_knows():
     }
     expected = positives | {Not(g) for g in positives}
     cl = closure(S("n", p))
-    assert frozenset(cl.nodes) == frozenset(expected)
+    assert frozenset(closure_members(cl)) == frozenset(expected)
     assert cl.names == frozenset({"n"})
     assert cl.props == frozenset({"p"})
 
 
 def test_closure_of_common_knowledge_contains_unfolding():
-    members = frozenset(closure(C("n", p)).nodes)
+    members = frozenset(closure_members(closure(C("n", p))))
     for member in (E("n", p), S("n", p), E("n", C("n", p))):
         assert member in members
         assert Not(member) in members
@@ -864,7 +871,7 @@ def test_closure_of_common_knowledge_contains_unfolding():
 
 def test_closure_members_are_negation_paired():
     for chi in (S("n", p), C("n", Or(p, q)), parse_formula("S[n] p -> E[m] q")):
-        members = frozenset(closure(chi).nodes)
+        members = frozenset(closure_members(closure(chi)))
         for g in members:
             if isinstance(g, Not):
                 assert g.arg in members
@@ -874,9 +881,9 @@ def test_closure_members_are_negation_paired():
 
 def test_closure_is_closed():
     for chi in (S("n", p), C("n", Or(p, q)), parse_formula("!(S[n] p & !p)")):
-        members = frozenset(closure(chi).nodes)
+        members = frozenset(closure_members(closure(chi)))
         for member in members:
-            assert frozenset(closure(member).nodes) <= members
+            assert frozenset(closure_members(closure(member))) <= members
 
 
 def test_closure_rejects_distributed_and_relativized():
@@ -896,17 +903,18 @@ def test_closure_numbers_the_reference_members(f):
         assert str(got.value) == str(exc)
         return
     cl = closure(f)
-    assert (frozenset(cl.nodes), cl.names, cl.props) == want
-    assert len(cl.nodes) == len(cl.keys) == len(frozenset(cl.nodes))  # one number each
-    number = {g: k for k, g in enumerate(cl.nodes)}
-    for k, (g, (cls, fields, ks)) in enumerate(zip(cl.nodes, cl.keys)):
+    members = closure_members(cl)
+    assert (frozenset(members), cl.names, cl.props) == want
+    assert len(cl) == len(cl.keys) == len(frozenset(members))  # one number each
+    number = {g: k for k, g in enumerate(members)}
+    for k, (g, (cls, fields, ks)) in enumerate(zip(members, cl.keys)):
         assert all(j < k for j in ks)  # children first
         assert ks == tuple(number[x] for x in g._kids())
         assert (cls, fields) == (g.__class__, g._fields())
-    assert cl.nodes[cl.root] == desugar(f)
+    assert members[cl.root] == desugar(f)
 
 
 def test_closure_desugars_first():
-    nodes = closure(Implies(p, q)).nodes
+    nodes = closure_members(closure(Implies(p, q)))
     assert And(p, Not(q)) in nodes
     assert not any(isinstance(g, (Or, Implies, Iff)) for g in nodes)

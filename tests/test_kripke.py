@@ -563,6 +563,25 @@ def test_generated_submodel():
         assert check(sub, "x", f).value == check(m, "x", f).value
 
 
+def test_generated_submodel_keeps_an_undeclared_state_undeclared():
+    # u is reached from w but not declared: E, S and C range over the
+    # declared states only, so declaring u in the submodel would make these
+    # true at w there while they are false in m
+    m = model_from_dict({
+        "states": ["w"], "agents": ["a"], "names": ["n"],
+        "relations": {"a": [["w", "w"], ["w", "u"]]},
+        "naming": {"w": {"n": ["a"]}}, "valuation": {"p": ["w"]},
+    })
+    sub = generated_submodel(m, "w")
+    assert sub.states == frozenset({"w"})
+    for text in ("E[n] true", "E[n] (p | !p)", "S[n] (p | !p)", "C[n] (p | !p)"):
+        f = parse_formula(text)
+        assert check(m, "w", f).value is False
+        assert check(sub, "w", f).value is False, text
+    codes = lambda x: [d.code for d in validate_model(x, "lenient")]
+    assert codes(m) == codes(sub) == ["undeclared-state"]
+
+
 def test_disjoint_union_preserves_truth(fig):
     union = disjoint_union([fig, fig])
     assert union.states == frozenset(f"{i}:{s}" for i in (0, 1) for s in fig.states)

@@ -20,9 +20,9 @@ _CHECK = AxiomCheck("AX_N", "T(S)", parse_formula("S[n] p -> p"), "valid", True)
 # class, its fields, two distinct value tuples, the defaulted fields' values,
 # and the repr of the first
 RECORDS = [
-    (Closure, ("nodes", "keys", "root", "names", "props"),
-     (_CL.nodes, _CL.keys, _CL.root, _CL.names, _CL.props),
-     (_CL.nodes, _CL.keys, 0, _CL.names, _CL.props), {}, None),
+    (Closure, ("keys", "root", "names", "props"),
+     (_CL.keys, _CL.root, _CL.names, _CL.props),
+     (_CL.keys, 0, _CL.names, _CL.props), {}, None),
     (Diagnostic, ("level", "code", "message"),
      ("error", "undeclared-state", "naming entry at undeclared state 'z'"),
      ("warning", "undeclared-state", "naming entry at undeclared state 'z'"), {},
@@ -141,7 +141,7 @@ def test_truth_result_compares_as_its_value():
 
 
 def test_custom_members_are_kept():
-    assert len(_CL) == len(_CL.nodes)
+    assert len(_CL) == len(_CL.keys)
     assert SatResult("sat", None, None, {}) and not SatResult("unsat", None, None, {})
     assert SatResult("unsat", None, None, {"b": 1, "a": 2}).to_dict() == {
         "verdict": "unsat", "model": None, "state": None, "stats": {"a": 2, "b": 1}}
