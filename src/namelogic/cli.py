@@ -243,6 +243,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # some argparse versions strip the "--" of --opt=--, leaving []
+            setattr(args, name, "--")
     try:
         return args.fn(args)
     except (LogicError, ValueError, OSError) as exc:

@@ -23,40 +23,47 @@ and ``S[n] f``) hash apart.  Building a node calls no Python-level
 root gets the same value on first read, folded over its keys (below).
 
 A formula is a DAG: equal subterms may be one shared node.  A numbering
-lists the distinct subterms of one or more roots children first, and one
-builder, ``_Table``, makes every numbering.  It knows a subterm by its key,
-(class, string fields, operand numbers), so equal subterms get one number
-and no two formulas are ever compared: hash-consing (Filliatre & Conchon
-2006) that lasts for one numbering.  The key list is the one representation
-of a numbered formula.  The numbering is canonical (children first, left
-first, each distinct subterm once), so two formulas are equal exactly when
-their key lists are: ``==`` checks identity, class and hash, then compares
-the two lists, a comparison of tuples of classes, strings and ints that
-runs in C and never recurses.  A formula compares by its program's keys
-when it carries one, else by a fresh numbering that is not kept.
+lists the distinct subterms of one or more roots children first, in a
+``_Table``: a key list and a dict from each key to its number.  A subterm
+is known by its key, (class, string fields, operand numbers), so equal
+subterms get one number and no two formulas are ever compared: hash-consing
+(Filliatre & Conchon 2006) that lasts for one numbering.  The parser and
+``_numbering`` write into a table's dict and list directly, and the parser
+memoises atoms per parse, so a repeated atom costs one lookup by its text;
+the rest go through ``_Table.node``.  The key list is the one
+representation of a numbered formula.  The numbering is canonical (children
+first, left first, each distinct subterm once), so two formulas are equal
+exactly when their key lists are: ``==`` checks identity, class and hash,
+then compares the two lists, a comparison of tuples of classes, strings and
+ints that runs in C and never recurses.  A formula compares by its
+program's keys when it carries one, else by a fresh numbering that is not
+kept.
 
 The parser is one loop over the tokens, its pending operators and operands
 on explicit stacks, and writes keys only: a text is numbered as it is read,
 and no node is built for its subterms.  The parsed formula is its root,
 made by ``_root`` from the key list with its string fields and the keys,
-kept as its program, the same list ``_numbering`` would make.  Its
-operands and ``_hash`` are left unset, and ``Formula.__getattr__`` fills
-them on first read: the hash folded over the keys, the operands built from
-the keys in one loop (``_unfold``), one node per key, so equal subterms of
-one text are one node.  Pickling and copying go through ``_root`` too.
+kept as its program, the same list ``_numbering`` would make.  Its operands
+and ``_hash`` are left unset, and ``Formula.__getattr__`` fills them on
+first read: the hash folded over the keys, the operands built from the keys
+in one loop (``_unfold``), one node per key, so equal subterms of one text
+are one node.  Pickling and copying go through ``_root`` too.
 ``_numbering`` numbers formulas built in code, reading each node once by
-its id, and numbers a parsed root it meets from the root's keys, taking
-its nodes from that one build.  Printing, ``repr``, ``modal_depth`` and
-the truth core are folds over the keys, and each meets a shared subterm
-once; nothing here recurses, so no depth of nesting is too deep to read,
-print, compare or evaluate.  ``_desugar`` rewrites a key list into a
-table, noting the numbers whose subterm the input keeps as it was;
-``desugar`` builds nodes from it, reusing the input's nodes where kept, so
-equal subterms of the result are one node when those of its input are.
-``closure`` desugars the query's keys, a parsed query's program as it
-stands, and grows that table by the seeds and every member its rules add,
-each after its operands.  The closure is that key list and builds no
-node; the layout reads the keys, so a query is numbered at most once.
+its id, and numbers a parsed root it meets from the root's keys, taking its
+nodes, when they are asked for, from that one build.  ``_keys`` and
+``_program`` ask for none, so numbering a formula built in code over parsed
+roots, such as ``valid``'s negation of a query, builds no node.  Printing,
+``repr``, ``modal_depth`` and the truth core are folds over the keys, and
+each meets a shared subterm once; nothing here recurses, so no depth of
+nesting is too deep to read, print, compare or evaluate.  ``_desugar``
+rewrites a key list into a table, noting the numbers whose subterm the
+input keeps as it was; ``desugar`` builds nodes from it, reusing the
+input's nodes where kept, so equal subterms of the result are one node when
+those of its input are.  ``closure`` desugars the query's keys, a parsed
+query's program as it stands, and grows that table by the seeds and every
+member its rules add, each after its operands.  The closure is that key
+list and builds no node; the layout reads the keys, so a query is numbered
+at most once.
 
 A formula asked about in a model is numbered once: ``_program`` keeps its
 keys on the node, with the name, proposition and agent sets that
@@ -356,6 +363,9 @@ _BINARY = {
     "|": (1, (2, Or, ())),
     "&": (2, (3, And, ())),
 }
+# A closing parenthesis, or the end, applies every connective pending in
+# its group: each level is above a _GROUP's.
+_CLOSE = (_GROUP[0], None)
 
 _HEADS = {"E": E, "S": S, "C": C, "D": D, "B": B}
 
@@ -378,15 +388,20 @@ def parse_formula(text: str) -> Formula:
     makes it recurse.  A prefix operator applies when its operand is
     complete, and a connective once its right operand is followed by a
     connective that binds no tighter, a closing parenthesis or the end.
-    Each subterm is numbered in a _Table as it is read, after its
-    operands, and only its key is kept: no node is built for it.  The
-    formula returned is the root that _root makes from the keys, which it
-    keeps as its program, the list _numbering would make; its operands are
-    built on first read, equal subterms of the text as one node."""
+    Each subterm is numbered as it is read, after its operands, and only
+    its key is kept: no node is built for it.  The parser writes into a
+    _Table's dict and key list directly, with no call per subterm, and
+    memoises atoms per parse: an atom's text maps to its number once it
+    has passed the checks, so a repeated atom costs one dict lookup, and
+    the dict never holds a leaf's key.  The formula returned is the root
+    that _root makes from the keys, which it keeps as its program, the list
+    _numbering would make; its operands are built on first read, equal
+    subterms of the text as one node."""
     tokens = _TOKEN.findall(text)
     tokens.append("")  # the end of input
     table = _Table()
-    node = table.node
+    keys, slot = table.keys, table.slot
+    atoms: dict[str, int] = {}  # an atom's text to its number
     ops: list[tuple] = [_GROUP]
     lefts: list[int] = []
     depth = 0  # open parentheses
@@ -395,69 +410,85 @@ def parse_formula(text: str) -> Formula:
         # an operand: prefix operators, then an atom or an open parenthesis
         t = tokens[i]
         i += 1
-        if t == "!":
-            ops.append(_NOT)
-            continue
-        if t == "(":
-            ops.append(_GROUP)
-            depth += 1
-            continue
-        c = t[:1]
-        if not (c.isalpha() or c == "_"):
-            raise _error(text, tokens, i - 1, "expected a formula, got {}")
-        cls = _HEADS.get(t)
-        if cls is not None and tokens[i] == "[":
-            first = tokens[i + 1]
-            c = first[:1]  # _is_identifier(first), inlined
-            if not (c.isalpha() or c == "_") or first == "true" or first == "false":
-                raise _error(text, tokens, i + 1, "expected identifier, got {}")
-            if cls is B:
-                if tokens[i + 2] != ";":
-                    raise _error(text, tokens, i + 2, "expected ';', got {}")
-                if not _is_identifier(tokens[i + 3]):
-                    raise _error(text, tokens, i + 3, "expected identifier, got {}")
-                fields, i = (first, tokens[i + 3]), i + 4
+        k = atoms.get(t)
+        if k is None:
+            if t == "!":
+                ops.append(_NOT)
+                continue
+            if t == "(":
+                ops.append(_GROUP)
+                depth += 1
+                continue
+            c = t[:1]
+            if not (c.isalpha() or c == "_"):
+                raise _error(text, tokens, i - 1, "expected a formula, got {}")
+            cls = _HEADS.get(t)
+            if cls is not None and tokens[i] == "[":
+                first = tokens[i + 1]
+                c = first[:1]  # _is_identifier(first), inlined
+                if not (c.isalpha() or c == "_") or first == "true" or first == "false":
+                    raise _error(text, tokens, i + 1, "expected identifier, got {}")
+                if cls is B:
+                    if tokens[i + 2] != ";":
+                        raise _error(text, tokens, i + 2, "expected ';', got {}")
+                    if not _is_identifier(tokens[i + 3]):
+                        raise _error(text, tokens, i + 3, "expected identifier, got {}")
+                    fields, i = (first, tokens[i + 3]), i + 4
+                else:
+                    fields, i = (first,), i + 2
+                if tokens[i] != "]":
+                    raise _error(text, tokens, i, "expected ']', got {}")
+                ops.append((_UNARY, cls, fields))
+                i += 1
+                continue
+            if t == "true":
+                key = (Top, (), ())
+            elif t == "false":
+                key = (Bot, (), ())
+            elif c.islower():
+                key = (Prop, (t,), ())
             else:
-                fields, i = (first,), i + 2
-            if tokens[i] != "]":
-                raise _error(text, tokens, i, "expected ']', got {}")
-            ops.append((_UNARY, cls, fields))
-            i += 1
-            continue
-        if t == "true":
-            k = node(Top, (), ())
-        elif t == "false":
-            k = node(Bot, (), ())
-        elif c.islower():
-            k = node(Prop, (t,), ())
-        else:
-            raise _error(text, tokens, i - 1, "propositions are lowercase identifiers, got {}")
+                raise _error(text, tokens, i - 1, "propositions are lowercase identifiers, got {}")
+            # a leaf's key comes from its text alone, so the memo numbers
+            # each leaf once, and the slot dict never needs it
+            k = atoms[t] = len(keys)
+            keys.append(key)
+        top = ops[-1]
         while True:
             # the operand k is complete: apply the prefix operators on it
-            while ops[-1][0] == _UNARY:
-                _, cls, fields = ops.pop()
-                k = node(cls, fields, (k,))
+            while top[0] == _UNARY:
+                ops.pop()
+                key = (top[1], top[2], (k,))  # table.node, inlined
+                n = len(keys)
+                k = slot.setdefault(key, n)
+                if k == n:
+                    keys.append(key)
+                top = ops[-1]
             t = tokens[i]
             i += 1
-            binary = _BINARY.get(t)
-            if binary is not None:
-                bind, op = binary
-                while ops[-1][0] > bind:
-                    k = node(ops.pop()[1], (), (lefts.pop(), k))
+            bind, op = _BINARY.get(t, _CLOSE)
+            if op is None and t != (")" if depth else ""):
+                message = "expected ')', got {}" if depth else "unexpected {}"
+                raise _error(text, tokens, i - 1, message)
+            while top[0] > bind:
+                ops.pop()
+                key = (top[1], (), (lefts.pop(), k))
+                n = len(keys)
+                k = slot.setdefault(key, n)
+                if k == n:
+                    keys.append(key)
+                top = ops[-1]
+            if op is not None:
                 lefts.append(k)
                 ops.append(op)
                 break
-            if t != (")" if depth else ""):
-                message = "expected ')', got {}" if depth else "unexpected {}"
-                raise _error(text, tokens, i - 1, message)
             # the innermost group closes
-            while ops[-1] is not _GROUP:
-                k = node(ops.pop()[1], (), (lefts.pop(), k))
             if not depth:
                 # the root is numbered last: no proper subterm equals it
-                return _root(table.keys)
+                return _root(keys)
             ops.pop()
             depth -= 1
+            top = ops[-1]
 
 
 def _error(text: str, tokens: list[str], i: int, message: str) -> ParseError:
@@ -507,7 +538,9 @@ class _Table:
     The keys alone are the numbered formula: Formula.__eq__, the printer,
     the folds and the truth core read nothing else, so the table builds no
     node; _build makes the nodes of a numbering that needs them.  The
-    table lives for one numbering; there is no global one."""
+    table lives for one numbering; there is no global one.  The parser and
+    _numbering write into slot and keys directly, as node does, to save a
+    call per subterm; the parser leaves its leaves out of slot."""
 
     __slots__ = ("keys", "slot")
 
@@ -526,7 +559,7 @@ class _Table:
         return k
 
 
-def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple]]:
+def _numbering(*roots: Formula, build: bool = True) -> tuple[list[Formula] | None, list[tuple]]:
     """The distinct subterms of the roots, children first: nodes[k] is the
     node numbered k and keys[k] its (class, fields, operand numbers).
     Equal subterms get one number, so a shared subterm is met once however
@@ -534,18 +567,20 @@ def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple]]:
     operand before the right, and a single root comes last.
 
     A node read once is known by its id for the rest of the walk.  A
-    parsed root whose operands are not built yet has _unfold build them
-    from its program's keys, once; met before any other subterm, as a
+    parsed root whose operands are not built yet is not walked: its
+    program's keys are numbered in the table, in their order, so it numbers
+    as a walk of its subterms would.  Met before any other subterm, as a
     query is, or a query under valid's negation, its program is the
-    numbering so far and its nodes the ones _unfold built, and it is not
-    walked.
+    numbering so far.  Its nodes are the ones _unfold builds from the keys;
+    without build, nodes is None, nothing is built, and _keys and _program
+    number a formula built in code over parsed roots from keys alone.
 
     The printer, desugar, modal_depth and _program fold over the keys,
     computing each node's value from its operands' values, so that none of
     them recurses."""
     table = _Table()
     keys, slot = table.keys, table.slot
-    nodes: list[Formula] = []
+    nodes: list[Formula] | None = [] if build else None
     read: dict[int, int] = {}
     stack = list(reversed(roots))
     while stack:
@@ -556,16 +591,28 @@ def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple]]:
         cls = type(g)  # read off the class: an instance read takes __getattr__'s slower lookup
         try:
             ks = cls._kids(g)
-        except AttributeError:  # a parsed root: build its operands
-            prog, built = g._prog[0], _unfold(g)
-            if keys:  # met after other subterms: walk what was built
-                continue
-            # numbered first, it numbers as its program does
+        except AttributeError:  # a parsed root: number its program's keys
             stack.pop()
-            keys += prog
-            slot.update(zip(prog, range(len(prog))))
-            nodes += built
-            read[id(g)] = len(keys) - 1
+            prog = g._prog[0]
+            built = _unfold(g) if build else None
+            if not keys:  # numbered first, it numbers as its program does
+                keys += prog
+                slot.update(zip(prog, range(len(prog))))
+                if build:
+                    nodes += built
+                read[id(g)] = len(keys) - 1
+                continue
+            out: list[int] = []  # each key's number in the table
+            for j, (c, fields, pks) in enumerate(prog):
+                key = (c, fields, tuple([out[x] for x in pks]))
+                k = slot.get(key)
+                if k is None:
+                    k = slot[key] = len(keys)
+                    keys.append(key)
+                    if build:
+                        nodes.append(built[j])
+                out.append(k)
+            read[id(g)] = out[-1]
             continue
         if len(ks) == 1:
             a = read.get(id(ks[0]))
@@ -588,7 +635,8 @@ def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple]]:
         if k is None:
             k = slot[key] = len(keys)
             keys.append(key)
-            nodes.append(g)
+            if build:
+                nodes.append(g)
         read[id(g)] = k
     return nodes, keys
 
@@ -596,11 +644,12 @@ def _numbering(*roots: Formula) -> tuple[list[Formula], list[tuple]]:
 def _keys(f: Formula) -> list[tuple]:
     """f's key list: its program's if it carries one, else a fresh
     numbering's, which is not kept, so comparing or printing the subterms
-    of a formula built in code leaves no program on them."""
+    of a formula built in code leaves no program on them.  No node is
+    built: a parsed root under f is numbered from its keys."""
     try:
         return f._prog[0]
     except AttributeError:
-        return _numbering(f)[1]
+        return _numbering(f, build=False)[1]
 
 
 def _build(keys: list[tuple], given: dict[int, Formula]) -> list[Formula]:
@@ -776,7 +825,7 @@ def _program(f: Formula) -> tuple:
         return f._prog
     except AttributeError:
         pass
-    prog = _program_of(_numbering(f)[1])
+    prog = _program_of(_numbering(f, build=False)[1])
     _set_prog(f, prog)
     return prog
 

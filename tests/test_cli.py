@@ -361,6 +361,20 @@ def test_unparseable_formula_is_an_input_error(capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sat", "--formula=--"],
+    ["valid", "--formula=--"],
+    ["check", "--model", FIGURE, "--state=--", "--formula", "p"],
+    ["check", "--model=--", "--state", "w", "--formula", "p"],
+])
+def test_an_option_given_as_two_dashes_is_an_input_error(capsys, argv):
+    # --opt=-- gives the option the text "--", which no formula, state or
+    # file of these commands is
+    code, captured = run(capsys, *argv)
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # bisim
 

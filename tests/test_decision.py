@@ -780,9 +780,9 @@ def test_layout_numbers_each_query_once(monkeypatch):
     numbered = []
     numbering = formula._numbering
 
-    def counted(*roots):
+    def counted(*roots, **options):
         numbered.append(roots)
-        return numbering(*roots)
+        return numbering(*roots, **options)
 
     def refused(f):
         raise AssertionError(f"compiled {print_formula(f)}")
@@ -800,19 +800,26 @@ def test_layout_numbers_each_query_once(monkeypatch):
 def test_the_decision_path_builds_no_formula_node(monkeypatch):
     # the closure is a key list, so satisfiable on a parsed query and the
     # bounded oracle read keys only: with every node build refused they
-    # give the results they give without the refusal
+    # give the results they give without the refusal.  valid numbers its
+    # negation of a parsed query from the query's keys, and so does the
+    # re-verification of an invalid query's countermodel
     sat_texts = DECIDE_SAT_TEXTS
     oracle_texts = DECIDE_ORACLE_TEXTS[:4] + ("D[n](p & q) & !S[n](p & q)", "B[a;n] p & !p")
+    valid_texts = DECIDE_VALID_TEXTS[:6] + ("S[n] p -> !E[n] !p",) + tuple(NEGATIVE_CONTROLS) + ("E[n] p -> S[n] p",)
     want = ([satisfiable(parse_formula(t)).to_dict() for t in sat_texts],
-            [satisfiable_bounded(parse_formula(t), 2, 2).to_dict() for t in oracle_texts])
+            [satisfiable_bounded(parse_formula(t), 2, 2).to_dict() for t in oracle_texts],
+            [valid(parse_formula(t)) for t in valid_texts])
     sat_queries = [parse_formula(t) for t in sat_texts]
     oracle_queries = [parse_formula(t) for t in oracle_texts]
+    valid_queries = [parse_formula(t) for t in valid_texts]
     refuse_node_builds(monkeypatch)
     got = ([satisfiable(chi).to_dict() for chi in sat_queries],
-           [satisfiable_bounded(chi, 2, 2).to_dict() for chi in oracle_queries])
+           [satisfiable_bounded(chi, 2, 2).to_dict() for chi in oracle_queries],
+           [valid(chi) for chi in valid_queries])
     assert got == want
     assert {r["verdict"] for r in want[0]} == {"sat"}
     assert {r["verdict"] for r in want[1]} == {"sat", "sat-bounded-unknown"}
+    assert want[2] == [True] * 7 + [False] * (len(NEGATIVE_CONTROLS) + 1)
 
 
 @settings(max_examples=80, deadline=None)

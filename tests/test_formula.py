@@ -184,6 +184,15 @@ PINNED_PARSES = [
     ("!E[n] (p -> q) -> r", "!E[n] (p -> q) -> r"),
     ("(a -> b) -> c", "(a -> b) -> c"),
     ("((((p))))", "p"),
+    # repeated atoms, constants and heads, recorded before the parser
+    # memoised atoms
+    ("p p", ("unexpected 'p'", 1, 3)),
+    ("(p & q) p", ("unexpected 'p'", 1, 9)),
+    ("p & p & P", ("propositions are lowercase identifiers, got 'P'", 1, 9)),
+    ("q & !q & E[n]", ("expected a formula, got 'end of input'", 1, 14)),
+    ("true & true | false & false", "true & true | false & false"),
+    ("E[n] p & E[n] p", "E[n] p & E[n] p"),
+    ("B[a;n] p -> B[a;n] p", "B[a;n] p -> B[a;n] p"),
 ]
 
 
@@ -271,8 +280,8 @@ def test_a_parsed_query_is_numbered_from_its_keys():
     # closure desugars a parsed root's program as it stands: its operands
     # are never read and no node is built; a formula in the core keeps its
     # keys, and desugar returns it as it is.  A root built in code is
-    # numbered by a walk that reads its operands, and a parsed operand's
-    # operands are built by the one unfold that numbers them
+    # numbered by a walk that reads its operands, and a parsed operand is
+    # numbered from its keys, its operands still unbuilt
     g, h = parse_formula("S[n] (p & !E[m] q) & C[n] !(p & !E[m] q)"), parse_formula("p -> E[n] q")
     read = []
     with pytest.MonkeyPatch.context() as mp:
@@ -284,6 +293,8 @@ def test_a_parsed_query_is_numbered_from_its_keys():
         assert read == []
         closure(w := Not(h))
     assert {id(x) for x in read} == {id(w), id(h)}
+    with pytest.raises(AttributeError):
+        h._kids()
     assert cl.keys[:cl.root + 1] == tuple(_keys(g))
     assert desugar(g) is g
 
@@ -719,6 +730,12 @@ def test_parsed_and_code_built_formulas_agree(f):
     text = print_formula(f)
     assert _numbering(parse_formula(text), q)[1] == _numbering(f, q)[1]
     assert _numbering(q, parse_formula(text))[1] == _numbering(q, f)[1]
+    # and from its keys alone, as an operand of a root built in code
+    first, later = parse_formula(text), parse_formula(text)
+    with pytest.MonkeyPatch.context() as no_build:
+        refuse_node_builds(no_build)
+        assert _keys(Not(first)) == _keys(Not(f))
+        assert _keys(And(q, later)) == _keys(And(q, f))
     # every field, node for node, and equal subterms of g are one node
     one: dict[Formula, Formula] = {}
     pairs = [(g, f)]
