@@ -29,7 +29,6 @@ from .formula import (
     Top,
     agents_in,
     closure,
-    desugar,
     modal_depth,
     names_in,
     parse_formula,

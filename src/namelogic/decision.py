@@ -538,7 +538,7 @@ def satisfiable_bounded(chi: Formula, max_states: int = 3, max_agents: int = 2) 
     "unsat".  The stats' closure_size counts desugared subterms, not a
     closure."""
     prog = _program(chi)
-    stats = {"closure_size": len(_desugar(prog[0])[0].keys), "initial_atoms": 0, "rounds": 0}
+    stats = {"closure_size": len(_desugar(prog[0]).keys), "initial_atoms": 0, "rounds": 0}
     props, names, fixed = sorted(props_in(chi)), sorted(names_in(chi)), sorted(agents_in(chi))
     for size in range(1, max_states + 1):
         for n_agents in range(len(fixed), max_agents + 1):

@@ -14,13 +14,17 @@ unary operators ``!`` and the modalities, which bind their immediate
 argument.  ``->`` and ``<->`` associate to the right.  Atoms are lowercase
 identifiers; ``true`` and ``false`` are reserved.
 
-Nodes are immutable ``__slots__`` objects.  Each node computes its hash
-once, in ``__init__``: the hash of the tuple of its string fields and its
-operands' ``_hash`` ints, read off their slots, mixed with a constant of its
-class, so that nodes of different classes over the same fields (``E[n] f``
-and ``S[n] f``) hash apart.  Building a node calls no Python-level
-``__hash__``, and a memo lookup never re-hashes the subtree.  A parsed
-root gets the same value on first read, folded over its keys (below).
+Nodes are immutable ``__slots__`` objects, and no class defines
+``__getattr__``, so an attribute read takes CPython's fast path.  The
+operands live in private slots behind the public ``arg``, ``left`` and
+``right`` properties.  Each node computes its hash once, in ``__init__``:
+the hash of the tuple of its string fields and its operands' ``_hash``
+ints, read off their slots, mixed with a constant of its class, so that
+nodes of different classes over the same fields (``E[n] f`` and ``S[n]
+f``) hash apart.  Building a node over built operands calls no
+Python-level ``__hash__``, and a memo lookup never re-hashes the subtree.
+A parsed root gets the same value from ``__hash__``, folded over its keys
+on first use (below).
 
 A formula is a DAG: equal subterms may be one shared node.  A numbering
 lists the distinct subterms of one or more roots children first, in a
@@ -43,27 +47,23 @@ The parser is one loop over the tokens, its pending operators and operands
 on explicit stacks, and writes keys only: a text is numbered as it is read,
 and no node is built for its subterms.  The parsed formula is its root,
 made by ``_root`` from the key list with its string fields and the keys,
-kept as its program, the same list ``_numbering`` would make.  Its operands
-and ``_hash`` are left unset, and ``Formula.__getattr__`` fills them on
-first read: the hash folded over the keys, the operands built from the keys
-in one loop (``_unfold``), one node per key, so equal subterms of one text
-are one node.  Pickling and copying go through ``_root`` too.
-``_numbering`` numbers formulas built in code, reading each node once by
-its id, and numbers a parsed root it meets from the root's keys, taking its
-nodes, when they are asked for, from that one build.  ``_keys`` and
-``_program`` ask for none, so numbering a formula built in code over parsed
-roots, such as ``valid``'s negation of a query, builds no node.  Printing,
-``repr``, ``modal_depth`` and the truth core are folds over the keys, and
-each meets a shared subterm once; nothing here recurses, so no depth of
-nesting is too deep to read, print, compare or evaluate.  ``_desugar``
-rewrites a key list into a table, noting the numbers whose subterm the
-input keeps as it was; ``desugar`` builds nodes from it, reusing the
-input's nodes where kept, so equal subterms of the result are one node when
-those of its input are.  ``closure`` desugars the query's keys, a parsed
-query's program as it stands, and grows that table by the seeds and every
-member its rules add, each after its operands.  The closure is that key
-list and builds no node; the layout reads the keys, so a query is numbered
-at most once.
+kept as its program, the same list ``_numbering`` would make.  Its
+``_hash`` and operand slots are left unset: ``__hash__`` folds the hash
+over the keys on first use, and the first read of an operand property
+builds the operands from the keys in one loop (``_unfold``), one node per
+key, so equal subterms of one text are one node.  Pickling and copying go
+through ``_root`` too.  ``_numbering`` numbers formulas built in code,
+reading each node once by its id, and numbers a parsed root it meets from
+the root's keys, building nothing, so numbering a formula built in code
+over parsed roots, such as ``valid``'s negation of a query, builds no node.
+Printing, ``repr``, ``modal_depth`` and the truth core are folds over the
+keys, and each meets a shared subterm once; nothing here recurses, so no
+depth of nesting is too deep to read, print, compare or evaluate.
+``_desugar`` rewrites a key list into a table over the !/& core, and
+``closure`` desugars the query's keys, a parsed query's program as it
+stands, and grows that table by the seeds and every member its rules add,
+each after its operands.  The closure is that key list and builds no node;
+the layout reads the keys, so a query is numbered at most once.
 
 A formula asked about in a model is numbered once: ``_program`` keeps its
 keys on the node, with the name, proposition and agent sets that
@@ -93,36 +93,28 @@ class Formula:
     """Base class for all formula nodes. Instances are immutable."""
 
     # _prog stays unset until _program fills it, _masks until kripke._truth
-    # does; a parsed root leaves _hash and its operands unset too
+    # does; a parsed root leaves _hash unset until __hash__ folds it, and
+    # its operand slots until an operand property is read
     __slots__ = ("_hash", "_prog", "_masks")
     __match_args__: tuple[str, ...] = ()
     # the slot descriptors of the string fields and of the operands
     _field_slots: tuple = ()
     _operand_slots: tuple = ()
 
-    def __getattr__(self, name: str):
-        """Runs only for an unset slot.  A parsed root, made by _root with
-        its string fields and program alone, gets its _hash folded over the
-        program's keys on first read, and its operands, all built at once,
-        on the first read of one.  Any other name raises at once."""
-        if name == "_hash":
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # a parsed root: fold its hash over its keys, once
             h = _hash_of(self._prog[0])
             _set_hash(self, h)
             return h
-        if name in _OPERAND_NAMES and name in self.__match_args__:
-            _unfold(self)
-            return object.__getattribute__(self, name)
-        raise AttributeError(f"{self.__class__.__qualname__!r} object has no attribute {name!r}")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._hash != other._hash:
+        if hash(self) != hash(other):
             return False
         return _keys(self) == _keys(other)
 
@@ -165,8 +157,6 @@ class Formula:
 # The longest Formula.__repr__ written out in full, in characters.
 _REPR_CAP = 10_000
 
-_OPERAND_NAMES = frozenset(["arg", "left", "right"])
-
 # Slot setters: __setattr__ refuses every assignment, so constructors write
 # through the slot descriptors directly.
 _set_hash = Formula._hash.__set__
@@ -207,41 +197,74 @@ class Bot(_Constant):
     __slots__ = ()
 
 
+# The operands sit in private slots behind properties, which build a parsed
+# root's on first read (_unfold).  A constructor calls hash() on an operand
+# only when its _hash slot is unset, as a parsed root's is until then.
+
 class Not(Formula):
-    __slots__ = ("arg",)
+    __slots__ = ("_arg",)
     __match_args__ = ("arg",)
 
     def __init__(self, arg: Formula):
         _set_not_arg(self, arg)
-        _set_hash(self, hash((arg._hash,)) ^ self._salt)
+        try:
+            h = arg._hash
+        except AttributeError:
+            h = hash(arg)
+        _set_hash(self, hash((h,)) ^ self._salt)
+
+    @property
+    def arg(self) -> Formula:  # _Modal's and B's too
+        try:
+            return self._arg
+        except AttributeError:
+            _unfold(self)
+            return self._arg
 
     def _kids(self) -> tuple[Formula, ...]:
-        return (_get_not_arg(self),)
+        return (self._arg,)
 
 
-_set_not_arg = Not.arg.__set__
-_get_not_arg = Not.arg.__get__
-Not._operand_slots = (Not.arg,)
+_set_not_arg = Not._arg.__set__
+Not._operand_slots = (Not._arg,)
 
 
 class _Binary(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = ("_left", "_right")
     __match_args__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         _set_left(self, left)
         _set_right(self, right)
-        _set_hash(self, hash((left._hash, right._hash)) ^ self._salt)
+        try:
+            h = hash((left._hash, right._hash))
+        except AttributeError:
+            h = hash((hash(left), hash(right)))
+        _set_hash(self, h ^ self._salt)
+
+    @property
+    def left(self) -> Formula:
+        try:
+            return self._left
+        except AttributeError:
+            _unfold(self)
+            return self._left
+
+    @property
+    def right(self) -> Formula:
+        try:
+            return self._right
+        except AttributeError:
+            _unfold(self)
+            return self._right
 
     def _kids(self) -> tuple[Formula, ...]:
-        return (_get_left(self), _get_right(self))
+        return (self._left, self._right)
 
 
-_set_left = _Binary.left.__set__
-_set_right = _Binary.right.__set__
-_get_left = _Binary.left.__get__
-_get_right = _Binary.right.__get__
-_Binary._operand_slots = (_Binary.left, _Binary.right)
+_set_left = _Binary._left.__set__
+_set_right = _Binary._right.__set__
+_Binary._operand_slots = (_Binary._left, _Binary._right)
 
 
 class And(_Binary):
@@ -261,26 +284,28 @@ class Iff(_Binary):
 
 
 class _Modal(Formula):
-    __slots__ = ("name", "arg")
+    __slots__ = ("name", "_arg")
     __match_args__ = ("name", "arg")
 
     def __init__(self, name: str, arg: Formula):
         _set_modal_name(self, name)
         _set_modal_arg(self, arg)
-        _set_hash(self, hash((name, arg._hash)) ^ self._salt)
+        try:
+            h = arg._hash
+        except AttributeError:
+            h = hash(arg)
+        _set_hash(self, hash((name, h)) ^ self._salt)
 
-    def _kids(self) -> tuple[Formula, ...]:
-        return (_get_modal_arg(self),)
+    arg, _kids = Not.arg, Not._kids
 
     def _fields(self) -> tuple[str, ...]:
         return (self.name,)
 
 
 _set_modal_name = _Modal.name.__set__
-_set_modal_arg = _Modal.arg.__set__
-_get_modal_arg = _Modal.arg.__get__
+_set_modal_arg = _Modal._arg.__set__
 _Modal._field_slots = (_Modal.name,)
-_Modal._operand_slots = (_Modal.arg,)
+_Modal._operand_slots = (_Modal._arg,)
 
 
 class E(_Modal):
@@ -300,17 +325,20 @@ class D(_Modal):
 
 
 class B(Formula):
-    __slots__ = ("agent", "name", "arg")
+    __slots__ = ("agent", "name", "_arg")
     __match_args__ = ("agent", "name", "arg")
 
     def __init__(self, agent: str, name: str, arg: Formula):
         _set_b_agent(self, agent)
         _set_b_name(self, name)
         _set_b_arg(self, arg)
-        _set_hash(self, hash((agent, name, arg._hash)) ^ self._salt)
+        try:
+            h = arg._hash
+        except AttributeError:
+            h = hash(arg)
+        _set_hash(self, hash((agent, name, h)) ^ self._salt)
 
-    def _kids(self) -> tuple[Formula, ...]:
-        return (_get_b_arg(self),)
+    arg, _kids = Not.arg, Not._kids
 
     def _fields(self) -> tuple[str, ...]:
         return (self.agent, self.name)
@@ -318,10 +346,9 @@ class B(Formula):
 
 _set_b_agent = B.agent.__set__
 _set_b_name = B.name.__set__
-_set_b_arg = B.arg.__set__
-_get_b_arg = B.arg.__get__
+_set_b_arg = B._arg.__set__
 B._field_slots = (B.agent, B.name)
-B._operand_slots = (B.arg,)
+B._operand_slots = (B._arg,)
 
 
 # Every node class by name, the name a numbered DAG gives each key's class.
@@ -559,28 +586,26 @@ class _Table:
         return k
 
 
-def _numbering(*roots: Formula, build: bool = True) -> tuple[list[Formula] | None, list[tuple]]:
-    """The distinct subterms of the roots, children first: nodes[k] is the
-    node numbered k and keys[k] its (class, fields, operand numbers).
-    Equal subterms get one number, so a shared subterm is met once however
-    often it occurs.  The roots are numbered in the order given, each left
-    operand before the right, and a single root comes last.
+def _numbering(*roots: Formula) -> list[tuple]:
+    """The key list of the distinct subterms of the roots, children first:
+    keys[k] is the (class, fields, operand numbers) of the subterm
+    numbered k.  Equal subterms get one number, so a shared subterm is met
+    once however often it occurs.  The roots are numbered in the order
+    given, each left operand before the right, and a single root comes
+    last.
 
     A node read once is known by its id for the rest of the walk.  A
     parsed root whose operands are not built yet is not walked: its
     program's keys are numbered in the table, in their order, so it numbers
-    as a walk of its subterms would.  Met before any other subterm, as a
-    query is, or a query under valid's negation, its program is the
-    numbering so far.  Its nodes are the ones _unfold builds from the keys;
-    without build, nodes is None, nothing is built, and _keys and _program
-    number a formula built in code over parsed roots from keys alone.
+    as a walk of its subterms would, and nothing is built.  Met before any
+    other subterm, as a query is, or a query under valid's negation, its
+    program is the numbering so far.
 
-    The printer, desugar, modal_depth and _program fold over the keys,
-    computing each node's value from its operands' values, so that none of
-    them recurses."""
+    The printer, modal_depth and _program fold over the keys, computing
+    each node's value from its operands' values, so that none of them
+    recurses."""
     table = _Table()
     keys, slot = table.keys, table.slot
-    nodes: list[Formula] | None = [] if build else None
     read: dict[int, int] = {}
     stack = list(reversed(roots))
     while stack:
@@ -588,29 +613,23 @@ def _numbering(*roots: Formula, build: bool = True) -> tuple[list[Formula] | Non
         if id(g) in read:
             stack.pop()
             continue
-        cls = type(g)  # read off the class: an instance read takes __getattr__'s slower lookup
         try:
-            ks = cls._kids(g)
+            ks = g._kids()
         except AttributeError:  # a parsed root: number its program's keys
             stack.pop()
             prog = g._prog[0]
-            built = _unfold(g) if build else None
             if not keys:  # numbered first, it numbers as its program does
                 keys += prog
                 slot.update(zip(prog, range(len(prog))))
-                if build:
-                    nodes += built
                 read[id(g)] = len(keys) - 1
                 continue
             out: list[int] = []  # each key's number in the table
-            for j, (c, fields, pks) in enumerate(prog):
+            for c, fields, pks in prog:
                 key = (c, fields, tuple([out[x] for x in pks]))
                 k = slot.get(key)
                 if k is None:
                     k = slot[key] = len(keys)
                     keys.append(key)
-                    if build:
-                        nodes.append(built[j])
                 out.append(k)
             read[id(g)] = out[-1]
             continue
@@ -630,15 +649,13 @@ def _numbering(*roots: Formula, build: bool = True) -> tuple[list[Formula] | Non
                 continue
             ks = (a, b)
         stack.pop()
-        key = (cls, cls._fields(g), ks)  # table.node, inlined
+        key = (g.__class__, g._fields(), ks)  # table.node, inlined
         k = slot.get(key)
         if k is None:
             k = slot[key] = len(keys)
             keys.append(key)
-            if build:
-                nodes.append(g)
         read[id(g)] = k
-    return nodes, keys
+    return keys
 
 
 def _keys(f: Formula) -> list[tuple]:
@@ -649,35 +666,32 @@ def _keys(f: Formula) -> list[tuple]:
     try:
         return f._prog[0]
     except AttributeError:
-        return _numbering(f, build=False)[1]
+        return _numbering(f)
 
 
-def _build(keys: list[tuple], given: dict[int, Formula]) -> list[Formula]:
-    """One node per key, children first: given[k] where given holds k,
-    else a node built from key k over the nodes of its operands, true and
-    false as TRUE and FALSE."""
+def _build(keys: list[tuple]) -> list[Formula]:
+    """One node per key, children first, each built from its key over the
+    nodes of its operands, true and false as TRUE and FALSE."""
     nodes: list[Formula] = []
     push = nodes.append
-    for k, (cls, fields, ks) in enumerate(keys):
-        g = given.get(k)
-        if g is None:
-            if len(ks) == 2:  # only a binary connective has two operands, and no fields
-                g = cls(nodes[ks[0]], nodes[ks[1]])
-            elif ks:
-                g = cls(*fields, nodes[ks[0]])
-            elif cls is Prop:
-                g = Prop(fields[0])
-            else:
-                g = TRUE if cls is Top else FALSE
-        push(g)
+    for cls, fields, ks in keys:
+        if len(ks) == 2:  # only a binary connective has two operands, and no fields
+            push(cls(nodes[ks[0]], nodes[ks[1]]))
+        elif ks:
+            push(cls(*fields, nodes[ks[0]]))
+        elif cls is Prop:
+            push(Prop(fields[0]))
+        else:
+            push(TRUE if cls is Top else FALSE)
     return nodes
 
 
 def _root(keys: list[tuple]) -> Formula:
     """The formula whose key list is keys, with keys kept as its program.
     A leaf is built; any other root is made by cls.__new__ with its string
-    fields alone, and Formula.__getattr__ fills its _hash and operands
-    from the keys on first read.  The parser, pickle and deepcopy make
+    fields alone, its _hash and operand slots unset: Formula.__hash__ folds
+    the hash over the keys on first use, and the first read of an operand
+    builds them all (_unfold).  The parser, pickle and deepcopy make
     formulas here."""
     cls, fields, ks = keys[-1]
     if ks:
@@ -685,20 +699,19 @@ def _root(keys: list[tuple]) -> Formula:
         for slot, value in zip(cls._field_slots, fields):
             slot.__set__(f, value)
     else:
-        f = _build(keys, {})[-1]
+        f = _build(keys)[-1]
     _set_prog(f, _program_of(keys))
     return f
 
 
-def _unfold(f: Formula) -> list[Formula]:
-    """Build the subterms of f, a root _root made, from its program's keys
-    in one loop, set f's operand slots, and return one node per key, f
-    last.  Equal subterms have one key, so they are one node."""
+def _unfold(f: Formula) -> None:
+    """Build the proper subterms of f, a root _root made, from its
+    program's keys in one loop, and set f's operand slots.  Equal subterms
+    have one key, so they are one node."""
     keys = f._prog[0]
-    nodes = _build(keys, {len(keys) - 1: f})
+    nodes = _build(keys[:-1])
     for slot, k in zip(f._operand_slots, keys[-1][2]):
         slot.__set__(f, nodes[k])
-    return nodes
 
 
 def _hash_of(keys: list[tuple]) -> int:
@@ -825,7 +838,7 @@ def _program(f: Formula) -> tuple:
         return f._prog
     except AttributeError:
         pass
-    prog = _program_of(_numbering(f, build=False)[1])
+    prog = _program_of(_numbering(f))
     _set_prog(f, prog)
     return prog
 
@@ -869,31 +882,18 @@ def modal_depth(f: Formula) -> int:
     return depth[-1]
 
 
-def desugar(f: Formula) -> Formula:
-    """Rewrite ->, |, <-> into the !/& core. Idempotent.
-
-    The result is numbered in one _Table, so equal subterms of the result
-    are one node when those of f are, as in a parsed formula.  A node
-    whose operands come out unchanged is returned as it is, so desugar(g)
-    is g for g in the core."""
-    nodes, keys = _numbering(f)
-    table, same = _desugar(keys)
-    return _build(table.keys, {b: nodes[k] for b, k in same.items()})[-1]
-
-
-def _desugar(keys: list[tuple]) -> tuple[_Table, dict[int, int]]:
-    """A table numbering the desugared formula that keys number, last, so
-    every key it holds is a subterm's, and same, which maps each table
-    number whose subterm is the input's, unchanged, to its number in keys."""
+def _desugar(keys: list[tuple]) -> _Table:
+    """A table numbering the desugared formula that keys number, ->, | and
+    <-> rewritten into the !/& core, last, so every key it holds is a
+    subterm's.  A formula in the core is numbered as keys number it."""
     table = _Table()
     node = table.node
-    same: dict[int, int] = {}
 
     def implies(a: int, b: int) -> int:  # !(a & !b)
         return node(Not, (), (node(And, (), (a, node(Not, (), (b,)))),))
 
     out: list[int] = []
-    for k, (cls, fields, ks) in enumerate(keys):
+    for cls, fields, ks in keys:
         args = tuple([out[j] for j in ks])
         if cls is Or:  # !a -> b
             out.append(implies(node(Not, (), args[:1]), args[1]))
@@ -902,12 +902,8 @@ def _desugar(keys: list[tuple]) -> tuple[_Table, dict[int, int]]:
         elif cls is Iff:
             out.append(node(And, (), (implies(*args), implies(args[1], args[0]))))
         else:
-            new = len(table.keys)
-            a = node(cls, fields, args)
-            if a == new and all([same.get(b) == j for b, j in zip(args, ks)]):
-                same[a] = k
-            out.append(a)
-    return table, same
+            out.append(node(cls, fields, args))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +936,7 @@ def closure(chi: Formula) -> Closure:
     Every added member is numbered after its operands, so the numbering
     stays children first, and a member already present keeps its number.
     """
-    table, _ = _desugar(_keys(chi))
+    table = _desugar(_keys(chi))
     keys = table.keys
     for k in range(len(keys) - 1, -1, -1):  # outermost first, as a walk of a tree meets them
         if keys[k][0] is D or keys[k][0] is B:

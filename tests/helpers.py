@@ -10,9 +10,8 @@ from itertools import islice
 from operator import or_
 
 from namelogic import And, B, Bot, BudgetExceededError, C, D, E, FALSE, Iff, Implies, ModelFormatError, Not, Or, Prop, S, TRUE, Top, closure, walk
-from namelogic import UnsupportedFragmentError, desugar, names_in, print_formula, props_in
+from namelogic import UnsupportedFragmentError, print_formula
 from namelogic import formula, kripke
-from namelogic.formula import _numbering
 
 _BOOLEAN = ("not", "and", "or", "implies", "iff")
 
@@ -375,8 +374,18 @@ def reference_symbols(f) -> tuple[frozenset, frozenset, frozenset]:
 
 
 def subformulas(f) -> frozenset:
-    """The distinct subterms of the desugared f, f included."""
-    return frozenset(_numbering(desugar(f))[0])
+    """The distinct subterms of the desugared f, f included, by the
+    recursive definitions: exponential on a DAG, so for small formulas."""
+    return frozenset(walk(reference_desugar(f)))
+
+
+def desugar(f):
+    """f with ->, | and <-> rewritten into the !/& core by the library's
+    key-level formula._desugar, built node by node from the table it
+    numbers, so equal subterms of the result are one node.  The table lists
+    the input's subterms first, not in a numbering's order, so it is no
+    program for the result."""
+    return formula._build(formula._desugar(formula._keys(f)).keys)[-1]
 
 
 def closure_members(cl) -> list:
@@ -404,10 +413,12 @@ def reference_closure(chi) -> tuple[frozenset, frozenset, frozenset]:
     set: the subterms of the desugared chi and the seeds, then every
     negation, S-weakening and C-unfolding until nothing is new.  Raises
     UnsupportedFragmentError naming the outermost desugared D/B member."""
-    chi = desugar(chi)
-    names = names_in(chi)
+    chi = reference_desugar(chi)
+    names, props, _ = reference_symbols(chi)
     seeds = [S(n, TRUE) for n in sorted(names)] + [E(n, FALSE) for n in sorted(names)]
-    nodes, _ = _numbering(chi, *seeds)
+    # the distinct subterms children first, as a numbering lists them: each
+    # root's walk reversed, every subterm at its first place
+    nodes = list(dict.fromkeys([g for root in (chi, *seeds) for g in reversed(list(walk(root)))]))
     for g in reversed(nodes):
         if isinstance(g, (D, B)):
             raise UnsupportedFragmentError(
@@ -428,7 +439,7 @@ def reference_closure(chi) -> tuple[frozenset, frozenset, frozenset]:
             case C(n, arg):
                 queue.append(E(n, arg))
                 queue.append(E(n, g))
-    return frozenset(formulas), names, props_in(chi)
+    return frozenset(formulas), names, props
 
 
 def _mentioned_states(m) -> frozenset:

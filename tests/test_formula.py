@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     closure_members,
+    desugar,
     reference_closure,
     reference_desugar,
     reference_equal,
@@ -20,7 +21,7 @@ from helpers import (
     subformulas,
 )
 
-from namelogic import kripke, neighborhood
+from namelogic import formula, kripke, neighborhood
 from namelogic.errors import ParseError, UnsupportedFragmentError
 from namelogic.formula import (
     And,
@@ -42,13 +43,14 @@ from namelogic.formula import (
     _REPR_CAP,
     _Binary,
     _Modal,
+    _build,
+    _desugar,
     _keys,
     _numbering,
     _text_length,
     _program,
     agents_in,
     closure,
-    desugar,
     modal_depth,
     names_in,
     parse_formula,
@@ -258,7 +260,8 @@ def test_print_parse_roundtrip(f):
 @given(_formulas())
 def test_desugar_is_idempotent(f):
     core = desugar(f)
-    assert desugar(core) is core  # a formula in the core comes back as is
+    assert _desugar(_keys(core)).keys == _keys(core)  # a formula in the core is numbered as it is
+    assert desugar(core) == core
 
 
 def test_desugared_conjuncts_are_one_node():
@@ -278,8 +281,8 @@ def test_desugared_equal_subterms_are_one_node(f):
 
 def test_a_parsed_query_is_numbered_from_its_keys():
     # closure desugars a parsed root's program as it stands: its operands
-    # are never read and no node is built; a formula in the core keeps its
-    # keys, and desugar returns it as it is.  A root built in code is
+    # are never read and no node is built, and a formula in the core keeps
+    # its keys.  A root built in code is
     # numbered by a walk that reads its operands, and a parsed operand is
     # numbered from its keys, its operands still unbuilt
     g, h = parse_formula("S[n] (p & !E[m] q) & C[n] !(p & !E[m] q)"), parse_formula("p -> E[n] q")
@@ -296,7 +299,6 @@ def test_a_parsed_query_is_numbered_from_its_keys():
     with pytest.raises(AttributeError):
         h._kids()
     assert cl.keys[:cl.root + 1] == tuple(_keys(g))
-    assert desugar(g) is g
 
 
 @given(_formulas())
@@ -309,7 +311,7 @@ def test_folds_match_the_recursive_definitions(f):
     assert print_formula(f) == reference_print(f)
     assert desugar(f) == reference_desugar(f)
     assert modal_depth(f) == reference_modal_depth(f)
-    assert subformulas(f) == frozenset(walk(reference_desugar(f)))
+    assert frozenset(_build(_desugar(_keys(f)).keys)) == subformulas(f)
 
 
 FIGURE = Path(__file__).resolve().parent.parent / "figure1.json"
@@ -322,10 +324,8 @@ def test_dag_shaped_formula_is_read_once_per_shared_subterm():
     f = base
     for _ in range(40):
         f = And(f, f)
-    core = desugar(f)
-    assert core.left is core.right
     assert modal_depth(f) == 1
-    assert len(subformulas(f)) == len(subformulas(base)) + 40
+    assert len(_desugar(_keys(f)).keys) == len(subformulas(base)) + 40
     assert names_in(f) == frozenset({"n", "m"})
     assert len(closure(f)) == len(closure(base)) + 2 * 40
     assert kripke.extension(m, f) == kripke.extension(m, base)
@@ -361,22 +361,22 @@ def test_numbering_never_compares_formulas(f):
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Formula, "__eq__", _refused)
-            nodes, _ = _numbering(a, b)
-            one_number = len(nodes) == 44 and nodes[-1] is a and all(x is not b for x in nodes)
-            one_each = len(_numbering(f, g)[0]) == len(_numbering(f)[0])
+            keys = _numbering(a, b)
+            one_number = len(keys) == 44 and keys == _numbering(a) == _numbering(b)
+            one_each = len(_numbering(f, g)) == len(_numbering(f))
             assert print_formula(S("n", And(Prop("p"), Prop("p")))) == "S[n] (p & p)"
             text = print_formula(f)
             assert print_formula(parse_formula(text)) == text == print_formula(g)
             agree = []
             for h in (a, f, g):
                 core = desugar(h)
-                size = len(_numbering(core)[0])
-                agree += [len(subformulas(h)) == size, len(_program(h)[0]) == len(_numbering(h)[0])]
+                size = len(_keys(core))
+                agree += [len(_desugar(_keys(h)).keys) == size, len(_program(h)[0]) == len(_numbering(h))]
                 try:
                     cl = closure(h)
                 except UnsupportedFragmentError:
                     continue
-                agree.append(len(_numbering(closure_members(cl)[cl.root], core)[0]) == size)
+                agree.append(len(_numbering(closure_members(cl)[cl.root], core)) == size)
             depth = modal_depth(a)
     except _Compared:
         pytest.fail("two formulas were compared", pytrace=False)
@@ -421,7 +421,7 @@ def test_constructed_deep_chains_are_read_without_recursion(kind):
     assert parse_formula(text) == f
     assert modal_depth(f) == depth
     core = desugar(f)
-    assert len(subformulas(f)) == size
+    assert len(_keys(core)) == size
     assert names_in(f) == (frozenset({"n"}) if kind in "EB" else frozenset())
     assert names_in(core) == names_in(f)
     ext = kripke.extension(m, f)
@@ -449,6 +449,25 @@ def test_symbol_sets_match_the_walk(f):
     assert agents_in(f) == agents
     for g in walk(f):  # every subterm was filled on the way, and correctly
         assert (names_in(g), props_in(g), agents_in(g)) == reference_symbols(g)
+
+
+def test_operands_are_properties_and_no_class_has_getattr():
+    # a class that defines __getattr__ puts every attribute read on its
+    # nodes on CPython's slower lookup; a parsed root builds its operands
+    # in the operand properties instead, all of them on the first read
+    assert not [c for cls in formula._CLASSES.values() for c in cls.__mro__ if "__getattr__" in vars(c)]
+    text = "S[n] (p & !E[m] q) & C[n] !(p & !E[m] q)"
+    g = parse_formula(text)
+    unfolded = []
+    unfold = formula._unfold
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formula, "_unfold", lambda f: unfolded.append(id(f)) or unfold(f))
+        g.left, g.right
+    assert unfolded == [id(g)]
+    f = And(S("n", And(p, Not(E("m", q)))), C("n", Not(And(p, Not(E("m", q))))))
+    with pytest.MonkeyPatch.context() as no_build:
+        refuse_node_builds(no_build)
+        assert hash(Not(parse_formula(text))) == hash(Not(f))
 
 
 @given(_formulas())
@@ -479,7 +498,7 @@ def test_kept_program_holds_no_reference_to_its_formula():
     prog = _program(f)
     assert sys.getrefcount(f) == before
     assert _program(f) is prog
-    assert prog[0] == _numbering(f)[1]
+    assert prog[0] == _numbering(f)
     assert prog[0][-1] == (Or, (), (4, 7))  # the last key is f's
 
 
@@ -500,12 +519,9 @@ def test_parsed_formula_comes_with_its_numbering(f):
     g = parse_formula(print_formula(f))
     prog = g._prog  # kept by the parser, before any query
     assert _program(g) is prog
-    nodes, keys = _numbering(f)
+    keys = _numbering(f)
     assert prog[0] == keys  # key for key: class, fields, operand numbers
-    parsed = _numbering(g)
-    assert parsed[1] == keys and len(parsed[0]) == len(nodes)
-    for x, y in zip(parsed[0], nodes):
-        assert x == y and x.__class__ is y.__class__
+    assert _numbering(g) == keys
     assert prog[1:] == _program(f)[1:]
     assert not any(isinstance(x, Formula) for key in prog[0] for x in key)
     one: dict[Formula, Formula] = {}
@@ -728,8 +744,8 @@ def test_parsed_and_code_built_formulas_agree(f):
     assert _text_length(_keys(g)) == _text_length(_keys(f)) == len(print_formula(f))
     # numbered before or after another root, as a code-built one is
     text = print_formula(f)
-    assert _numbering(parse_formula(text), q)[1] == _numbering(f, q)[1]
-    assert _numbering(q, parse_formula(text))[1] == _numbering(q, f)[1]
+    assert _numbering(parse_formula(text), q) == _numbering(f, q)
+    assert _numbering(q, parse_formula(text)) == _numbering(q, f)
     # and from its keys alone, as an operand of a root built in code
     first, later = parse_formula(text), parse_formula(text)
     with pytest.MonkeyPatch.context() as no_build:
@@ -928,7 +944,7 @@ def test_closure_numbers_the_reference_members(f):
         assert all(j < k for j in ks)  # children first
         assert ks == tuple(number[x] for x in g._kids())
         assert (cls, fields) == (g.__class__, g._fields())
-    assert members[cl.root] == desugar(f)
+    assert members[cl.root] == reference_desugar(f)
 
 
 def test_closure_desugars_first():
